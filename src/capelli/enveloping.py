@@ -17,9 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Sequence
 
-from .exact import as_exact
+from .exact import SparseElement, as_exact
 from .weyl import WeylElement, weyl_multiply
 
 __all__ = [
@@ -87,33 +87,25 @@ def _expand(expo: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(g for g, e in enumerate(expo) for _ in range(e))
 
 
-class UglElement:
+class UglElement(SparseElement):
     """A PBW-normal-ordered element, sparse over exponent vectors."""
 
-    __slots__ = ("m", "_terms")
+    __slots__ = ()
+
+    _DESCENDING = True
+    _MISMATCH = "rank mismatch: {0[0]} vs {1[0]}"
 
     def __init__(self, m: int, terms: dict[tuple[int, ...], Fraction] | None = None):
-        size = m * m
-        clean: dict[tuple[int, ...], Fraction] = {}
-        for expo, c in (terms or {}).items():
-            if len(expo) != size:
-                raise ValueError(f"exponent vector does not fit gl({m}): {expo}")
-            c = as_exact(c)
-            if c:
-                clean[tuple(expo)] = c
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "_terms", clean)
+        super().__init__((m,), terms)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("UglElement is immutable")
+    m = property(lambda self: self._space[0])
 
-    @classmethod
-    def _raw(cls, m: int, terms: dict) -> UglElement:
-        # fast path: terms already canonical (right rank, no zeros)
-        u = object.__new__(cls)
-        object.__setattr__(u, "m", m)
-        object.__setattr__(u, "_terms", terms)
-        return u
+    @staticmethod
+    def _key(space: tuple, expo) -> tuple[int, ...]:
+        (m,) = space
+        if len(expo) != m * m:
+            raise ValueError(f"exponent vector does not fit gl({m}): {expo}")
+        return tuple(expo)
 
     @classmethod
     def zero(cls, m: int) -> UglElement:
@@ -135,107 +127,20 @@ class UglElement:
         expo[_generator_index(m)[(a, b)]] = 1
         return cls(m, {tuple(expo): 1})
 
-    def items(self) -> Iterator[tuple[tuple[int, ...], Fraction]]:
-        return iter(self._terms.items())
-
-    def coefficient(self, expo: tuple[int, ...]) -> Fraction:
-        return self._terms.get(tuple(expo), Fraction(0))
-
-    def support(self) -> list[tuple[int, ...]]:
-        return sorted(self._terms, reverse=True)
-
-    def __len__(self) -> int:
-        return len(self._terms)
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, UglElement)
-            and self.m == other.m
-            and self._terms == other._terms
-        )
-
-    def _check(self, other: UglElement) -> None:
-        if self.m != other.m:
-            raise ValueError(f"rank mismatch: {self.m} vs {other.m}")
-
-    def __add__(self, other: UglElement) -> UglElement:
-        self._check(other)
-        terms = dict(self._terms)
-        for expo, c in other._terms.items():
-            acc = terms.get(expo, 0) + c
-            if acc:
-                terms[expo] = acc
-            else:
-                terms.pop(expo, None)
-        return UglElement._raw(self.m, terms)
-
-    def __sub__(self, other: UglElement) -> UglElement:
-        return self + (-other)
-
-    def __neg__(self) -> UglElement:
-        return UglElement._raw(self.m, {k: -c for k, c in self._terms.items()})
-
-    def __rmul__(self, scalar) -> UglElement:
-        scalar = as_exact(scalar)
-        if not scalar:
-            return UglElement._raw(self.m, {})
-        return UglElement._raw(self.m, {k: scalar * c for k, c in self._terms.items()})
+    def coefficient(self, expo) -> int | Fraction:
+        return super().coefficient(tuple(expo))
 
     def __mul__(self, other) -> UglElement:
         if isinstance(other, UglElement):
             return ugl_multiply(self, other)
         return as_exact(other) * self
 
-    @classmethod
-    def _scaled_sum(cls, pairs) -> UglElement:
-        # sum of scalar * element over (scalar, element) pairs, merged once
-        m = pairs[0][1].m
-        terms: dict[tuple[int, ...], Fraction] = {}
-        for scale, element in pairs:
-            for expo, c in element._terms.items():
-                acc = terms.get(expo, 0) + scale * c
-                if acc:
-                    terms[expo] = acc
-                else:
-                    terms.pop(expo, None)
-        return cls._raw(m, terms)
-
-    @classmethod
-    def _sum(cls, elements) -> UglElement:
-        m = elements[0].m
-        terms: dict[tuple[int, ...], Fraction] = {}
-        for element in elements:
-            for expo, c in element._terms.items():
-                acc = terms.get(expo, 0) + c
-                if acc:
-                    terms[expo] = acc
-                else:
-                    terms.pop(expo, None)
-        return cls._raw(m, terms)
-
-    def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        order = generator_order(self.m)
-        out = []
-        for idx, expo in enumerate(self.support()):
-            c = self._terms[expo]
-            factors = [
-                f"E[{a},{b}]" + (f"^{e}" if e > 1 else "")
-                for (a, b), e in zip(order, expo)
-                if e
-            ]
-            word = " ".join(factors)
-            mag = abs(c)
-            body = word if (mag == 1 and word) else (f"{mag} {word}" if word else str(mag))
-            if idx == 0:
-                out.append(body if c > 0 else f"-{body}")
-            else:
-                out.append(f" {'-' if c < 0 else '+'} {body}")
-        return "".join(out)
+    def _format_key(self, expo: tuple[int, ...]) -> str:
+        return " ".join(
+            f"E[{a},{b}]" + (f"^{e}" if e > 1 else "")
+            for (a, b), e in zip(generator_order(self.m), expo)
+            if e
+        )
 
     def __repr__(self) -> str:
         return f"<UglElement gl({self.m}) {self}>"
@@ -244,18 +149,19 @@ class UglElement:
 def ugl_multiply(u: UglElement, v: UglElement) -> UglElement:
     """The product, straightened to PBW normal form."""
     u._check(v)
+    m = u.m
     terms: dict[tuple[int, ...], Fraction] = {}
     for expo_u, cu in u.items():
         word_u = _expand(expo_u)
         for expo_v, cv in v.items():
             scale = cu * cv
-            for expo, c in _straighten(u.m, word_u + _expand(expo_v)).items():
+            for expo, c in _straighten(m, word_u + _expand(expo_v)).items():
                 acc = terms.get(expo, 0) + scale * c
                 if acc:
                     terms[expo] = acc
                 else:
                     terms.pop(expo, None)
-    return UglElement._raw(u.m, terms)
+    return UglElement._raw(u._space, terms)
 
 
 @lru_cache(maxsize=None)
@@ -346,3 +252,6 @@ class EnvelopingAlgebra:
 
     def gen(self, a: int, b: int) -> UglElement:
         return UglElement.generator(self.m, a, b)
+
+    sum = staticmethod(UglElement._sum)
+    scaled_sum = staticmethod(UglElement._scaled_sum)

@@ -1,15 +1,19 @@
-"""Exact rational coefficients, stored as plain int whenever integral.
+"""Exact rational coefficients, stored as plain int whenever integral, and the
+sparse linear combination that every element type of the library is built on.
 
 Python promotes mixed int/Fraction arithmetic to Fraction and compares the
 two representations equal, so keeping integers unwrapped costs nothing in
 correctness and saves most of the Fraction overhead in the hot loops.
+``SparseElement._store`` is the one place coefficients are stored, and it
+unwraps every integral Fraction there.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Iterator
 
-__all__ = ["as_exact"]
+__all__ = ["as_exact", "SparseElement"]
 
 
 def as_exact(value) -> int | Fraction:
@@ -20,3 +24,142 @@ def as_exact(value) -> int | Fraction:
         raise TypeError("floating point coefficients are not allowed")
     f = Fraction(value)
     return f.numerator if f.denominator == 1 else f
+
+
+class SparseElement:
+    """An immutable sparse linear combination of basis keys in one space.
+
+    ``_space`` is a tuple naming the space (a degree, a grid, a rank, a
+    tensor shape); elements combine only with elements of the same space.
+    ``_terms`` maps keys to nonzero coefficients, so ``==`` is a syntactic
+    check on the canonical form. Coefficients are exact rationals, except in
+    ``TensorElement``, whose coefficients live in an algebra.
+
+    A subclass supplies its named constructors and product, ``_key`` (key
+    validation), ``_format_key``, ``_MISMATCH`` (the error message for
+    mixed spaces, formatted with both spaces) and ``_DESCENDING`` (the order
+    of ``support``, which is also the printing order).
+    """
+
+    __slots__ = ("_space", "_terms")
+
+    _DESCENDING = False
+    _coerce = staticmethod(as_exact)  # applied to constructor coefficients
+
+    def __init__(self, space: tuple, terms: dict | None):
+        clean = {}
+        for key, c in (terms or {}).items():
+            key = self._key(space, key)
+            c = self._coerce(c)
+            if c:
+                clean[key] = c
+        self._store(space, clean)
+
+    def _store(self, space: tuple, terms: dict) -> None:
+        # the single point where coefficients are stored: unwrap integral
+        # Fractions, once per key (replacing values keeps the iteration valid)
+        for key, c in terms.items():
+            if type(c) is Fraction and c.denominator == 1:
+                terms[key] = c.numerator
+        object.__setattr__(self, "_space", space)
+        object.__setattr__(self, "_terms", terms)
+
+    @classmethod
+    def _raw(cls, space: tuple, terms: dict):
+        # fast path: keys already valid for the space, no zero coefficients;
+        # takes ownership of ``terms``
+        u = object.__new__(cls)
+        u._store(space, terms)
+        return u
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def items(self) -> Iterator[tuple]:
+        return iter(self._terms.items())
+
+    def coefficient(self, key):
+        return self._terms.get(key, 0)
+
+    def support(self) -> list:
+        return sorted(self._terms, reverse=self._DESCENDING)
+
+    def __len__(self) -> int:
+        return len(self._terms)
+
+    def __bool__(self) -> bool:
+        return bool(self._terms)
+
+    def __eq__(self, other) -> bool:
+        return (
+            type(other) is type(self)
+            and self._space == other._space
+            and self._terms == other._terms
+        )
+
+    def _check(self, other: SparseElement) -> None:
+        if self._space != other._space:
+            raise ValueError(self._MISMATCH.format(self._space, other._space))
+
+    def __add__(self, other):
+        self._check(other)
+        return self._sum([self, other])
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return self._raw(self._space, {key: -c for key, c in self._terms.items()})
+
+    def __rmul__(self, scalar):
+        scalar = as_exact(scalar)
+        if not scalar:
+            return self._raw(self._space, {})
+        return self._raw(
+            self._space, {key: scalar * c for key, c in self._terms.items()}
+        )
+
+    @classmethod
+    def _sum(cls, elements):
+        # sum of same-space elements, merged into one dict
+        terms = dict(elements[0]._terms)
+        for element in elements[1:]:
+            for key, c in element._terms.items():
+                if key in terms:
+                    c = terms[key] + c
+                    if not c:
+                        del terms[key]
+                        continue
+                terms[key] = c
+        return cls._raw(elements[0]._space, terms)
+
+    @classmethod
+    def _scaled_sum(cls, pairs):
+        # sum of scale * element over (nonzero scale, element) pairs, merged once
+        terms = {}
+        for scale, element in pairs:
+            for key, c in element._terms.items():
+                c = scale * c
+                if key in terms:
+                    c = terms[key] + c
+                    if not c:
+                        del terms[key]
+                        continue
+                terms[key] = c
+        return cls._raw(pairs[0][1]._space, terms)
+
+    def __str__(self) -> str:
+        # signed terms in support order; an empty word is the unit
+        if not self._terms:
+            return "0"
+        out = []
+        for idx, key in enumerate(self.support()):
+            c = self._terms[key]
+            word = self._format_key(key)
+            mag = abs(c)
+            body = word if (mag == 1 and word) else (f"{mag} {word}" if word else str(mag))
+            if idx == 0:
+                out.append(body if c > 0 else f"-{body}")
+            else:
+                out.append(f" {'-' if c < 0 else '+'} {body}")
+        return "".join(out)

@@ -129,6 +129,16 @@ def _xd_product(k: int, m: int, n: int) -> TensorElement:
     return tensor_matmul(tensor_product([X] * k), tensor_product([Dt] * k))
 
 
+def _check_case(shape: Partition, m: int, n: int | None = None) -> None:
+    """Refuse degenerate input before any tensor is built."""
+    if shape.size == 0:
+        raise ValueError("shape must have at least one cell")
+    if m < 1:
+        raise ValueError(f"m must be at least 1, got {m}")
+    if n is not None and n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
+
+
 def _contents(T: StandardTableau) -> tuple[int, ...]:
     return tuple(T.content(r) for r in range(1, T.size + 1))
 
@@ -189,6 +199,7 @@ def verify_theorem(
 
     With no tableaux given, every ordered pair is checked.
     """
+    _check_case(shape, m, n)
     if tableau is not None:
         pair = (tableau, tableau2 if tableau2 is not None else tableau)
         for T in pair:
@@ -211,6 +222,7 @@ def verify_theorem(
 def verify_corollary(shape: Partition, m: int, n: int) -> list[VerificationReport]:
     """Check the traced identity for every tableau of the shape, plus the
     tableau-independence of the traced left side."""
+    _check_case(shape, m, n)
     k = shape.size
     tableaux = enumerate_standard_tableaux(shape)
     start = time.perf_counter()
@@ -320,6 +332,7 @@ def sweep(max_k: int, max_m: int, max_n: int) -> list[VerificationReport]:
 def quantum_immanant(shape: Partition, T: StandardTableau, m: int) -> UglElement:
     """The traced left side computed over U(gl(m)): a central element that
     depends only on the shape."""
+    _check_case(shape, m)
     if T.shape != shape:
         raise ValueError(f"tableau shape {T.shape} != {shape}")
     algebra = EnvelopingAlgebra(m)

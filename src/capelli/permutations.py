@@ -10,7 +10,7 @@ import re
 from fractions import Fraction
 from typing import Iterable, Iterator
 
-from .exact import as_exact
+from .exact import SparseElement, as_exact
 
 __all__ = [
     "Permutation",
@@ -185,36 +185,28 @@ def all_permutations(k: int) -> Iterator[Permutation]:
         yield Permutation(images)
 
 
-class GroupAlgebraElement:
+class GroupAlgebraElement(SparseElement):
     """A sparse rational linear combination of permutations of one degree.
 
     Zero coefficients are never stored, so ``==`` is a syntactic check on
     the canonical form. Instances are immutable.
     """
 
-    __slots__ = ("degree", "_terms")
+    __slots__ = ()
+
+    _MISMATCH = "degree mismatch: {0[0]} vs {1[0]}"
 
     def __init__(self, degree: int, terms: dict[Permutation, Fraction] | None = None):
-        clean: dict[Permutation, Fraction] = {}
-        for p, c in (terms or {}).items():
-            if p.degree != degree:
-                raise ValueError(f"term degree {p.degree} != {degree}")
-            c = as_exact(c)
-            if c:
-                clean[p] = c
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "_terms", clean)
+        super().__init__((degree,), terms)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("GroupAlgebraElement is immutable")
+    degree = property(lambda self: self._space[0])
 
-    @classmethod
-    def _raw(cls, degree: int, terms: dict) -> GroupAlgebraElement:
-        # fast path: terms are already canonical (right degree, no zeros)
-        u = object.__new__(cls)
-        object.__setattr__(u, "degree", degree)
-        object.__setattr__(u, "_terms", terms)
-        return u
+    @staticmethod
+    def _key(space: tuple, p: Permutation) -> Permutation:
+        (degree,) = space
+        if p.degree != degree:
+            raise ValueError(f"term degree {p.degree} != {degree}")
+        return p
 
     @classmethod
     def zero(cls, degree: int) -> GroupAlgebraElement:
@@ -222,88 +214,19 @@ class GroupAlgebraElement:
 
     @classmethod
     def one(cls, degree: int) -> GroupAlgebraElement:
-        return cls(degree, {Permutation.identity(degree): Fraction(1)})
+        return cls(degree, {Permutation.identity(degree): 1})
 
     @classmethod
     def from_permutation(cls, p: Permutation) -> GroupAlgebraElement:
-        return cls(p.degree, {p: Fraction(1)})
-
-    def coefficient(self, p: Permutation) -> Fraction:
-        return self._terms.get(p, Fraction(0))
-
-    def items(self) -> Iterator[tuple[Permutation, Fraction]]:
-        return iter(self._terms.items())
-
-    def support(self) -> list[Permutation]:
-        return sorted(self._terms)
-
-    def __len__(self) -> int:
-        return len(self._terms)
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, GroupAlgebraElement)
-            and self.degree == other.degree
-            and self._terms == other._terms
-        )
-
-    def __add__(self, other: GroupAlgebraElement) -> GroupAlgebraElement:
-        self._check(other)
-        terms = dict(self._terms)
-        for p, c in other._terms.items():
-            acc = terms.get(p, 0) + c
-            if acc:
-                terms[p] = acc
-            else:
-                terms.pop(p, None)
-        return GroupAlgebraElement._raw(self.degree, terms)
-
-    def __sub__(self, other: GroupAlgebraElement) -> GroupAlgebraElement:
-        return self + (-other)
-
-    def __neg__(self) -> GroupAlgebraElement:
-        return GroupAlgebraElement._raw(
-            self.degree, {p: -c for p, c in self._terms.items()}
-        )
-
-    def __rmul__(self, scalar) -> GroupAlgebraElement:
-        scalar = as_exact(scalar)
-        if not scalar:
-            return GroupAlgebraElement._raw(self.degree, {})
-        return GroupAlgebraElement._raw(
-            self.degree, {p: scalar * c for p, c in self._terms.items()}
-        )
+        return cls(p.degree, {p: 1})
 
     def __mul__(self, other) -> GroupAlgebraElement:
         if isinstance(other, GroupAlgebraElement):
             return ga_multiply(self, other)
         return as_exact(other) * self
 
-    def _check(self, other: GroupAlgebraElement) -> None:
-        if self.degree != other.degree:
-            raise ValueError(f"degree mismatch: {self.degree} vs {other.degree}")
-
-    def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        pieces = []
-        for p in self.support():
-            c = self._terms[p]
-            word = "e" if p == Permutation.identity(self.degree) else p.to_cycles()
-            pieces.append((c, word))
-        out = []
-        for i, (c, word) in enumerate(pieces):
-            sign = "-" if c < 0 else "+"
-            mag = abs(c)
-            body = word if mag == 1 else f"{mag} {word}"
-            if i == 0:
-                out.append(body if c > 0 else f"-{body}")
-            else:
-                out.append(f" {sign} {body}")
-        return "".join(out)
+    def _format_key(self, p: Permutation) -> str:
+        return "e" if p == Permutation.identity(self.degree) else p.to_cycles()
 
     def __repr__(self) -> str:
         return f"<GroupAlgebraElement deg={self.degree} {self}>"
@@ -322,7 +245,7 @@ def ga_multiply(u: GroupAlgebraElement, v: GroupAlgebraElement) -> GroupAlgebraE
                 terms[r] = c
             else:
                 terms.pop(r, None)
-    return GroupAlgebraElement._raw(u.degree, terms)
+    return GroupAlgebraElement._raw(u._space, terms)
 
 
 def jm_element(k: int, r: int) -> GroupAlgebraElement:

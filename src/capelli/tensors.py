@@ -1,8 +1,9 @@
 """Matrices and tensor products of matrices over a pluggable coefficient algebra.
 
-A coefficient algebra is any handle providing ``zero()``, ``one()`` and
-``scalar(q)`` whose elements support +, -, * and == on canonical forms;
-``RationalAlgebra``, ``WeylAlgebra`` and ``EnvelopingAlgebra`` all qualify.
+A coefficient algebra is any handle providing ``zero()``, ``one()``,
+``scalar(q)``, ``sum(values)`` and ``scaled_sum((q, value) pairs)`` whose
+elements support +, -, * and == on canonical forms; ``RationalAlgebra``,
+``WeylAlgebra`` and ``EnvelopingAlgebra`` all qualify.
 
 A k-fold tensor product of p x q matrices is stored sparsely as a map from
 multi-index pairs ((a1..ak), (b1..bk)) to coefficients, standing for
@@ -14,10 +15,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
-from .exact import as_exact
+from .exact import SparseElement, as_exact
 from .permutations import GroupAlgebraElement, Permutation
 
 __all__ = [
@@ -47,21 +47,11 @@ class RationalAlgebra:
     def scalar(self, value):
         return as_exact(value)
 
-
-def _sum_elements(values):
-    """Sum same-algebra coefficients, merging sparse elements only once."""
-    first = values[0]
-    if isinstance(first, (int, Fraction)):
+    def sum(self, values):
         return sum(values)
-    return type(first)._sum(values)
 
-
-def _scaled_sum(pairs):
-    """Sum of scalar * coefficient over (scalar, coefficient) pairs."""
-    first = pairs[0][1]
-    if isinstance(first, (int, Fraction)):
+    def scaled_sum(self, pairs):
         return sum(c * v for c, v in pairs)
-    return type(first)._scaled_sum(pairs)
 
 
 class AlgMatrix:
@@ -166,10 +156,12 @@ class AlgMatrix:
         return f"<AlgMatrix {self.p}x{self.q}>"
 
 
-class TensorElement:
+class TensorElement(SparseElement):
     """A sparse element of A (x) (Mat_pq)^(x k)."""
 
-    __slots__ = ("algebra", "k", "p", "q", "_terms")
+    __slots__ = ()
+
+    _MISMATCH = "tensor mismatch: (algebra, k, p, q) = {0} vs {1}"
 
     def __init__(
         self,
@@ -179,35 +171,27 @@ class TensorElement:
         q: int,
         terms: dict[tuple[MultiIndex, MultiIndex], object] | None = None,
     ):
-        clean = {}
-        for (rows, cols), coeff in (terms or {}).items():
-            if len(rows) != k or len(cols) != k:
-                raise ValueError(f"multi-index length != {k}: {(rows, cols)}")
-            if not all(1 <= a <= p for a in rows) or not all(
-                1 <= b <= q for b in cols
-            ):
-                raise ValueError(f"multi-index out of range: {(rows, cols)}")
-            if coeff:
-                clean[(tuple(rows), tuple(cols))] = coeff
-        object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "_terms", clean)
+        super().__init__((algebra, k, p, q), terms)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("TensorElement is immutable")
+    algebra = property(lambda self: self._space[0])
+    k = property(lambda self: self._space[1])
+    p = property(lambda self: self._space[2])
+    q = property(lambda self: self._space[3])
 
-    @classmethod
-    def _raw(cls, algebra, k: int, p: int, q: int, terms: dict) -> TensorElement:
-        # fast path: terms already canonical (indices in range, no zeros)
-        u = object.__new__(cls)
-        object.__setattr__(u, "algebra", algebra)
-        object.__setattr__(u, "k", k)
-        object.__setattr__(u, "p", p)
-        object.__setattr__(u, "q", q)
-        object.__setattr__(u, "_terms", terms)
-        return u
+    @staticmethod
+    def _key(space: tuple, key) -> tuple[MultiIndex, MultiIndex]:
+        _, k, p, q = space
+        rows, cols = key
+        if len(rows) != k or len(cols) != k:
+            raise ValueError(f"multi-index length != {k}: {key}")
+        if not all(1 <= a <= p for a in rows) or not all(1 <= b <= q for b in cols):
+            raise ValueError(f"multi-index out of range: {key}")
+        return (tuple(rows), tuple(cols))
+
+    @staticmethod
+    def _coerce(coeff):
+        # coefficients are elements of the coefficient algebra, kept as given
+        return coeff
 
     @classmethod
     def identity(cls, algebra, k: int, m: int) -> TensorElement:
@@ -216,84 +200,18 @@ class TensorElement:
             terms[(rows, rows)] = algebra.one()
         return cls(algebra, k, m, m, terms)
 
-    def items(self) -> Iterator[tuple[tuple[MultiIndex, MultiIndex], object]]:
-        return iter(self._terms.items())
-
     def coefficient(self, rows: MultiIndex, cols: MultiIndex):
-        zero = self.algebra.zero()
-        return self._terms.get((tuple(rows), tuple(cols)), zero)
-
-    def support(self) -> list[tuple[MultiIndex, MultiIndex]]:
-        return sorted(self._terms)
-
-    def __len__(self) -> int:
-        return len(self._terms)
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, TensorElement)
-            and self.algebra == other.algebra
-            and (self.k, self.p, self.q) == (other.k, other.p, other.q)
-            and self._terms == other._terms
-        )
-
-    def __add__(self, other: TensorElement) -> TensorElement:
-        self._check_same_shape(other)
-        terms = dict(self._terms)
-        for key, coeff in other._terms.items():
-            if key in terms:
-                acc = terms[key] + coeff
-                if acc:
-                    terms[key] = acc
-                else:
-                    del terms[key]
-            else:
-                terms[key] = coeff
-        return TensorElement._raw(self.algebra, self.k, self.p, self.q, terms)
-
-    def __sub__(self, other: TensorElement) -> TensorElement:
-        return self + (-other)
-
-    def __neg__(self) -> TensorElement:
-        return TensorElement._raw(
-            self.algebra,
-            self.k,
-            self.p,
-            self.q,
-            {key: (-1) * coeff for key, coeff in self._terms.items()},
-        )
-
-    def __rmul__(self, scalar) -> TensorElement:
-        scalar = as_exact(scalar)
-        if not scalar:
-            return TensorElement._raw(self.algebra, self.k, self.p, self.q, {})
-        return TensorElement._raw(
-            self.algebra,
-            self.k,
-            self.p,
-            self.q,
-            {key: scalar * coeff for key, coeff in self._terms.items()},
-        )
+        return self._terms.get((tuple(rows), tuple(cols)), self.algebra.zero())
 
     def __matmul__(self, other: TensorElement) -> TensorElement:
         return tensor_matmul(self, other)
 
-    def _check_same_shape(self, other: TensorElement) -> None:
-        if self.algebra != other.algebra:
-            raise ValueError("coefficient algebra mismatch")
-        if (self.k, self.p, self.q) != (other.k, other.p, other.q):
-            raise ValueError("tensor shape mismatch")
-
     def __str__(self) -> str:
         if not self._terms:
             return "0"
-        lines = []
-        for rows, cols in self.support():
-            lines.append(f"({rows},{cols}): {self._terms[(rows, cols)]}")
-        return "\n".join(lines)
+        return "\n".join(
+            f"({rows},{cols}): {self._terms[(rows, cols)]}" for rows, cols in self.support()
+        )
 
     def __repr__(self) -> str:
         return f"<TensorElement k={self.k} {self.p}x{self.q} terms={len(self._terms)}>"
@@ -343,10 +261,10 @@ def tensor_matmul(u: TensorElement, v: TensorElement) -> TensorElement:
                 buckets.setdefault((rows, cols), []).append(prod)
     terms = {}
     for key, values in buckets.items():
-        total = _sum_elements(values)
+        total = u.algebra.sum(values)
         if total:
             terms[key] = total
-    return TensorElement._raw(u.algebra, u.k, u.p, v.q, terms)
+    return TensorElement._raw((u.algebra, u.k, u.p, v.q), terms)
 
 
 def perm_tensor(s: Permutation, m: int, algebra=RationalAlgebra()) -> TensorElement:
@@ -369,18 +287,19 @@ def right_mul_group_algebra(
         raise ValueError("factors must be square to act by place permutations")
     if g.degree != u.k:
         raise ValueError(f"degree mismatch: {g.degree} vs k={u.k}")
+    k = u.k
     buckets: dict[tuple[MultiIndex, MultiIndex], list] = {}
     for s, c in g.items():
         images = s.images
         for (rows, cols), coeff in u.items():
-            new_cols = tuple(cols[images[j] - 1] for j in range(u.k))
+            new_cols = tuple(cols[images[j] - 1] for j in range(k))
             buckets.setdefault((rows, new_cols), []).append((c, coeff))
     terms = {}
     for key, pairs in buckets.items():
-        total = _scaled_sum(pairs)
+        total = u.algebra.scaled_sum(pairs)
         if total:
             terms[key] = total
-    return TensorElement._raw(u.algebra, u.k, u.p, u.q, terms)
+    return TensorElement._raw(u._space, terms)
 
 
 def full_trace(u: TensorElement):
@@ -391,4 +310,4 @@ def full_trace(u: TensorElement):
     diagonal = [coeff for (rows, cols), coeff in u.items() if rows == cols]
     if not diagonal:
         return u.algebra.zero()
-    return _sum_elements(diagonal)
+    return u.algebra.sum(diagonal)

@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import comb, factorial, perm
 from typing import Iterator, NamedTuple
 
-from .exact import as_exact
+from .exact import SparseElement, as_exact
 
 __all__ = ["WeylMonomial", "WeylElement", "WeylAlgebra", "weyl_multiply", "weyl_apply"]
 
@@ -33,35 +33,26 @@ class WeylMonomial(NamedTuple):
     beta: tuple[int, ...]
 
 
-class WeylElement:
+class WeylElement(SparseElement):
     """A sparse rational combination of normal-ordered monomials."""
 
-    __slots__ = ("m", "n", "_terms")
+    __slots__ = ()
+
+    _DESCENDING = True
+    _MISMATCH = "grid mismatch: {0[0]}x{0[1]} vs {1[0]}x{1[1]}"
 
     def __init__(self, m: int, n: int, terms: dict[WeylMonomial, Fraction] | None = None):
-        clean: dict[WeylMonomial, Fraction] = {}
-        size = m * n
-        for mono, c in (terms or {}).items():
-            if len(mono.alpha) != size or len(mono.beta) != size:
-                raise ValueError(f"monomial does not fit a {m}x{n} grid: {mono}")
-            c = as_exact(c)
-            if c:
-                clean[mono] = c
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "_terms", clean)
+        super().__init__((m, n), terms)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("WeylElement is immutable")
+    m = property(lambda self: self._space[0])
+    n = property(lambda self: self._space[1])
 
-    @classmethod
-    def _raw(cls, m: int, n: int, terms: dict) -> WeylElement:
-        # fast path: terms already canonical (right grid, no zeros)
-        u = object.__new__(cls)
-        object.__setattr__(u, "m", m)
-        object.__setattr__(u, "n", n)
-        object.__setattr__(u, "_terms", terms)
-        return u
+    @staticmethod
+    def _key(space: tuple, mono: WeylMonomial) -> WeylMonomial:
+        m, n = space
+        if len(mono.alpha) != m * n or len(mono.beta) != m * n:
+            raise ValueError(f"monomial does not fit a {m}x{n} grid: {mono}")
+        return mono
 
     @classmethod
     def zero(cls, m: int, n: int) -> WeylElement:
@@ -84,90 +75,10 @@ class WeylElement:
     def d(cls, m: int, n: int, a: int, i: int) -> WeylElement:
         return cls(m, n, {WeylMonomial((0,) * (m * n), _unit(m, n, a, i)): 1})
 
-    def items(self) -> Iterator[tuple[WeylMonomial, Fraction]]:
-        return iter(self._terms.items())
-
-    def coefficient(self, mono: WeylMonomial) -> Fraction:
-        return self._terms.get(mono, Fraction(0))
-
-    def support(self) -> list[WeylMonomial]:
-        return sorted(self._terms, reverse=True)
-
-    def __len__(self) -> int:
-        return len(self._terms)
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, WeylElement)
-            and (self.m, self.n) == (other.m, other.n)
-            and self._terms == other._terms
-        )
-
-    def _check(self, other: WeylElement) -> None:
-        if (self.m, self.n) != (other.m, other.n):
-            raise ValueError(
-                f"grid mismatch: {self.m}x{self.n} vs {other.m}x{other.n}"
-            )
-
-    def __add__(self, other: WeylElement) -> WeylElement:
-        self._check(other)
-        terms = dict(self._terms)
-        for mono, c in other._terms.items():
-            acc = terms.get(mono, 0) + c
-            if acc:
-                terms[mono] = acc
-            else:
-                terms.pop(mono, None)
-        return WeylElement._raw(self.m, self.n, terms)
-
-    def __sub__(self, other: WeylElement) -> WeylElement:
-        return self + (-other)
-
-    def __neg__(self) -> WeylElement:
-        return WeylElement._raw(self.m, self.n, {k: -c for k, c in self._terms.items()})
-
-    def __rmul__(self, scalar) -> WeylElement:
-        scalar = as_exact(scalar)
-        if not scalar:
-            return WeylElement._raw(self.m, self.n, {})
-        return WeylElement._raw(
-            self.m, self.n, {k: scalar * c for k, c in self._terms.items()}
-        )
-
     def __mul__(self, other) -> WeylElement:
         if isinstance(other, WeylElement):
             return weyl_multiply(self, other)
         return as_exact(other) * self
-
-    @classmethod
-    def _scaled_sum(cls, pairs) -> WeylElement:
-        # sum of scalar * element over (scalar, element) pairs, merged once
-        m, n = pairs[0][1].m, pairs[0][1].n
-        terms: dict[WeylMonomial, Fraction] = {}
-        for scale, element in pairs:
-            for mono, c in element._terms.items():
-                acc = terms.get(mono, 0) + scale * c
-                if acc:
-                    terms[mono] = acc
-                else:
-                    terms.pop(mono, None)
-        return cls._raw(m, n, terms)
-
-    @classmethod
-    def _sum(cls, elements) -> WeylElement:
-        m, n = elements[0].m, elements[0].n
-        terms: dict[WeylMonomial, Fraction] = {}
-        for element in elements:
-            for mono, c in element._terms.items():
-                acc = terms.get(mono, 0) + c
-                if acc:
-                    terms[mono] = acc
-                else:
-                    terms.pop(mono, None)
-        return cls._raw(m, n, terms)
 
     def __pow__(self, exponent: int) -> WeylElement:
         if exponent < 0:
@@ -180,25 +91,14 @@ class WeylElement:
     def is_polynomial(self) -> bool:
         return all(not any(mono.beta) for mono in self._terms)
 
-    def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        pieces = []
-        for mono in self.support():
-            c = self._terms[mono]
-            word = _format_monomial(self.n, mono)
-            pieces.append((c, word))
-        out = []
-        for idx, (c, word) in enumerate(pieces):
-            mag = abs(c)
-            body = word if (mag == 1 and word) else (
-                f"{mag} {word}" if word else str(mag)
-            )
-            if idx == 0:
-                out.append(body if c > 0 else f"-{body}")
-            else:
-                out.append(f" {'-' if c < 0 else '+'} {body}")
-        return "".join(out)
+    def _format_key(self, mono: WeylMonomial) -> str:
+        parts = []
+        for letter, exps in (("x", mono.alpha), ("D", mono.beta)):
+            for slot, e in enumerate(exps):
+                if e:
+                    a, i = slot // self.n + 1, slot % self.n + 1
+                    parts.append(f"{letter}[{a},{i}]" + (f"^{e}" if e > 1 else ""))
+        return " ".join(parts)
 
     def __repr__(self) -> str:
         return f"<WeylElement {self.m}x{self.n} {self}>"
@@ -210,16 +110,6 @@ def _unit(m: int, n: int, a: int, i: int) -> tuple[int, ...]:
     e = [0] * (m * n)
     e[(a - 1) * n + (i - 1)] = 1
     return tuple(e)
-
-
-def _format_monomial(n: int, mono: WeylMonomial) -> str:
-    parts = []
-    for letter, exps in (("x", mono.alpha), ("D", mono.beta)):
-        for slot, e in enumerate(exps):
-            if e:
-                a, i = slot // n + 1, slot % n + 1
-                parts.append(f"{letter}[{a},{i}]" + (f"^{e}" if e > 1 else ""))
-    return " ".join(parts)
 
 
 def _mono_mul(
@@ -269,7 +159,7 @@ def weyl_multiply(u: WeylElement, v: WeylElement) -> WeylElement:
                     terms[mono] = acc
                 else:
                     terms.pop(mono, None)
-    return WeylElement._raw(u.m, u.n, terms)
+    return WeylElement._raw(u._space, terms)
 
 
 def weyl_apply(u: WeylElement, f: WeylElement) -> WeylElement:
@@ -295,7 +185,7 @@ def weyl_apply(u: WeylElement, f: WeylElement) -> WeylElement:
                 terms[mono] = acc
             else:
                 terms.pop(mono, None)
-    return WeylElement._raw(u.m, u.n, terms)
+    return WeylElement._raw(u._space, terms)
 
 
 @dataclass(frozen=True)
@@ -319,3 +209,6 @@ class WeylAlgebra:
 
     def d(self, a: int, i: int) -> WeylElement:
         return WeylElement.d(self.m, self.n, a, i)
+
+    sum = staticmethod(WeylElement._sum)
+    scaled_sum = staticmethod(WeylElement._scaled_sum)

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from capelli import cli
 from capelli.identities import VerificationReport
 
@@ -151,6 +153,25 @@ def test_tableau_shape_mismatch_returns_error(capsys):
     )
     assert code == 2
     assert "not of shape" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify", "theorem", "--shape", "", "--m", "2", "--n", "2"], "at least one cell"),
+        (["verify", "corollary", "--shape", "", "--m", "2", "--n", "2"], "at least one cell"),
+        (["immanant", "--shape", "", "--m", "2"], "at least one cell"),
+        (["eigenvalue", "--shape", "", "--m", "2", "--weights", "1,0"], "at least one cell"),
+        (["verify", "theorem", "--shape", "2", "--m", "0", "--n", "2"], "m must be"),
+        (["verify", "corollary", "--shape", "2", "--m", "0", "--n", "2"], "m must be"),
+        (["immanant", "--shape", "2", "--m", "0"], "m must be"),
+        (["verify", "theorem", "--shape", "2", "--m", "2", "--n", "0"], "n must be"),
+        (["verify", "corollary", "--shape", "2", "--m", "2", "--n", "-1"], "n must be"),
+    ],
+)
+def test_degenerate_input_returns_error(argv, message, capsys):
+    assert cli.main(argv) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_failing_report_sets_exit_code(capsys, monkeypatch):

@@ -1,0 +1,109 @@
+"""The exact-coefficient invariant of the shared sparse core: every stored
+coefficient is a nonzero int or a non-integral Fraction, whatever produced it."""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from capelli.enveloping import EnvelopingAlgebra, UglElement
+from capelli.exact import SparseElement
+from capelli.identities import lhs_theorem
+from capelli.permutations import GroupAlgebraElement, Permutation
+from capelli.tableaux import Partition, enumerate_standard_tableaux
+from capelli.tensors import AlgMatrix, RationalAlgebra, right_mul_group_algebra, tensor_product
+from capelli.weyl import WeylAlgebra, WeylElement, WeylMonomial
+
+rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+def terms_of(keys):
+    return st.dictionaries(keys, rationals, max_size=4)
+
+
+@st.composite
+def ga_elements(draw, degree=3):
+    keys = st.permutations(range(1, degree + 1)).map(Permutation)
+    return GroupAlgebraElement(degree, draw(terms_of(keys)))
+
+
+@st.composite
+def weyl_elements(draw, m=1, n=2):
+    exps = st.tuples(*[st.integers(0, 2)] * (m * n))
+    keys = st.builds(WeylMonomial, exps, exps)
+    return WeylElement(m, n, draw(terms_of(keys)))
+
+
+@st.composite
+def ugl_elements(draw, m=2):
+    keys = st.tuples(*[st.integers(0, 1)] * (m * m))
+    return UglElement(m, draw(terms_of(keys)))
+
+
+KINDS = {"ga": ga_elements, "weyl": weyl_elements, "ugl": ugl_elements}
+
+
+def assert_canonical(u):
+    for _, c in u.items():
+        if isinstance(c, SparseElement):
+            assert_canonical(c)
+            continue
+        assert c != 0
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1), repr(c)
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), q=rationals)
+def test_arithmetic_keeps_coefficients_canonical(kind, data, q):
+    u = data.draw(KINDS[kind]())
+    v = data.draw(KINDS[kind]())
+    cls = type(u)
+    results = [
+        u,
+        u + v,
+        u - v,
+        -u,
+        q * u,
+        u * q,
+        u * v,
+        cls._sum([u, v, u]),
+        cls._scaled_sum([(q or 1, u), (Fraction(1, 2), v), (2, u)]),
+    ]
+    for w in results:
+        assert_canonical(w)
+
+
+@pytest.mark.parametrize("kind", ["weyl", "ugl", "rational"])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_right_mul_keeps_coefficients_canonical(kind, data):
+    if kind == "weyl":
+        algebra, entries = WeylAlgebra(1, 2), weyl_elements()
+    elif kind == "ugl":
+        algebra, entries = EnvelopingAlgebra(2), ugl_elements()
+    else:
+        algebra, entries = RationalAlgebra(), rationals
+    rows = [[data.draw(entries) for _ in range(2)] for _ in range(2)]
+    u = tensor_product([AlgMatrix(algebra, rows)] * 2)
+    g = data.draw(ga_elements(degree=2))
+    assert_canonical(u)
+    assert_canonical(right_mul_group_algebra(u, g))
+
+
+def test_scaling_unwraps_integral_fractions():
+    half = GroupAlgebraElement(2, {Permutation.parse("(1 2)"): Fraction(1, 2)})
+    doubled = 2 * half
+    assert type(doubled.coefficient(Permutation.parse("(1 2)"))) is int
+
+
+def test_missing_coefficient_is_int_zero():
+    assert type(GroupAlgebraElement.zero(2).coefficient(Permutation.identity(2))) is int
+    empty = (0, 0)
+    assert type(WeylElement.zero(1, 2).coefficient(WeylMonomial(empty, empty))) is int
+    assert type(UglElement.zero(1).coefficient((0,))) is int
+
+
+def test_theorem_left_side_is_canonical():
+    T = enumerate_standard_tableaux(Partition((2, 1)))[0]
+    assert_canonical(lhs_theorem(T, T, 2, 2))
