@@ -88,9 +88,14 @@ def _expand(expo: tuple[int, ...]) -> tuple[int, ...]:
 
 
 class UglElement(SparseElement):
-    """A PBW-normal-ordered element, sparse over exponent vectors."""
+    """A PBW-normal-ordered element, sparse over exponent vectors.
 
-    __slots__ = ()
+    ``_central`` is set only by ``is_central``, when the element passed, and
+    stays valid because elements are immutable; it is unset on every other
+    element.
+    """
+
+    __slots__ = ("_central",)
 
     _DESCENDING = True
     _MISMATCH = "rank mismatch: {0[0]} vs {1[0]}"
@@ -201,12 +206,14 @@ class Centrality:
 
 
 def is_central(u: UglElement) -> Centrality:
-    """Check that u commutes with every generator of gl(m)."""
+    """Check that u commutes with every generator of gl(m). A passing
+    verdict is recorded on u, so ``hc_eigenvalue`` does not repeat it."""
     for a, b in generator_order(u.m):
         g = UglElement.generator(u.m, a, b)
         delta = ugl_multiply(u, g) - ugl_multiply(g, u)
         if delta:
             return Centrality(False, (a, b), delta)
+    object.__setattr__(u, "_central", True)
     return Centrality(True)
 
 
@@ -218,7 +225,7 @@ def hc_eigenvalue(u: UglElement, weights: Sequence) -> Fraction:
     if len(weights) != m:
         raise ValueError(f"expected {m} weights, got {len(weights)}")
     weights = [Fraction(w) for w in weights]
-    if not is_central(u):
+    if not hasattr(u, "_central") and not is_central(u):
         raise ValueError("element is not central")
     order = generator_order(u.m)
     cartan = {i for i, (a, b) in enumerate(order) if a == b}

@@ -15,6 +15,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
+from math import lcm
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .exact import SparseElement, as_exact
@@ -48,10 +51,10 @@ class RationalAlgebra:
         return as_exact(value)
 
     def sum(self, values):
-        return sum(values)
+        return as_exact(sum(values))
 
     def scaled_sum(self, pairs):
-        return sum(c * v for c, v in pairs)
+        return as_exact(sum(c * v for c, v in pairs))
 
 
 class AlgMatrix:
@@ -282,23 +285,31 @@ def perm_tensor(s: Permutation, m: int, algebra=RationalAlgebra()) -> TensorElem
 def right_mul_group_algebra(
     u: TensorElement, g: GroupAlgebraElement
 ) -> TensorElement:
-    """u times the place-permutation image of a group algebra element."""
+    """u times the place-permutation image of a group algebra element.
+
+    Computed as (1/D) (u . (D g)) with D the least common multiple of g's
+    denominators: the product is linear in g, so the result is exact, and
+    every multiply-add of the accumulation runs on int scales. The division
+    by D touches only the surviving output coefficients.
+    """
     if u.p != u.q:
         raise ValueError("factors must be square to act by place permutations")
     if g.degree != u.k:
         raise ValueError(f"degree mismatch: {g.degree} vs k={u.k}")
-    k = u.k
+    denom = lcm(*(c.denominator for _, c in g.items()))
     buckets: dict[tuple[MultiIndex, MultiIndex], list] = {}
     for s, c in g.items():
-        images = s.images
+        scale = c.numerator * (denom // c.denominator)
+        # itemgetter of one index returns a scalar; at k = 1 s is the identity
+        permute = itemgetter(*[i - 1 for i in s.images]) if u.k > 1 else tuple
         for (rows, cols), coeff in u.items():
-            new_cols = tuple(cols[images[j] - 1] for j in range(k))
-            buckets.setdefault((rows, new_cols), []).append((c, coeff))
+            buckets.setdefault((rows, permute(cols)), []).append((scale, coeff))
+    inverse = Fraction(1, denom)
     terms = {}
     for key, pairs in buckets.items():
         total = u.algebra.scaled_sum(pairs)
         if total:
-            terms[key] = total
+            terms[key] = total if denom == 1 else inverse * total
     return TensorElement._raw(u._space, terms)
 
 

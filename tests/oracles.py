@@ -4,7 +4,8 @@ Everything here recomputes expected values by a different route than the
 code under test: hook products instead of enumeration, border-strip
 recursion instead of traces, one-step rewriting instead of the closed
 contraction formula, floating point instead of exact rationals, Leibniz
-determinants instead of PBW bookkeeping.
+determinants instead of PBW bookkeeping, a ratio of determinants instead of
+a trace over U(gl(m)).
 """
 
 from __future__ import annotations
@@ -171,6 +172,49 @@ def highest_weight_polynomial(m: int, weights) -> WeylElement:
     for r in range(1, m + 1):
         f = f * (minor_determinant(m, m, r) ** (weights[r - 1] - weights[r]))
     return f
+
+
+def _falling(y: Fraction, r: int) -> Fraction:
+    out = Fraction(1)
+    for t in range(r):
+        out *= y - t
+    return out
+
+
+def _leibniz(matrix: list[list[Fraction]]) -> Fraction:
+    total = Fraction(0)
+    size = len(matrix)
+    for images in itertools.permutations(range(size)):
+        inversions = sum(
+            1 for i in range(size) for j in range(i + 1, size) if images[i] > images[j]
+        )
+        term = Fraction(-1 if inversions % 2 else 1)
+        for row, col in enumerate(images):
+            term *= matrix[row][col]
+        total += term
+    return total
+
+
+def shifted_schur(parts: tuple[int, ...], x) -> Fraction:
+    """s*_mu(x_1..x_m) as the ratio of determinants
+
+        det[(y_i | mu_j + m - j)] / det[(y_i | m - j)],   y_i = x_i + m - i,
+
+    with (y | r) = y (y-1) ... (y-r+1) (Okounkov-Olshanski, *Shifted Schur
+    functions*, 1997, Theorem 1.1); zero when mu has more than m rows. The
+    points y_i must be distinct."""
+    m = len(x)
+    if len(parts) > m:
+        return Fraction(0)
+    mu = list(parts) + [0] * (m - len(parts))
+    y = [Fraction(v) + m - i for i, v in enumerate(x, start=1)]
+    denominator = _leibniz([[_falling(yi, m - j) for j in range(1, m + 1)] for yi in y])
+    if not denominator:
+        raise ValueError(f"shifted coordinates are not distinct: {y}")
+    numerator = _leibniz(
+        [[_falling(yi, mu[j - 1] + m - j) for j in range(1, m + 1)] for yi in y]
+    )
+    return numerator / denominator
 
 
 def exact_rank(vectors: list[list[Fraction]]) -> int:

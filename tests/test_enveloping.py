@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -16,7 +17,7 @@ from capelli.enveloping import (
 from capelli.identities import quantum_immanant
 from capelli.tableaux import Partition, all_partitions, enumerate_standard_tableaux
 from capelli.weyl import weyl_apply, weyl_multiply
-from oracles import highest_weight_polynomial
+from oracles import highest_weight_polynomial, hook_count, shifted_schur
 
 
 def random_element(rng, m, max_degree=2, max_terms=3):
@@ -177,6 +178,41 @@ def test_eigenvalue_matches_highest_weight_action(weights):
             u = quantum_immanant(shape, T, 2)
             value = hc_eigenvalue(u, [Fraction(w) for w in weights])
             assert weyl_apply(ugl_to_weyl(u, 2), f) == value * f
+
+
+# three weights per rank, each with distinct shifted coordinates l_i + m - i
+SHIFTED_SCHUR_WEIGHTS = {
+    1: [(0,), (5,), (Fraction(-3, 2),)],
+    2: [(0, 0), (4, 1), (Fraction(7, 2), -2)],
+    3: [(0, 0, 0), (5, 2, 2), (3, Fraction(1, 2), -4)],
+}
+
+
+@pytest.mark.parametrize("m, max_k", [(1, 4), (2, 4), (3, 3)])
+def test_eigenvalue_matches_shifted_schur_oracle(m, max_k):
+    # (k!/dim mu) s*_mu(l), by a ratio of determinants: no Weyl realization
+    for k in range(1, max_k + 1):
+        for shape in all_partitions(k):
+            T = enumerate_standard_tableaux(shape)[-1]
+            u = quantum_immanant(shape, T, m)
+            scale = Fraction(factorial(k), hook_count(shape.parts))
+            for weights in SHIFTED_SCHUR_WEIGHTS[m]:
+                expected = scale * shifted_schur(shape.parts, weights)
+                assert hc_eigenvalue(u, weights) == expected, (shape, weights)
+
+
+def test_centrality_verdict_is_recorded_only_when_passed():
+    alg = EnvelopingAlgebra(2)
+    trace = alg.gen(1, 1) + alg.gen(2, 2)
+    assert not hasattr(trace, "_central")
+    assert hc_eigenvalue(trace, [3, 1]) == 4
+    assert hasattr(trace, "_central")
+    raising = alg.gen(1, 2)
+    assert not is_central(raising)
+    assert not hasattr(raising, "_central")
+    with pytest.raises(ValueError):
+        hc_eigenvalue(raising, [1, 0])
+    assert not hasattr(trace + raising, "_central")
 
 
 def test_print_format():

@@ -11,7 +11,14 @@ from capelli.exact import SparseElement
 from capelli.identities import lhs_theorem
 from capelli.permutations import GroupAlgebraElement, Permutation
 from capelli.tableaux import Partition, enumerate_standard_tableaux
-from capelli.tensors import AlgMatrix, RationalAlgebra, right_mul_group_algebra, tensor_product
+from capelli.tensors import (
+    AlgMatrix,
+    RationalAlgebra,
+    TensorElement,
+    full_trace,
+    right_mul_group_algebra,
+    tensor_product,
+)
 from capelli.weyl import WeylAlgebra, WeylElement, WeylMonomial
 
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
@@ -107,3 +114,12 @@ def test_missing_coefficient_is_int_zero():
 def test_theorem_left_side_is_canonical():
     T = enumerate_standard_tableaux(Partition((2, 1)))[0]
     assert_canonical(lhs_theorem(T, T, 2, 2))
+
+
+def test_rational_trace_is_int_when_integral():
+    half = Fraction(1, 2)
+    u = TensorElement(RationalAlgebra(), 1, 2, 2, {((1,), (1,)): half, ((2,), (2,)): half})
+    assert type(full_trace(u)) is int and full_trace(u) == 1
+    algebra = RationalAlgebra()
+    assert type(algebra.sum([half, half])) is int
+    assert type(algebra.scaled_sum([(half, 4), (3, Fraction(1, 3))])) is int

@@ -2,7 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from capelli.enveloping import EnvelopingAlgebra
 from capelli.permutations import (
     GroupAlgebraElement,
     Permutation,
@@ -20,6 +22,7 @@ from capelli.tensors import (
     tensor_product,
 )
 from capelli.weyl import WeylAlgebra
+from test_exact import assert_canonical
 
 Q = RationalAlgebra()
 
@@ -170,6 +173,13 @@ def test_right_mul_e_tensor_e():
     assert result.coefficient((1, 1), (1, 1)) == expected
 
 
+def _perm_tensor_sum(u, g):
+    expected = TensorElement(u.algebra, u.k, u.p, u.q)
+    for s, c in g.items():
+        expected = expected + c * tensor_matmul(u, perm_tensor(s, u.p, u.algebra))
+    return expected
+
+
 def test_right_mul_matches_explicit_perm_tensor_sum():
     rng = random.Random(31)
     u = random_scalar_tensor(rng, 3, 2)
@@ -180,11 +190,82 @@ def test_right_mul_matches_explicit_perm_tensor_sum():
             Permutation.parse("(1 2 3)"): Fraction(-2),
         },
     )
-    expected = None
-    for s, c in g.items():
-        piece = c * tensor_matmul(u, perm_tensor(s, 2))
-        expected = piece if expected is None else expected + piece
-    assert right_mul_group_algebra(u, g) == expected
+    assert right_mul_group_algebra(u, g) == _perm_tensor_sum(u, g)
+
+
+ALGEBRAS = {
+    "rational": RationalAlgebra(),
+    "weyl": WeylAlgebra(1, 2),
+    "ugl": EnvelopingAlgebra(2),
+}
+# denominators 2, 3, 4, 5: the LCM over g is often neither their product nor their maximum
+GROUP_COEFFS = st.sampled_from(
+    [Fraction(1, 2), Fraction(-1, 3), Fraction(1, 5), Fraction(-3, 4), -1, 2]
+)
+
+
+def _algebra_value(algebra, draw):
+    # a sum of a few products of generators with small rational scalars
+    if isinstance(algebra, RationalAlgebra):
+        return draw(st.fractions(-3, 3, max_denominator=3))
+    if isinstance(algebra, WeylAlgebra):
+        gens = [algebra.x(1, 1), algebra.x(1, 2), algebra.d(1, 1), algebra.d(1, 2)]
+    else:
+        gens = [algebra.gen(a, b) for a in (1, 2) for b in (1, 2)]
+    value = algebra.zero()
+    for _ in range(draw(st.integers(1, 2))):
+        word = draw(st.lists(st.sampled_from(gens), max_size=2))
+        term = algebra.scalar(draw(st.fractions(-2, 2, max_denominator=3)))
+        for gen in word:
+            term = term * gen
+        value = value + term
+    return value
+
+
+@st.composite
+def right_mul_cases(draw, kind):
+    algebra = ALGEBRAS[kind]
+    k, m = draw(st.integers(1, 3)), 2
+    index = st.tuples(*[st.integers(1, m)] * k)
+    keys = draw(st.lists(st.tuples(index, index), min_size=1, max_size=4, unique=True))
+    u = TensorElement(algebra, k, m, m, {key: _algebra_value(algebra, draw) for key in keys})
+    perms = st.permutations(range(1, k + 1)).map(Permutation)
+    g = GroupAlgebraElement(k, draw(st.dictionaries(perms, GROUP_COEFFS, max_size=4)))
+    return u, g
+
+
+@pytest.mark.parametrize("kind", sorted(ALGEBRAS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_right_mul_exact_against_perm_tensor_sum(kind, data):
+    u, g = data.draw(right_mul_cases(kind))
+    result = right_mul_group_algebra(u, g)
+    assert result == _perm_tensor_sum(u, g)
+    assert_canonical(result)
+
+
+@pytest.mark.parametrize("kind", sorted(ALGEBRAS))
+def test_right_mul_denominator_edge_cases(kind):
+    algebra = ALGEBRAS[kind]
+    u = TensorElement(
+        algebra,
+        3,
+        2,
+        2,
+        {((1, 2, 1), (2, 1, 1)): algebra.one(), ((2, 2, 1), (1, 1, 2)): algebra.scalar(3)},
+    )
+    cycle, swap = Permutation.parse("(1 2 3)"), Permutation.parse("(1 3)", 3)
+    cases = [
+        {Permutation.identity(3): Fraction(1, 2), cycle: Fraction(1, 3), swap: Fraction(-1, 5)},
+        {cycle: Fraction(-1, 3)},
+        {swap: -2},
+    ]
+    for terms in cases:
+        g = GroupAlgebraElement(3, terms)
+        result = right_mul_group_algebra(u, g)
+        assert result == _perm_tensor_sum(u, g)
+        assert_canonical(result)
+    assert not right_mul_group_algebra(u, GroupAlgebraElement.zero(3))
 
 
 def test_right_mul_degree_mismatch():
