@@ -10,6 +10,10 @@ applied to adjacent out-of-order pairs; every swap lowers a degree-then-
 inversion measure, so the rewriting terminates. The lowering-Cartan-raising
 order makes the Cartan-only part of a central element read off its highest
 weight eigenvalue directly.
+
+A PBW monomial is keyed by its word, the nondecreasing tuple of its generator
+indices in this order: E[2,1]^2 E[1,2] is (0, 0, 1) at m = 2, the unit is ().
+Only the ``UglElement`` constructor and ``coefficient`` take exponent vectors.
 """
 
 from __future__ import annotations
@@ -17,10 +21,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import groupby
 from typing import Sequence
 
 from .exact import SparseElement, as_exact
-from .weyl import WeylElement, weyl_multiply
+from .weyl import WeylElement
 
 __all__ = [
     "generator_order",
@@ -52,7 +57,7 @@ _STRAIGHTEN_CACHE: dict[tuple[int, tuple[int, ...]], dict[tuple[int, ...], Fract
 
 
 def _straighten(m: int, word: tuple[int, ...]) -> dict[tuple[int, ...], Fraction]:
-    """PBW coefficients of a product word of generator indices."""
+    """PBW coefficients, keyed by sorted word, of any word of generator indices."""
     key = (m, word)
     cached = _STRAIGHTEN_CACHE.get(key)
     if cached is not None:
@@ -61,10 +66,7 @@ def _straighten(m: int, word: tuple[int, ...]) -> dict[tuple[int, ...], Fraction
     index = _generator_index(m)
     spot = next((i for i in range(len(word) - 1) if word[i] > word[i + 1]), None)
     if spot is None:
-        expo = [0] * len(order)
-        for g in word:
-            expo[g] += 1
-        result = {tuple(expo): 1}
+        result = {word: 1}
     else:
         i = spot
         gi, gj = word[i], word[i + 1]
@@ -83,12 +85,13 @@ def _straighten(m: int, word: tuple[int, ...]) -> dict[tuple[int, ...], Fraction
     return result
 
 
-def _expand(expo: tuple[int, ...]) -> tuple[int, ...]:
+def _word(expo) -> tuple[int, ...]:
     return tuple(g for g, e in enumerate(expo) for _ in range(e))
 
 
 class UglElement(SparseElement):
-    """A PBW-normal-ordered element, sparse over exponent vectors.
+    """A PBW-normal-ordered element, sparse over generator words; the
+    constructor and ``coefficient`` take m^2-long exponent vectors instead.
 
     ``_central`` is set only by ``is_central``, when the element passed, and
     stays valid because elements are immutable; it is unset on every other
@@ -97,7 +100,6 @@ class UglElement(SparseElement):
 
     __slots__ = ("_central",)
 
-    _DESCENDING = True
     _MISMATCH = "rank mismatch: {0[0]} vs {1[0]}"
 
     def __init__(self, m: int, terms: dict[tuple[int, ...], Fraction] | None = None):
@@ -110,7 +112,7 @@ class UglElement(SparseElement):
         (m,) = space
         if len(expo) != m * m:
             raise ValueError(f"exponent vector does not fit gl({m}): {expo}")
-        return tuple(expo)
+        return _word(expo)
 
     @classmethod
     def zero(cls, m: int) -> UglElement:
@@ -122,29 +124,32 @@ class UglElement(SparseElement):
 
     @classmethod
     def constant(cls, m: int, value) -> UglElement:
-        return cls(m, {(0,) * (m * m): value})
+        value = as_exact(value)
+        return cls._raw((m,), {(): value} if value else {})
 
     @classmethod
     def generator(cls, m: int, a: int, b: int) -> UglElement:
         if not (1 <= a <= m and 1 <= b <= m):
             raise ValueError(f"generator E[{a},{b}] outside gl({m})")
-        expo = [0] * (m * m)
-        expo[_generator_index(m)[(a, b)]] = 1
-        return cls(m, {tuple(expo): 1})
+        return cls._raw((m,), {(_generator_index(m)[(a, b)],): 1})
 
     def coefficient(self, expo) -> int | Fraction:
-        return super().coefficient(tuple(expo))
+        return super().coefficient(self._key(self._space, expo))
+
+    def support(self) -> list[tuple[int, ...]]:
+        # descending by exponent vector: ascending by word ended past every letter
+        return sorted(self._terms, key=lambda word: word + (self.m * self.m,))
 
     def __mul__(self, other) -> UglElement:
         if isinstance(other, UglElement):
             return ugl_multiply(self, other)
         return as_exact(other) * self
 
-    def _format_key(self, expo: tuple[int, ...]) -> str:
+    def _format_key(self, word: tuple[int, ...]) -> str:
+        order = generator_order(self.m)
         return " ".join(
             f"E[{a},{b}]" + (f"^{e}" if e > 1 else "")
-            for (a, b), e in zip(generator_order(self.m), expo)
-            if e
+            for (a, b), e in ((order[g], len(list(run))) for g, run in groupby(word))
         )
 
     def __repr__(self) -> str:
@@ -156,16 +161,15 @@ def ugl_multiply(u: UglElement, v: UglElement) -> UglElement:
     u._check(v)
     m = u.m
     terms: dict[tuple[int, ...], Fraction] = {}
-    for expo_u, cu in u.items():
-        word_u = _expand(expo_u)
-        for expo_v, cv in v.items():
+    for word_u, cu in u.items():
+        for word_v, cv in v.items():
             scale = cu * cv
-            for expo, c in _straighten(m, word_u + _expand(expo_v)).items():
-                acc = terms.get(expo, 0) + scale * c
+            for word, c in _straighten(m, word_u + word_v).items():
+                acc = terms.get(word, 0) + scale * c
                 if acc:
-                    terms[expo] = acc
+                    terms[word] = acc
                 else:
-                    terms.pop(expo, None)
+                    terms.pop(word, None)
     return UglElement._raw(u._space, terms)
 
 
@@ -184,11 +188,11 @@ def ugl_to_weyl(u: UglElement, n: int) -> WeylElement:
     m = u.m
     order = generator_order(m)
     out = WeylElement.zero(m, n)
-    for expo, c in u.items():
+    for word, c in u.items():
         image = WeylElement.constant(m, n, c)
-        for g in _expand(expo):
+        for g in word:
             a, b = order[g]
-            image = weyl_multiply(image, _generator_weyl(m, n, a, b))
+            image = image * _generator_weyl(m, n, a, b)
         out = out + image
     return out
 
@@ -217,29 +221,28 @@ def is_central(u: UglElement) -> Centrality:
     return Centrality(True)
 
 
-def hc_eigenvalue(u: UglElement, weights: Sequence) -> Fraction:
+def hc_eigenvalue(u: UglElement, weights: Sequence) -> int | Fraction:
     """The scalar by which the central element u acts on the highest-weight
     module of the given weight: the Cartan-only part of the PBW form,
-    evaluated at E[a,a] -> weights[a-1]."""
+    evaluated at E[a,a] -> weights[a-1]; an int when integral."""
     m = u.m
     if len(weights) != m:
         raise ValueError(f"expected {m} weights, got {len(weights)}")
-    weights = [Fraction(w) for w in weights]
+    weights = [as_exact(w) for w in weights]
     if not hasattr(u, "_central") and not is_central(u):
         raise ValueError("element is not central")
-    order = generator_order(u.m)
-    cartan = {i for i, (a, b) in enumerate(order) if a == b}
-    total = Fraction(0)
-    for expo, c in u.items():
-        if any(e and i not in cartan for i, e in enumerate(expo)):
-            continue
+    order = generator_order(m)
+    total = 0
+    for word, c in u.items():
         value = c
-        for i in cartan:
-            if expo[i]:
-                a = order[i][0]
-                value *= weights[a - 1] ** expo[i]
-        total += value
-    return total
+        for g in word:
+            a, b = order[g]
+            if a != b:
+                break
+            value *= weights[a - 1]
+        else:
+            total += value
+    return as_exact(total)
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .enveloping import EnvelopingAlgebra, UglElement
+from .enveloping import EnvelopingAlgebra, UglElement, ugl_to_weyl
 from .permutations import GroupAlgebraElement, embed, ga_multiply, jm_element
 from .tableaux import (
     Partition,
@@ -96,29 +96,33 @@ def build_D(m: int, n: int) -> AlgMatrix:
     )
 
 
+def _ugl_matrix(m: int) -> AlgMatrix:
+    """The m x m matrix of generators E[a,b] of U(gl(m))."""
+    algebra = EnvelopingAlgebra(m)
+    return AlgMatrix(
+        algebra,
+        [[algebra.gen(a, b) for b in range(1, m + 1)] for a in range(1, m + 1)],
+    )
+
+
 def build_E(m: int, n: int) -> AlgMatrix:
-    """The m x m matrix with entry (a,b) = sum_i x[a,i] D[b,i]."""
-    algebra = WeylAlgebra(m, n)
-    rows = []
-    for a in range(1, m + 1):
-        row = []
-        for b in range(1, m + 1):
-            acc = algebra.zero()
-            for i in range(1, n + 1):
-                acc = acc + algebra.x(a, i) * algebra.d(b, i)
-            row.append(acc)
-        rows.append(row)
-    return AlgMatrix(algebra, rows)
+    """The m x m matrix with entry (a,b) = sum_i x[a,i] D[b,i], the image of E[a,b]."""
+    return AlgMatrix(
+        WeylAlgebra(m, n),
+        [[ugl_to_weyl(g, n) for g in row] for row in _ugl_matrix(m).entries],
+    )
+
+
+def _shifted_tensor(E: AlgMatrix, contents: tuple[int, ...]) -> TensorElement:
+    """(E - c_1) (x) ... (x) (E - c_k) for a square matrix E."""
+    eye = AlgMatrix.identity(E.algebra, E.p)
+    return tensor_product([E - (c * eye) for c in contents])
 
 
 @lru_cache(maxsize=None)
 def _shifted_product(contents: tuple[int, ...], m: int, n: int) -> TensorElement:
     """(E - c_1) (x) ... (x) (E - c_k), cached per content vector."""
-    algebra = WeylAlgebra(m, n)
-    E = build_E(m, n)
-    eye = AlgMatrix.identity(algebra, m)
-    factors = [E - (c * eye) for c in contents]
-    return tensor_product(factors)
+    return _shifted_tensor(build_E(m, n), contents)
 
 
 @lru_cache(maxsize=None)
@@ -335,12 +339,5 @@ def quantum_immanant(shape: Partition, T: StandardTableau, m: int) -> UglElement
     _check_case(shape, m)
     if T.shape != shape:
         raise ValueError(f"tableau shape {T.shape} != {shape}")
-    algebra = EnvelopingAlgebra(m)
-    E = AlgMatrix(
-        algebra,
-        [[algebra.gen(a, b) for b in range(1, m + 1)] for a in range(1, m + 1)],
-    )
-    eye = AlgMatrix.identity(algebra, m)
-    factors = [E - (c * eye) for c in _contents(T)]
-    shifted = tensor_product(factors)
+    shifted = _shifted_tensor(_ugl_matrix(m), _contents(T))
     return full_trace(right_mul_group_algebra(shifted, psi(T, T)))

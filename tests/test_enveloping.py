@@ -4,6 +4,7 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from capelli.enveloping import (
     EnvelopingAlgebra,
@@ -158,6 +159,20 @@ def test_hc_eigenvalue_gelfand_invariant():
         assert hc_eigenvalue(c2, [l1, l2]) == expected
 
 
+def test_hc_eigenvalue_is_int_when_integral():
+    alg = EnvelopingAlgebra(2)
+    trace = alg.gen(1, 1) + alg.gen(2, 2)
+    assert type(hc_eigenvalue(trace, [3, 1])) is int
+    assert type(hc_eigenvalue(trace, [Fraction(3), Fraction(1)])) is int
+    assert hc_eigenvalue(trace, [Fraction(1, 2), 1]) == Fraction(3, 2)
+
+
+def test_hc_eigenvalue_rejects_float_weights():
+    trace = EnvelopingAlgebra(2).gen(1, 1) + EnvelopingAlgebra(2).gen(2, 2)
+    with pytest.raises(TypeError):
+        hc_eigenvalue(trace, [0.5, 1])
+
+
 def test_hc_eigenvalue_zero_element():
     assert hc_eigenvalue(EnvelopingAlgebra(2).zero(), [1, 0]) == 0
 
@@ -220,3 +235,64 @@ def test_print_format():
     u = alg.gen(2, 1) * alg.gen(2, 1) * alg.gen(1, 2)
     assert str(u).startswith("E[2,1]^2 E[1,2]")
     assert str(alg.zero()) == "0"
+
+
+def _product(m, *pairs):
+    alg = EnvelopingAlgebra(m)
+    out = alg.one()
+    for a, b in pairs:
+        out = out * alg.gen(a, b)
+    return out
+
+
+def _immanant(parts, m):
+    shape = Partition.parse(parts)
+    return quantum_immanant(shape, enumerate_standard_tableaux(shape)[0], m)
+
+
+# printed by the exponent-vector-keyed implementation; the word key must not change them
+@pytest.mark.parametrize(
+    "build, expected",
+    [
+        (lambda: _product(2, (1, 2), (2, 1)), "E[2,1] E[1,2] + E[1,1] - E[2,2]"),
+        (
+            lambda: _immanant("2", 2),
+            "2 E[2,1] E[1,2] + 2 E[1,1]^2 + 2 E[1,1] E[2,2] - 2 E[1,1]"
+            " + 2 E[2,2]^2 - 4 E[2,2]",
+        ),
+        (
+            lambda: _immanant("1,1", 3),
+            "-2 E[2,1] E[1,2] - 2 E[3,1] E[1,3] - 2 E[3,2] E[2,3] + 2 E[1,1] E[2,2]"
+            " + 2 E[1,1] E[3,3] + 2 E[2,2] E[3,3] + 2 E[2,2] + 4 E[3,3]",
+        ),
+        (
+            lambda: _product(3, (2, 3), (1, 2), (3, 1)),
+            "E[2,1] E[1,2] + E[3,1] E[1,2] E[2,3] - E[3,1] E[1,3] - E[3,2] E[2,3]"
+            " - E[2,2] + E[3,3]",
+        ),
+    ],
+)
+def test_print_pinned(build, expected):
+    assert str(build()) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.data(),
+    m=st.integers(1, 3),
+    c=st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool),
+)
+def test_exponent_vector_edge(data, m, c):
+    vectors = st.tuples(*[st.integers(0, 2)] * (m * m))
+    expo = data.draw(vectors)
+    assert UglElement(m, {expo: c}).coefficient(expo) == c
+    # support (and print) order is descending by exponent vector
+    keys = data.draw(st.sets(vectors, max_size=5)) | {expo}
+    u = UglElement(m, {key: 1 for key in keys})
+    assert [tuple(word.count(g) for g in range(m * m)) for word in u.support()] == sorted(
+        keys, reverse=True
+    )
+    with pytest.raises(ValueError):
+        UglElement(m, {expo + (0,): c})
+    with pytest.raises(ValueError):
+        u.coefficient(expo[1:])
