@@ -321,6 +321,9 @@ def verify_proof_steps(shape: Partition) -> list[VerificationReport]:
 
 def sweep(max_k: int, max_m: int, max_n: int) -> list[VerificationReport]:
     """Run theorem, corollary, and proof-step checks over the whole grid."""
+    for name, bound in (("max_k", max_k), ("max_m", max_m), ("max_n", max_n)):
+        if bound < 1:
+            raise ValueError(f"{name} must be at least 1, got {bound}")
     reports = []
     for k in range(1, max_k + 1):
         for shape in all_partitions(k):

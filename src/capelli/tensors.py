@@ -222,7 +222,13 @@ class TensorElement(SparseElement):
 
 def tensor_product(matrices: Sequence[AlgMatrix]) -> TensorElement:
     """The ordered tensor product; entry ((a),(i)) is the left-to-right
-    product of the factor entries A[a1,i1] B[a2,i2] ... C[ak,ik]."""
+    product of the factor entries A[a1,i1] B[a2,i2] ... C[ak,ik].
+
+    Built one factor at a time: level t maps each prefix (rows[:t], cols[:t])
+    to its nonzero product, and the next level extends every prefix by one
+    nonzero entry of the next factor, on the right. A prefix shared by many
+    multi-indices is multiplied once.
+    """
     if not matrices:
         raise ValueError("need at least one factor")
     algebra = matrices[0].algebra
@@ -230,18 +236,25 @@ def tensor_product(matrices: Sequence[AlgMatrix]) -> TensorElement:
     for mat in matrices:
         if mat.algebra != algebra or (mat.p, mat.q) != (p, q):
             raise ValueError("all factors must share dimensions and algebra")
-    k = len(matrices)
-    terms = {}
-    for rows in itertools.product(range(1, p + 1), repeat=k):
-        for cols in itertools.product(range(1, q + 1), repeat=k):
-            coeff = matrices[0].entry(rows[0], cols[0])
-            for t in range(1, k):
-                if not coeff:
-                    break
-                coeff = coeff * matrices[t].entry(rows[t], cols[t])
-            if coeff:
-                terms[(rows, cols)] = coeff
-    return TensorElement(algebra, k, p, q, terms)
+
+    def nonzero(mat):
+        return [
+            ((a,), (i,), entry)
+            for a, row in enumerate(mat.entries, 1)
+            for i, entry in enumerate(row, 1)
+            if entry
+        ]
+
+    level = {(a, i): entry for a, i, entry in nonzero(matrices[0])}
+    for mat in matrices[1:]:
+        entries = nonzero(mat)
+        level = {
+            (rows + a, cols + i): prod
+            for (rows, cols), coeff in level.items()
+            for a, i, entry in entries
+            if (prod := coeff * entry)
+        }
+    return TensorElement._raw((algebra, len(matrices), p, q), level)
 
 
 def tensor_matmul(u: TensorElement, v: TensorElement) -> TensorElement:
@@ -287,23 +300,37 @@ def right_mul_group_algebra(
 ) -> TensorElement:
     """u times the place-permutation image of a group algebra element.
 
-    Computed as (1/D) (u . (D g)) with D the least common multiple of g's
-    denominators: the product is linear in g, so the result is exact, and
-    every multiply-add of the accumulation runs on int scales. The division
-    by D touches only the surviving output coefficients.
+    Computed as (1/D) (u . P) with D the least common multiple of g's
+    denominators and P the place operator of D g on the column multi-indices
+    that occur in u: P[cols][cols o s] is the sum of the int scales D c_s.
+    Cancellation happens in P, in int arithmetic, before any coefficient of
+    u is touched; only the nonzero entries of P multiply u. (By Schur-Weyl
+    duality the operator of Psi(T,T') has rank dim V_mu(gl(m)), and is 0
+    when mu has more than m rows.) The product is linear in g, so the
+    result is exact, and the division by D touches only the surviving
+    output coefficients.
     """
     if u.p != u.q:
         raise ValueError("factors must be square to act by place permutations")
     if g.degree != u.k:
         raise ValueError(f"degree mismatch: {g.degree} vs k={u.k}")
     denom = lcm(*(c.denominator for _, c in g.items()))
-    buckets: dict[tuple[MultiIndex, MultiIndex], list] = {}
+    place: dict[MultiIndex, dict[MultiIndex, int]] = {cols: {} for _, cols in u._terms}
     for s, c in g.items():
         scale = c.numerator * (denom // c.denominator)
         # itemgetter of one index returns a scalar; at k = 1 s is the identity
         permute = itemgetter(*[i - 1 for i in s.images]) if u.k > 1 else tuple
-        for (rows, cols), coeff in u.items():
-            buckets.setdefault((rows, permute(cols)), []).append((scale, coeff))
+        for cols, row in place.items():
+            new = permute(cols)
+            row[new] = row.get(new, 0) + scale
+    nonzero = {
+        cols: [(new, scale) for new, scale in row.items() if scale]
+        for cols, row in place.items()
+    }
+    buckets: dict[tuple[MultiIndex, MultiIndex], list] = {}
+    for (rows, cols), coeff in u.items():
+        for new, scale in nonzero[cols]:
+            buckets.setdefault((rows, new), []).append((scale, coeff))
     inverse = Fraction(1, denom)
     terms = {}
     for key, pairs in buckets.items():

@@ -1,11 +1,11 @@
 """Independent oracles the tests check the library against.
 
 Everything here recomputes expected values by a different route than the
-code under test: hook products instead of enumeration, border-strip
-recursion instead of traces, one-step rewriting instead of the closed
-contraction formula, floating point instead of exact rationals, Leibniz
-determinants instead of PBW bookkeeping, a ratio of determinants instead of
-a trace over U(gl(m)).
+code under test: hook products instead of enumeration, hook-content
+products instead of place-operator traces, border-strip recursion instead
+of traces, one-step rewriting instead of the closed contraction formula,
+floating point instead of exact rationals, Leibniz determinants instead of
+PBW bookkeeping, a ratio of determinants instead of a trace over U(gl(m)).
 """
 
 from __future__ import annotations
@@ -29,6 +29,19 @@ def hook_count(parts: tuple[int, ...]) -> int:
         for j in range(row):
             product *= (row - j) + (cols[j] - i) - 1
     return math.factorial(sum(parts)) // product
+
+
+def gl_dimension(parts: tuple[int, ...], m: int) -> int:
+    """dim V_mu(gl(m)) by the hook-content formula: the product over the
+    cells (i, j) of (m + j - i) / hook(i, j); zero when mu has more than m
+    rows, since the cell (m + 1, 1) has content -m."""
+    cols = [sum(1 for p in parts if p > j) for j in range(parts[0])] if parts else []
+    numerator = denominator = 1
+    for i, row in enumerate(parts):
+        for j in range(row):
+            numerator *= m + j - i
+            denominator *= (row - j) + (cols[j] - i) - 1
+    return numerator // denominator
 
 
 def mn_character(parts: tuple[int, ...], cycle_type: tuple[int, ...]) -> int:

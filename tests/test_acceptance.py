@@ -40,9 +40,11 @@ from capelli.tableaux import (
 from capelli.weyl import WeylAlgebra, WeylElement, WeylMonomial, weyl_apply, weyl_multiply
 from oracles import (
     highest_weight_polynomial,
+    hook_count,
     mn_character,
     naive_weyl_product,
     orthonormal_psi,
+    shifted_schur,
 )
 
 _K4_ELAPSED: dict[str, float] = {}
@@ -330,3 +332,17 @@ def test_criterion_10_floating_point_cross_check():
         ok,
         f"max relative deviation {worst:.2e}",
     )
+
+
+def test_criterion_11_k4_m3_centrality_and_shifted_schur_eigenvalues():
+    # every k = 4 shape at m = 3, including (1,1,1,1), whose immanant is 0;
+    # eigenvalues against (k!/dim mu) s*_mu(l), with no Weyl realization
+    ok = True
+    for shape in all_partitions(4):
+        u = quantum_immanant(shape, enumerate_standard_tableaux(shape)[0], 3)
+        ok &= bool(is_central(u))
+        scale = Fraction(factorial(4), hook_count(shape.parts))
+        for weights in [(0, 0, 0), (4, 1, 1), (9, 6, 2)]:
+            expected = scale * shifted_schur(shape.parts, weights)
+            ok &= hc_eigenvalue(u, weights) == expected
+    _conclude(11, "k=4, m=3 immanants central, shifted Schur eigenvalues", ok)

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -167,6 +168,9 @@ def test_tableau_shape_mismatch_returns_error(capsys):
         (["immanant", "--shape", "2", "--m", "0"], "m must be"),
         (["verify", "theorem", "--shape", "2", "--m", "2", "--n", "0"], "n must be"),
         (["verify", "corollary", "--shape", "2", "--m", "2", "--n", "-1"], "n must be"),
+        (["verify", "sweep", "--max-k", "0"], "max_k must be at least 1, got 0"),
+        (["verify", "sweep", "--max-m", "0"], "max_m must be at least 1, got 0"),
+        (["verify", "sweep", "--max-n", "-1"], "max_n must be at least 1, got -1"),
     ],
 )
 def test_degenerate_input_returns_error(argv, message, capsys):
@@ -184,3 +188,19 @@ def test_failing_report_sets_exit_code(capsys, monkeypatch):
     assert code == 1
     assert out.startswith("FAIL")
     assert "first diff" in out
+
+
+def test_sweep_json_matches_golden_reports(capsys):
+    # every report of a small sweep, pinned with the timing field removed
+    golden = Path(__file__).parent / "data" / "sweep_k3_m2_n2.jsonl"
+    expected = [json.loads(line) for line in golden.read_text().splitlines()]
+    code, out = run(
+        ["verify", "sweep", "--max-k", "3", "--max-m", "2", "--max-n", "2", "--json"],
+        capsys,
+    )
+    assert code == 0
+    reports = [json.loads(line) for line in out.splitlines()]
+    for report in reports:
+        del report["millis"]
+    assert len(reports) == len(expected) == 104
+    assert reports == expected

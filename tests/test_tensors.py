@@ -1,5 +1,8 @@
+import itertools
 import random
 from fractions import Fraction
+from functools import reduce
+from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +14,7 @@ from capelli.permutations import (
     all_permutations,
     compose,
 )
+from capelli.tableaux import all_partitions, enumerate_standard_tableaux, psi
 from capelli.tensors import (
     AlgMatrix,
     RationalAlgebra,
@@ -22,6 +26,7 @@ from capelli.tensors import (
     tensor_product,
 )
 from capelli.weyl import WeylAlgebra
+from oracles import gl_dimension, hook_count
 from test_exact import assert_canonical
 
 Q = RationalAlgebra()
@@ -58,6 +63,31 @@ def test_tensor_product_then_matmul_normal_orders():
     lhs = tensor_matmul(tensor_product([X, X]), tensor_product([D, D]))
     x, d = w.x(1, 1), w.d(1, 1)
     assert lhs.coefficient((1, 1), (1, 1)) == x * x * d * d
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_tensor_product_entrywise_with_zero_entries(k):
+    # each entry is the left-to-right product of the factor entries; a zero
+    # entry anywhere kills the multi-index
+    W = WeylAlgebra(2, 2)
+    rng = random.Random(k)
+    gens = [W.x(1, 1), W.d(1, 1), W.x(2, 1), W.d(2, 2), W.zero(), W.zero()]
+    factors = [
+        AlgMatrix(
+            W, [[rng.choice(gens) + rng.choice(gens) for _ in range(3)] for _ in range(2)]
+        )
+        for _ in range(k)
+    ]
+    product = tensor_product(factors)
+    expected = {}
+    for rows in itertools.product((1, 2), repeat=k):
+        for cols in itertools.product((1, 2, 3), repeat=k):
+            entries = [f.entry(a, i) for f, a, i in zip(factors, rows, cols)]
+            value = reduce(lambda acc, e: acc * e, entries)
+            if value:
+                expected[(rows, cols)] = value
+    assert product == TensorElement(W, k, 2, 3, expected)
+    assert_canonical(product)
 
 
 def test_tensor_product_dimension_mismatch():
@@ -272,6 +302,19 @@ def test_right_mul_degree_mismatch():
     u = TensorElement.identity(Q, 3, 2)
     with pytest.raises(ValueError):
         right_mul_group_algebra(u, GroupAlgebraElement.one(2))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_place_operator_of_psi_against_schur_weyl(k, m):
+    # Schur-Weyl duality: Psi(T,T) acts on (C^m)^(x k) with trace
+    # (k!/dim mu) dim V_mu(gl(m)), and as 0 exactly when mu has more than m rows
+    for shape in all_partitions(k):
+        scale = Fraction(factorial(k), hook_count(shape.parts))
+        for T in enumerate_standard_tableaux(shape):
+            out = right_mul_group_algebra(TensorElement.identity(Q, k, m), psi(T, T))
+            assert (not out) == (len(shape.parts) > m), (T, m)
+            assert full_trace(out) == scale * gl_dimension(shape.parts, m), (T, m)
 
 
 def test_full_trace_examples():
