@@ -85,9 +85,16 @@ def _cmd_immanant(args) -> int:
     return 0 if central else 1
 
 
+def _weight(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"weight {text!r} has a zero denominator") from None
+
+
 def _cmd_eigenvalue(args) -> int:
     shape = Partition.parse(args.shape)
-    weights = [Fraction(w) for w in args.weights.split(",")]
+    weights = [_weight(w) for w in args.weights.split(",")]
     T = enumerate_standard_tableaux(shape)[0]
     value = hc_eigenvalue(quantum_immanant(shape, T, args.m), weights)
     if args.json:

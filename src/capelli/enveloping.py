@@ -158,19 +158,8 @@ class UglElement(SparseElement):
 
 def ugl_multiply(u: UglElement, v: UglElement) -> UglElement:
     """The product, straightened to PBW normal form."""
-    u._check(v)
     m = u.m
-    terms: dict[tuple[int, ...], Fraction] = {}
-    for word_u, cu in u.items():
-        for word_v, cv in v.items():
-            scale = cu * cv
-            for word, c in _straighten(m, word_u + word_v).items():
-                acc = terms.get(word, 0) + scale * c
-                if acc:
-                    terms[word] = acc
-                else:
-                    terms.pop(word, None)
-    return UglElement._raw(u._space, terms)
+    return u._product(v, lambda a, b: _straighten(m, a + b).items())
 
 
 @lru_cache(maxsize=None)

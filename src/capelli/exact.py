@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterator
 
-__all__ = ["as_exact", "SparseElement"]
+__all__ = ["as_exact", "as_int", "SparseElement"]
 
 
 def as_exact(value) -> int | Fraction:
@@ -26,6 +26,13 @@ def as_exact(value) -> int | Fraction:
     return f.numerator if f.denominator == 1 else f
 
 
+def as_int(value) -> int:
+    """Check an integer entry: bool, float and every other non-int are refused."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ValueError(f"expected an integer, got {value!r}")
+
+
 class SparseElement:
     """An immutable sparse linear combination of basis keys in one space.
 
@@ -35,10 +42,11 @@ class SparseElement:
     check on the canonical form. Coefficients are exact rationals, except in
     ``TensorElement``, whose coefficients live in an algebra.
 
-    A subclass supplies its named constructors and product, ``_key`` (key
-    validation), ``_format_key``, ``_MISMATCH`` (the error message for
-    mixed spaces, formatted with both spaces) and ``_DESCENDING`` (the order
-    of ``support``, which is also the printing order).
+    A subclass supplies its named constructors, its product as a rule on
+    basis keys handed to ``_product``, ``_key`` (key validation),
+    ``_format_key``, ``_MISMATCH`` (the error message for mixed spaces,
+    formatted with both spaces) and ``_DESCENDING`` (the order of
+    ``support``, which is also the printing order).
     """
 
     __slots__ = ("_space", "_terms")
@@ -119,19 +127,26 @@ class SparseElement:
             self._space, {key: scalar * c for key, c in self._terms.items()}
         )
 
+    def _product(u, v, rule):
+        # bilinear extension of rule(key_u, key_v), which yields (key, c)
+        # pairs; keys that cancel are dropped as the sum goes
+        u._check(v)
+        terms = {}
+        for key_u, cu in u._terms.items():
+            for key_v, cv in v._terms.items():
+                scale = cu * cv
+                for key, c in rule(key_u, key_v):
+                    c = terms.get(key, 0) + scale * c
+                    if c:
+                        terms[key] = c
+                    else:
+                        terms.pop(key, None)
+        return u._raw(u._space, terms)
+
     @classmethod
     def _sum(cls, elements):
-        # sum of same-space elements, merged into one dict
-        terms = dict(elements[0]._terms)
-        for element in elements[1:]:
-            for key, c in element._terms.items():
-                if key in terms:
-                    c = terms[key] + c
-                    if not c:
-                        del terms[key]
-                        continue
-                terms[key] = c
-        return cls._raw(elements[0]._space, terms)
+        # sum of same-space elements
+        return cls._scaled_sum([(1, element) for element in elements])
 
     @classmethod
     def _scaled_sum(cls, pairs):

@@ -32,7 +32,6 @@ from .tableaux import (
     psi,
 )
 from .tensors import (
-    AlgMatrix,
     TensorElement,
     full_trace,
     right_mul_group_algebra,
@@ -78,45 +77,43 @@ class VerificationReport:
         }
 
 
-def build_X(m: int, n: int) -> AlgMatrix:
+def build_X(m: int, n: int) -> TensorElement:
     """The m x n matrix of coordinate operators x[a,i]."""
     algebra = WeylAlgebra(m, n)
-    return AlgMatrix(
+    return TensorElement.matrix(
         algebra,
         [[algebra.x(a, i) for i in range(1, n + 1)] for a in range(1, m + 1)],
     )
 
 
-def build_D(m: int, n: int) -> AlgMatrix:
+def build_D(m: int, n: int) -> TensorElement:
     """The m x n matrix of derivations D[a,i]."""
     algebra = WeylAlgebra(m, n)
-    return AlgMatrix(
+    return TensorElement.matrix(
         algebra,
         [[algebra.d(a, i) for i in range(1, n + 1)] for a in range(1, m + 1)],
     )
 
 
-def _ugl_matrix(m: int) -> AlgMatrix:
+def _ugl_matrix(m: int) -> TensorElement:
     """The m x m matrix of generators E[a,b] of U(gl(m))."""
     algebra = EnvelopingAlgebra(m)
-    return AlgMatrix(
+    return TensorElement.matrix(
         algebra,
         [[algebra.gen(a, b) for b in range(1, m + 1)] for a in range(1, m + 1)],
     )
 
 
-def build_E(m: int, n: int) -> AlgMatrix:
+def build_E(m: int, n: int) -> TensorElement:
     """The m x m matrix with entry (a,b) = sum_i x[a,i] D[b,i], the image of E[a,b]."""
-    return AlgMatrix(
-        WeylAlgebra(m, n),
-        [[ugl_to_weyl(g, n) for g in row] for row in _ugl_matrix(m).entries],
-    )
+    terms = {key: ugl_to_weyl(g, n) for key, g in _ugl_matrix(m).items()}
+    return TensorElement(WeylAlgebra(m, n), 1, m, m, terms)
 
 
-def _shifted_tensor(E: AlgMatrix, contents: tuple[int, ...]) -> TensorElement:
+def _shifted_tensor(E: TensorElement, contents: tuple[int, ...]) -> TensorElement:
     """(E - c_1) (x) ... (x) (E - c_k) for a square matrix E."""
-    eye = AlgMatrix.identity(E.algebra, E.p)
-    return tensor_product([E - (c * eye) for c in contents])
+    eye = TensorElement.identity(E.algebra, 1, E.p)
+    return tensor_product([E - c * eye for c in contents])
 
 
 @lru_cache(maxsize=None)
@@ -204,6 +201,8 @@ def verify_theorem(
     With no tableaux given, every ordered pair is checked.
     """
     _check_case(shape, m, n)
+    if tableau is None and tableau2 is not None:
+        raise ValueError("tableau2 needs tableau")
     if tableau is not None:
         pair = (tableau, tableau2 if tableau2 is not None else tableau)
         for T in pair:

@@ -10,7 +10,7 @@ import re
 from fractions import Fraction
 from typing import Iterable, Iterator
 
-from .exact import SparseElement, as_exact
+from .exact import SparseElement, as_exact, as_int
 
 __all__ = [
     "Permutation",
@@ -29,7 +29,7 @@ class Permutation:
     __slots__ = ("images",)
 
     def __init__(self, images: Iterable[int]):
-        images = tuple(int(v) for v in images)
+        images = tuple(as_int(v) for v in images)
         if sorted(images) != list(range(1, len(images) + 1)):
             raise ValueError(f"not a permutation of 1..{len(images)}: {images}")
         object.__setattr__(self, "images", images)
@@ -234,18 +234,7 @@ class GroupAlgebraElement(SparseElement):
 
 def ga_multiply(u: GroupAlgebraElement, v: GroupAlgebraElement) -> GroupAlgebraElement:
     """Bilinear extension of ``compose`` to the group algebra."""
-    u._check(v)
-    terms: dict[Permutation, Fraction] = {}
-    for p, a in u.items():
-        pi = p.images
-        for q, b in v.items():
-            r = Permutation._raw(tuple(pi[w - 1] for w in q.images))
-            c = terms.get(r, 0) + a * b
-            if c:
-                terms[r] = c
-            else:
-                terms.pop(r, None)
-    return GroupAlgebraElement._raw(u._space, terms)
+    return u._product(v, lambda p, q: ((compose(p, q), 1),))
 
 
 def jm_element(k: int, r: int) -> GroupAlgebraElement:

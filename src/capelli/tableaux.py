@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Iterator
 
-from .exact import as_exact
+from .exact import as_exact, as_int
 from .permutations import (
     GroupAlgebraElement,
     Permutation,
@@ -46,7 +46,7 @@ class Partition:
     __slots__ = ("parts",)
 
     def __init__(self, parts: Iterable[int]):
-        parts = tuple(int(v) for v in parts)
+        parts = tuple(as_int(v) for v in parts)
         for a, b in zip(parts, parts[1:]):
             if a < b:
                 raise ValueError(f"parts not weakly decreasing: {parts}")
@@ -136,7 +136,7 @@ class StandardTableau:
     __slots__ = ("rows",)
 
     def __init__(self, rows: Iterable[Iterable[int]]):
-        rows = tuple(tuple(int(v) for v in row) for row in rows)
+        rows = tuple(tuple(as_int(v) for v in row) for row in rows)
         shape = Partition(len(row) for row in rows)
         k = shape.size
         entries = [v for row in rows for v in row]
@@ -156,7 +156,10 @@ class StandardTableau:
 
     @classmethod
     def parse(cls, text: str) -> StandardTableau:
-        return cls(json.loads(text))
+        rows = json.loads(text)
+        if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+            raise ValueError(f"tableau must be a JSON list of lists: {text}")
+        return cls(rows)
 
     @property
     def shape(self) -> Partition:

@@ -1,4 +1,4 @@
-"""Matrices and tensor products of matrices over a pluggable coefficient algebra.
+"""Tensor products of matrices over a pluggable coefficient algebra.
 
 A coefficient algebra is any handle providing ``zero()``, ``one()``,
 ``scalar(q)``, ``sum(values)`` and ``scaled_sum((q, value) pairs)`` whose
@@ -7,8 +7,10 @@ elements support +, -, * and == on canonical forms; ``RationalAlgebra``,
 
 A k-fold tensor product of p x q matrices is stored sparsely as a map from
 multi-index pairs ((a1..ak), (b1..bk)) to coefficients, standing for
-coeff (x) e[a1,b1] (x) ... (x) e[ak,bk]. Coefficient products are always
-taken left factor first; nothing here assumes commutativity.
+coeff (x) e[a1,b1] (x) ... (x) e[ak,bk]. A matrix is the case k = 1
+(``TensorElement.matrix``), so matrices add, scale, multiply (``@``) and
+transpose as tensors do. Coefficient products are always taken left factor
+first; nothing here assumes commutativity.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from .permutations import GroupAlgebraElement, Permutation
 
 __all__ = [
     "RationalAlgebra",
-    "AlgMatrix",
     "TensorElement",
     "tensor_product",
     "tensor_matmul",
@@ -55,108 +56,6 @@ class RationalAlgebra:
 
     def scaled_sum(self, pairs):
         return as_exact(sum(c * v for c, v in pairs))
-
-
-class AlgMatrix:
-    """A p x q matrix with entries in a coefficient algebra."""
-
-    __slots__ = ("algebra", "entries")
-
-    def __init__(self, algebra, entries: Iterable[Iterable]):
-        entries = tuple(tuple(row) for row in entries)
-        if not entries or any(len(row) != len(entries[0]) for row in entries):
-            raise ValueError("entries must form a nonempty rectangle")
-        object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "entries", entries)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("AlgMatrix is immutable")
-
-    @classmethod
-    def identity(cls, algebra, size: int) -> AlgMatrix:
-        return cls(
-            algebra,
-            [
-                [algebra.one() if i == j else algebra.zero() for j in range(size)]
-                for i in range(size)
-            ],
-        )
-
-    @property
-    def p(self) -> int:
-        return len(self.entries)
-
-    @property
-    def q(self) -> int:
-        return len(self.entries[0])
-
-    def entry(self, a: int, b: int):
-        """Entry in row a, column b, both 1-based."""
-        return self.entries[a - 1][b - 1]
-
-    def transpose(self) -> AlgMatrix:
-        return AlgMatrix(
-            self.algebra,
-            [[self.entries[i][j] for i in range(self.p)] for j in range(self.q)],
-        )
-
-    def __add__(self, other: AlgMatrix) -> AlgMatrix:
-        self._check_same_shape(other)
-        return AlgMatrix(
-            self.algebra,
-            [
-                [a + b for a, b in zip(row_a, row_b)]
-                for row_a, row_b in zip(self.entries, other.entries)
-            ],
-        )
-
-    def __sub__(self, other: AlgMatrix) -> AlgMatrix:
-        self._check_same_shape(other)
-        return AlgMatrix(
-            self.algebra,
-            [
-                [a - b for a, b in zip(row_a, row_b)]
-                for row_a, row_b in zip(self.entries, other.entries)
-            ],
-        )
-
-    def __rmul__(self, scalar) -> AlgMatrix:
-        scalar = as_exact(scalar)
-        return AlgMatrix(
-            self.algebra, [[scalar * v for v in row] for row in self.entries]
-        )
-
-    def __matmul__(self, other: AlgMatrix) -> AlgMatrix:
-        if self.algebra != other.algebra:
-            raise ValueError("coefficient algebra mismatch")
-        if self.q != other.p:
-            raise ValueError(f"inner dimensions differ: {self.q} vs {other.p}")
-        rows = []
-        for i in range(self.p):
-            row = []
-            for j in range(other.q):
-                acc = self.algebra.zero()
-                for t in range(self.q):
-                    acc = acc + self.entries[i][t] * other.entries[t][j]
-                row.append(acc)
-            rows.append(row)
-        return AlgMatrix(self.algebra, rows)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, AlgMatrix)
-            and self.algebra == other.algebra
-            and self.entries == other.entries
-        )
-
-    def _check_same_shape(self, other: AlgMatrix) -> None:
-        if self.algebra != other.algebra:
-            raise ValueError("coefficient algebra mismatch")
-        if (self.p, self.q) != (other.p, other.q):
-            raise ValueError("shape mismatch")
-
-    def __repr__(self) -> str:
-        return f"<AlgMatrix {self.p}x{self.q}>"
 
 
 class TensorElement(SparseElement):
@@ -197,6 +96,19 @@ class TensorElement(SparseElement):
         return coeff
 
     @classmethod
+    def matrix(cls, algebra, rows: Iterable[Iterable]) -> TensorElement:
+        """The p x q matrix with the given rows, as a 1-fold tensor."""
+        rows = [list(row) for row in rows]
+        if not rows or not rows[0] or any(len(row) != len(rows[0]) for row in rows):
+            raise ValueError("entries must form a nonempty rectangle")
+        terms = {
+            ((a,), (b,)): entry
+            for a, row in enumerate(rows, 1)
+            for b, entry in enumerate(row, 1)
+        }
+        return cls(algebra, 1, len(rows), len(rows[0]), terms)
+
+    @classmethod
     def identity(cls, algebra, k: int, m: int) -> TensorElement:
         terms = {}
         for rows in itertools.product(range(1, m + 1), repeat=k):
@@ -205,6 +117,12 @@ class TensorElement(SparseElement):
 
     def coefficient(self, rows: MultiIndex, cols: MultiIndex):
         return self._terms.get((tuple(rows), tuple(cols)), self.algebra.zero())
+
+    def transpose(self) -> TensorElement:
+        """Every factor transposed: rows swap with cols, p with q."""
+        algebra, k, p, q = self._space
+        terms = {(cols, rows): c for (rows, cols), c in self._terms.items()}
+        return self._raw((algebra, k, q, p), terms)
 
     def __matmul__(self, other: TensorElement) -> TensorElement:
         return tensor_matmul(self, other)
@@ -220,41 +138,32 @@ class TensorElement(SparseElement):
         return f"<TensorElement k={self.k} {self.p}x{self.q} terms={len(self._terms)}>"
 
 
-def tensor_product(matrices: Sequence[AlgMatrix]) -> TensorElement:
+def tensor_product(factors: Sequence[TensorElement]) -> TensorElement:
     """The ordered tensor product; entry ((a),(i)) is the left-to-right
-    product of the factor entries A[a1,i1] B[a2,i2] ... C[ak,ik].
+    product of the factor entries A[a1,i1] B[a2,i2] ... C[ak,ik]. The k of
+    the result is the sum of the factors' k.
 
-    Built one factor at a time: level t maps each prefix (rows[:t], cols[:t])
-    to its nonzero product, and the next level extends every prefix by one
-    nonzero entry of the next factor, on the right. A prefix shared by many
-    multi-indices is multiplied once.
+    Built one factor at a time: level t maps each prefix (rows, cols) of the
+    first t factors to its nonzero product, and the next level extends every
+    prefix by one term of the next factor, on the right. A prefix shared by
+    many multi-indices is multiplied once.
     """
-    if not matrices:
+    if not factors:
         raise ValueError("need at least one factor")
-    algebra = matrices[0].algebra
-    p, q = matrices[0].p, matrices[0].q
-    for mat in matrices:
-        if mat.algebra != algebra or (mat.p, mat.q) != (p, q):
+    algebra, _, p, q = factors[0]._space
+    for factor in factors:
+        if factor.algebra != algebra or (factor.p, factor.q) != (p, q):
             raise ValueError("all factors must share dimensions and algebra")
-
-    def nonzero(mat):
-        return [
-            ((a,), (i,), entry)
-            for a, row in enumerate(mat.entries, 1)
-            for i, entry in enumerate(row, 1)
-            if entry
-        ]
-
-    level = {(a, i): entry for a, i, entry in nonzero(matrices[0])}
-    for mat in matrices[1:]:
-        entries = nonzero(mat)
+    level = dict(factors[0]._terms)
+    for factor in factors[1:]:
+        entries = factor._terms.items()
         level = {
             (rows + a, cols + i): prod
             for (rows, cols), coeff in level.items()
-            for a, i, entry in entries
+            for (a, i), entry in entries
             if (prod := coeff * entry)
         }
-    return TensorElement._raw((algebra, len(matrices), p, q), level)
+    return TensorElement._raw((algebra, sum(f.k for f in factors), p, q), level)
 
 
 def tensor_matmul(u: TensorElement, v: TensorElement) -> TensorElement:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, perm
+from math import comb, factorial, perm, prod
 from typing import Iterator, NamedTuple
 
 from .exact import SparseElement, as_exact
@@ -148,44 +148,25 @@ def _mono_mul(
 
 def weyl_multiply(u: WeylElement, v: WeylElement) -> WeylElement:
     """The normal-ordered product of two operators."""
-    u._check(v)
-    terms: dict[WeylMonomial, Fraction] = {}
-    for mono_u, cu in u.items():
-        for mono_v, cv in v.items():
-            scale = cu * cv
-            for mono, c in _mono_mul(mono_u, mono_v):
-                acc = terms.get(mono, 0) + scale * c
-                if acc:
-                    terms[mono] = acc
-                else:
-                    terms.pop(mono, None)
-    return WeylElement._raw(u._space, terms)
+    return u._product(v, _mono_mul)
 
 
 def weyl_apply(u: WeylElement, f: WeylElement) -> WeylElement:
     """Act with the operator u on the polynomial f (no D factors allowed in f)."""
-    u._check(f)
     if not f.is_polynomial():
         raise ValueError("weyl_apply target must be a polynomial in the x variables")
-    terms: dict[WeylMonomial, Fraction] = {}
     zero = (0,) * (u.m * u.n)
-    for (alpha, beta), cu in u.items():
-        for (gamma, _), cf in f.items():
-            if any(b > g for b, g in zip(beta, gamma)):
-                continue
-            factor = 1
-            for b, g in zip(beta, gamma):
-                if b:
-                    factor *= perm(g, b)
-            mono = WeylMonomial(
-                tuple(a + g - b for a, g, b in zip(alpha, gamma, beta)), zero
-            )
-            acc = terms.get(mono, 0) + cu * cf * factor
-            if acc:
-                terms[mono] = acc
-            else:
-                terms.pop(mono, None)
-    return WeylElement._raw(u._space, terms)
+
+    def act(left: WeylMonomial, right: WeylMonomial):
+        # x^alpha D^beta acting on x^gamma: in each slot D^b sends x^g to
+        # g!/(g-b)! x^(g-b), and kills it when b > g (perm(g, b) is then 0)
+        (alpha, beta), (gamma, _) = left, right
+        factor = prod(perm(g, b) for b, g in zip(beta, gamma))
+        if factor:
+            alpha = tuple(a + g - b for a, g, b in zip(alpha, gamma, beta))
+            yield WeylMonomial(alpha, zero), factor
+
+    return u._product(f, act)
 
 
 @dataclass(frozen=True)

@@ -247,3 +247,20 @@ def exact_rank(vectors: list[list[Fraction]]) -> int:
                 rows[i] = [a - factor * b for a, b in zip(rows[i], rows[rank])]
         rank += 1
     return rank
+
+
+def cdet(matrix: list[list], zero):
+    """Column determinant of a square matrix over a noncommutative algebra,
+    from its definition sum_s sgn(s) A[s(1),1] A[s(2),2] ... A[s(k),k]: the
+    factors of each term are taken column by column, left to right."""
+    size = len(matrix)
+    total = zero
+    for images in itertools.permutations(range(size)):
+        inversions = sum(
+            1 for i in range(size) for j in range(i + 1, size) if images[i] > images[j]
+        )
+        term = matrix[images[0]][0]
+        for col in range(1, size):
+            term = term * matrix[images[col]][col]
+        total = total - term if inversions % 2 else total + term
+    return total

@@ -171,11 +171,27 @@ def test_tableau_shape_mismatch_returns_error(capsys):
         (["verify", "sweep", "--max-k", "0"], "max_k must be at least 1, got 0"),
         (["verify", "sweep", "--max-m", "0"], "max_m must be at least 1, got 0"),
         (["verify", "sweep", "--max-n", "-1"], "max_n must be at least 1, got -1"),
+        (["verify", "theorem", "--shape", "1", "--m", "1", "--n", "1", "--tableau", "5"],
+         "JSON list of lists"),
+        (["verify", "theorem", "--shape", "1", "--m", "1", "--n", "1", "--tableau", "[1]"],
+         "JSON list of lists"),
+        (["verify", "theorem", "--shape", "2", "--m", "1", "--n", "1",
+          "--tableau", "[[1.5,2]]"], "expected an integer, got 1.5"),
+        (["verify", "theorem", "--shape", "2", "--m", "1", "--n", "1",
+          "--tableau", "[[true,2]]"], "expected an integer, got True"),
+        (["eigenvalue", "--shape", "2,1", "--m", "2", "--weights", "1/0,1"],
+         "weight '1/0' has a zero denominator"),
     ],
 )
 def test_degenerate_input_returns_error(argv, message, capsys):
     assert cli.main(argv) == 2
     assert message in capsys.readouterr().err
+
+
+def test_tableau2_without_tableau_returns_error(capsys):
+    argv = ["verify", "theorem", "--shape", "2", "--m", "1", "--n", "1"]
+    assert cli.main(argv + ["--tableau2", "[[1,2]]"]) == 2
+    assert "tableau2 needs tableau" in capsys.readouterr().err
 
 
 def test_failing_report_sets_exit_code(capsys, monkeypatch):

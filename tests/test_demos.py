@@ -7,6 +7,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+EXPECTED = Path(__file__).resolve().parent / "data" / "demos"
 
 
 def test_demos_found():
@@ -20,3 +21,5 @@ def test_demo_runs(script):
         [sys.executable, str(script)], env=env, capture_output=True, text=True, timeout=120
     )
     assert done.returncode == 0, done.stderr
+    # stdout pinned byte for byte, captured from a known-good run
+    assert done.stdout == (EXPECTED / f"{script.stem}.out").read_text()

@@ -12,7 +12,6 @@ from capelli.identities import lhs_theorem
 from capelli.permutations import GroupAlgebraElement, Permutation
 from capelli.tableaux import Partition, enumerate_standard_tableaux
 from capelli.tensors import (
-    AlgMatrix,
     RationalAlgebra,
     TensorElement,
     full_trace,
@@ -92,7 +91,7 @@ def test_right_mul_keeps_coefficients_canonical(kind, data):
     else:
         algebra, entries = RationalAlgebra(), rationals
     rows = [[data.draw(entries) for _ in range(2)] for _ in range(2)]
-    u = tensor_product([AlgMatrix(algebra, rows)] * 2)
+    u = tensor_product([TensorElement.matrix(algebra, rows)] * 2)
     g = data.draw(ga_elements(degree=2))
     assert_canonical(u)
     assert_canonical(right_mul_group_algebra(u, g))

@@ -1,4 +1,6 @@
+import itertools
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -31,7 +33,7 @@ from capelli.tensors import (
     tensor_product,
 )
 from capelli.weyl import WeylAlgebra
-from oracles import exact_rank
+from oracles import cdet, exact_rank
 
 
 def part(text):
@@ -44,9 +46,9 @@ def tab(text):
 
 def test_build_E_entries():
     w = WeylAlgebra(1, 1)
-    assert build_E(1, 1).entry(1, 1) == w.x(1, 1) * w.d(1, 1)
+    assert build_E(1, 1).coefficient((1,), (1,)) == w.x(1, 1) * w.d(1, 1)
     w21 = WeylAlgebra(2, 1)
-    assert build_E(2, 1).entry(1, 2) == w21.x(1, 1) * w21.d(2, 1)
+    assert build_E(2, 1).coefficient((1,), (2,)) == w21.x(1, 1) * w21.d(2, 1)
 
 
 @pytest.mark.parametrize("m,n", [(1, 1), (2, 1), (2, 2), (3, 2)])
@@ -60,7 +62,7 @@ def test_lhs_k1_is_E():
     E = build_E(2, 2)
     for a in (1, 2):
         for b in (1, 2):
-            assert lhs.coefficient((a,), (b,)) == E.entry(a, b)
+            assert lhs.coefficient((a,), (b,)) == E.coefficient((a,), (b,))
 
 
 def test_lhs_rhs_scalar_case():
@@ -108,6 +110,11 @@ def test_verify_theorem_specific_pair():
     )
     assert len(reports) == 1
     assert reports[0].outcome
+
+
+def test_verify_theorem_rejects_tableau2_alone():
+    with pytest.raises(ValueError, match="tableau2 needs tableau"):
+        verify_theorem(part("2,1"), 2, 2, tableau2=tab("[[1,3],[2]]"))
 
 
 def test_verify_corollary_examples():
@@ -190,6 +197,36 @@ def test_quantum_immanant_vanishes_beyond_m_rows():
     assert not quantum_immanant(column, T2, 1)
 
 
+@pytest.mark.parametrize("k,m", [(k, m) for m in (1, 2, 3) for k in range(1, m + 1)])
+def test_column_immanant_is_sum_of_capelli_minors(k, m):
+    # the quantum immanant of (1^k) is k! times the sum over k-subsets I of
+    # cdet(E_II + diag(k-1, ..., 0)) (Capelli; Okounkov 1996, section 1)
+    alg = EnvelopingAlgebra(m)
+    shape = Partition([1] * k)
+    (T,) = enumerate_standard_tableaux(shape)
+    minors = alg.zero()
+    for I in itertools.combinations(range(1, m + 1), k):
+        block = [[alg.gen(a, b) for b in I] for a in I]
+        for r in range(k):
+            block[r][r] = block[r][r] + (k - 1 - r) * alg.one()
+        minors = minors + cdet(block, alg.zero())
+    assert quantum_immanant(shape, T, m) == factorial(k) * minors
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_classical_capelli_identity(m):
+    # cdet(E + diag(m-1, ..., 0)) = det X det D over the Weyl algebra at
+    # m = n, with E[a,b] = sum_i x[a,i] D[b,i] (Howe-Umeda 1991)
+    w = WeylAlgebra(m, m)
+    span = range(1, m + 1)
+    E = [[sum((w.x(a, i) * w.d(b, i) for i in span), w.zero()) for b in span] for a in span]
+    for a in span:
+        E[a - 1][a - 1] = E[a - 1][a - 1] + (m - a) * w.one()
+    X = [[w.x(a, i) for i in span] for a in span]
+    D = [[w.d(a, i) for i in span] for a in span]
+    assert cdet(E, w.zero()) == cdet(X, w.zero()) * cdet(D, w.zero())
+
+
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_immanant_tableau_independence(k):
     for shape in all_partitions(k):
@@ -218,9 +255,9 @@ def test_theorem_invariant_under_psi_rescaling():
     Dt = build_D(m, n).transpose()
     rhs_base = tensor_matmul(tensor_product([X, X, X]), tensor_product([Dt, Dt, Dt]))
     E = build_E(m, n)
-    from capelli.tensors import AlgMatrix
+    from capelli.tensors import TensorElement
 
-    eye = AlgMatrix.identity(WeylAlgebra(m, n), m)
+    eye = TensorElement.identity(WeylAlgebra(m, n), 1, m)
     for T in tableaux:
         factors = [E - (T.content(r) * eye) for r in (1, 2, 3)]
         lhs_base = tensor_product(factors)

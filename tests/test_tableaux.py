@@ -49,6 +49,17 @@ def test_partition_validation():
         Partition([2, 0])
 
 
+@pytest.mark.parametrize(
+    "make", [Permutation, Partition, lambda row: StandardTableau([row])],
+    ids=["Permutation", "Partition", "StandardTableau"],
+)
+@pytest.mark.parametrize("bad", [1.5, True, "1", Fraction(1)])
+def test_entries_must_be_ints(make, bad):
+    # one shared check: no silent int() of a float, bool or string entry
+    with pytest.raises(ValueError, match="expected an integer"):
+        make([bad])
+
+
 def test_partition_parse_print_round_trip():
     assert str(part("3,2,2,1")) == "3,2,2,1"
     assert part("3,2,2,1").parts == (3, 2, 2, 1)

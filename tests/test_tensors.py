@@ -16,7 +16,6 @@ from capelli.permutations import (
 )
 from capelli.tableaux import all_partitions, enumerate_standard_tableaux, psi
 from capelli.tensors import (
-    AlgMatrix,
     RationalAlgebra,
     TensorElement,
     full_trace,
@@ -43,8 +42,8 @@ def random_scalar_tensor(rng, k, m):
 
 def test_tensor_product_orders_coefficients():
     w = WeylAlgebra(1, 1)
-    X = AlgMatrix(w, [[w.x(1, 1)]])
-    D = AlgMatrix(w, [[w.d(1, 1)]])
+    X = TensorElement.matrix(w, [[w.x(1, 1)]])
+    D = TensorElement.matrix(w, [[w.d(1, 1)]])
     product = tensor_product([X, D])
     entry = product.coefficient((1, 1), (1, 1))
     assert entry == w.x(1, 1) * w.d(1, 1)
@@ -52,14 +51,14 @@ def test_tensor_product_orders_coefficients():
 
 
 def test_tensor_product_of_identities():
-    eye = AlgMatrix.identity(Q, 2)
+    eye = TensorElement.identity(Q, 1, 2)
     assert tensor_product([eye, eye, eye]) == TensorElement.identity(Q, 3, 2)
 
 
 def test_tensor_product_then_matmul_normal_orders():
     w = WeylAlgebra(1, 1)
-    X = AlgMatrix(w, [[w.x(1, 1)]])
-    D = AlgMatrix(w, [[w.d(1, 1)]])
+    X = TensorElement.matrix(w, [[w.x(1, 1)]])
+    D = TensorElement.matrix(w, [[w.d(1, 1)]])
     lhs = tensor_matmul(tensor_product([X, X]), tensor_product([D, D]))
     x, d = w.x(1, 1), w.d(1, 1)
     assert lhs.coefficient((1, 1), (1, 1)) == x * x * d * d
@@ -73,7 +72,7 @@ def test_tensor_product_entrywise_with_zero_entries(k):
     rng = random.Random(k)
     gens = [W.x(1, 1), W.d(1, 1), W.x(2, 1), W.d(2, 2), W.zero(), W.zero()]
     factors = [
-        AlgMatrix(
+        TensorElement.matrix(
             W, [[rng.choice(gens) + rng.choice(gens) for _ in range(3)] for _ in range(2)]
         )
         for _ in range(k)
@@ -82,7 +81,7 @@ def test_tensor_product_entrywise_with_zero_entries(k):
     expected = {}
     for rows in itertools.product((1, 2), repeat=k):
         for cols in itertools.product((1, 2, 3), repeat=k):
-            entries = [f.entry(a, i) for f, a, i in zip(factors, rows, cols)]
+            entries = [f.coefficient((a,), (i,)) for f, a, i in zip(factors, rows, cols)]
             value = reduce(lambda acc, e: acc * e, entries)
             if value:
                 expected[(rows, cols)] = value
@@ -92,7 +91,7 @@ def test_tensor_product_entrywise_with_zero_entries(k):
 
 def test_tensor_product_dimension_mismatch():
     with pytest.raises(ValueError):
-        tensor_product([AlgMatrix.identity(Q, 2), AlgMatrix.identity(Q, 3)])
+        tensor_product([TensorElement.identity(Q, 1, 2), TensorElement.identity(Q, 1, 3)])
 
 
 def test_matmul_identity():
@@ -105,16 +104,16 @@ def test_matmul_identity():
 
 def test_matmul_k1_is_matrix_product():
     w = WeylAlgebra(1, 1)
-    X = AlgMatrix(w, [[w.x(1, 1)]])
-    D = AlgMatrix(w, [[w.d(1, 1)]])
+    X = TensorElement.matrix(w, [[w.x(1, 1)]])
+    D = TensorElement.matrix(w, [[w.d(1, 1)]])
     product = tensor_matmul(tensor_product([X]), tensor_product([D]))
     assert product.coefficient((1,), (1,)) == w.x(1, 1) * w.d(1, 1)
 
 
 def test_matmul_expansion_m1_n2():
     w = WeylAlgebra(1, 2)
-    X = AlgMatrix(w, [[w.x(1, 1), w.x(1, 2)]])
-    Dt = AlgMatrix(w, [[w.d(1, 1)], [w.d(1, 2)]])
+    X = TensorElement.matrix(w, [[w.x(1, 1), w.x(1, 2)]])
+    Dt = TensorElement.matrix(w, [[w.d(1, 1)], [w.d(1, 2)]])
     product = tensor_matmul(tensor_product([X, X]), tensor_product([Dt, Dt]))
     expected = w.zero()
     for i in (1, 2):
@@ -193,7 +192,7 @@ def test_right_mul_collapses_when_m_is_1():
 def test_right_mul_e_tensor_e():
     w = WeylAlgebra(1, 1)
     e_entry = w.x(1, 1) * w.d(1, 1)
-    E = AlgMatrix(w, [[e_entry]])
+    E = TensorElement.matrix(w, [[e_entry]])
     u = tensor_product([E, E])
     g = GroupAlgebraElement.one(2) + GroupAlgebraElement.from_permutation(
         Permutation.parse("(1 2)")
@@ -328,7 +327,7 @@ def test_full_trace_of_commutator_difference():
     from capelli.identities import build_E
 
     E = build_E(2, 2)
-    eye = AlgMatrix.identity(w, 2)
+    eye = TensorElement.identity(w, 1, 2)
     e_tensor_1 = tensor_product([E, eye])
     one_tensor_e = tensor_product([eye, E])
     assert full_trace(e_tensor_1 - one_tensor_e) == w.zero()
@@ -336,7 +335,7 @@ def test_full_trace_of_commutator_difference():
 
 def test_full_trace_requires_square_factors():
     w = WeylAlgebra(1, 2)
-    X = AlgMatrix(w, [[w.x(1, 1), w.x(1, 2)]])
+    X = TensorElement.matrix(w, [[w.x(1, 1), w.x(1, 2)]])
     with pytest.raises(ValueError):
         full_trace(tensor_product([X]))
 
@@ -356,7 +355,7 @@ def test_mixed_product_identity_scalar_case():
     rng = random.Random(41)
 
     def random_matrix():
-        return AlgMatrix(
+        return TensorElement.matrix(
             Q, [[Fraction(rng.randint(-3, 3)) for _ in range(2)] for _ in range(2)]
         )
 
@@ -369,10 +368,34 @@ def test_mixed_product_identity_scalar_case():
 
 def test_transpose_and_matmul():
     w = WeylAlgebra(2, 1)
-    D = AlgMatrix(w, [[w.d(1, 1)], [w.d(2, 1)]])
+    D = TensorElement.matrix(w, [[w.d(1, 1)], [w.d(2, 1)]])
     Dt = D.transpose()
     assert (Dt.p, Dt.q) == (1, 2)
-    assert Dt.entry(1, 2) == w.d(2, 1)
+    assert Dt.coefficient((1,), (2,)) == w.d(2, 1)
+
+
+def test_matrix_needs_nonempty_rectangle():
+    for rows in ([], [[]], [[1, 2], [3]]):
+        with pytest.raises(ValueError, match="nonempty rectangle"):
+            TensorElement.matrix(Q, rows)
+
+
+def test_tensor_product_of_tensors_adds_k_and_transposes_factorwise():
+    # a k-fold factor stands for its k matrices: the product is associative,
+    # and transposing it transposes every factor in place
+    w = WeylAlgebra(2, 2)
+    rng = random.Random(43)
+    gens = [w.x(1, 1), w.d(1, 2), w.x(2, 2), w.d(2, 1), w.zero()]
+    A, B, C = (
+        TensorElement.matrix(w, [[rng.choice(gens) for _ in range(3)] for _ in range(2)])
+        for _ in range(3)
+    )
+    AB = tensor_product([A, B])
+    assert tensor_product([AB, C]).k == 3
+    assert tensor_product([AB, C]) == tensor_product([A, B, C])
+    assert tensor_product([A, tensor_product([B, C])]) == tensor_product([A, B, C])
+    assert AB.transpose() == tensor_product([A.transpose(), B.transpose()])
+    assert (AB.transpose().p, AB.transpose().q) == (3, 2)
 
 
 def test_debug_print_lists_entries_lexicographically():
