@@ -163,27 +163,29 @@ def ugl_multiply(u: UglElement, v: UglElement) -> UglElement:
 
 
 @lru_cache(maxsize=None)
-def _generator_weyl(m: int, n: int, a: int, b: int) -> WeylElement:
-    out = WeylElement.zero(m, n)
-    for i in range(1, n + 1):
-        out = out + WeylElement.x(m, n, a, i) * WeylElement.d(m, n, b, i)
-    return out
+def _word_weyl(m: int, n: int, word: tuple[int, ...]) -> WeylElement:
+    """The Weyl image of a PBW word: a generator's image is
+    sum_i x[a,i] D[b,i], and a longer word's is its prefix's image times the
+    image of its last generator."""
+    if len(word) > 1:
+        return _word_weyl(m, n, word[:-1]) * _word_weyl(m, n, word[-1:])
+    if not word:
+        return WeylElement.one(m, n)
+    a, b = generator_order(m)[word[0]]
+    return WeylElement._sum(
+        [WeylElement.x(m, n, a, i) * WeylElement.d(m, n, b, i) for i in range(1, n + 1)]
+    )
 
 
 def ugl_to_weyl(u: UglElement, n: int) -> WeylElement:
     """The homomorphism sending E[a,b] to sum_i x[a,i] D[b,i]."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    m = u.m
-    order = generator_order(m)
-    out = WeylElement.zero(m, n)
-    for word, c in u.items():
-        image = WeylElement.constant(m, n, c)
-        for g in word:
-            a, b = order[g]
-            image = image * _generator_weyl(m, n, a, b)
-        out = out + image
-    return out
+    if not u:
+        return WeylElement.zero(u.m, n)
+    return WeylElement._scaled_sum(
+        [(c, _word_weyl(u.m, n, word)) for word, c in u.items()]
+    )
 
 
 @dataclass(frozen=True)

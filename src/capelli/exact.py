@@ -123,9 +123,17 @@ class SparseElement:
         scalar = as_exact(scalar)
         if not scalar:
             return self._raw(self._space, {})
-        return self._raw(
-            self._space, {key: scalar * c for key, c in self._terms.items()}
-        )
+        # p/q times an int coefficient stays in ints when q divides p*c;
+        # only a nonzero remainder builds a Fraction
+        p, q = scalar.numerator, scalar.denominator
+        terms = {}
+        for key, c in self._terms.items():
+            if type(c) is int:
+                whole, rest = divmod(p * c, q)
+                terms[key] = Fraction(p * c, q) if rest else whole
+            else:
+                terms[key] = scalar * c
+        return self._raw(self._space, terms)
 
     def _product(u, v, rule):
         # bilinear extension of rule(key_u, key_v), which yields (key, c)

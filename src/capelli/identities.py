@@ -10,6 +10,14 @@ over the Weyl algebra, and tracing both sides over all matrix factors gives
 the scalar (higher Capelli) identity with the character in place of Psi.
 The traced left side, computed over U(gl(m)) instead, is the quantum
 immanant of the shape.
+
+The Weyl left side is the image of the U(gl(m)) one: E[a,b] =
+sum_i x[a,i] D[b,i] is the image of the generator E[a,b] under the
+homomorphism ``ugl_to_weyl``, so (E - c_1) (x) ... (x) (E - c_k) is built
+over U(gl(m)), where products are straightening-memo lookups, and mapped
+entry by entry. Scaling by a Fraction (the division by the common
+denominator of Psi, 1/dim mu, the proof steps' constants) stays in int
+arithmetic for int coefficients; see ``SparseElement.__rmul__``.
 """
 
 from __future__ import annotations
@@ -104,22 +112,32 @@ def _ugl_matrix(m: int) -> TensorElement:
     )
 
 
+def _weyl_image(u: TensorElement, n: int) -> TensorElement:
+    """A tensor over U(gl(m)) mapped entrywise into the m x n Weyl algebra by
+    ``ugl_to_weyl``; the constructor drops entries whose image is 0."""
+    terms = {key: ugl_to_weyl(c, n) for key, c in u.items()}
+    return TensorElement(WeylAlgebra(u.algebra.m, n), u.k, u.p, u.q, terms)
+
+
 def build_E(m: int, n: int) -> TensorElement:
     """The m x m matrix with entry (a,b) = sum_i x[a,i] D[b,i], the image of E[a,b]."""
-    terms = {key: ugl_to_weyl(g, n) for key, g in _ugl_matrix(m).items()}
-    return TensorElement(WeylAlgebra(m, n), 1, m, m, terms)
+    return _weyl_image(_ugl_matrix(m), n)
 
 
-def _shifted_tensor(E: TensorElement, contents: tuple[int, ...]) -> TensorElement:
-    """(E - c_1) (x) ... (x) (E - c_k) for a square matrix E."""
-    eye = TensorElement.identity(E.algebra, 1, E.p)
+def _shifted_tensor(m: int, contents: tuple[int, ...]) -> TensorElement:
+    """(E - c_1) (x) ... (x) (E - c_k) over U(gl(m))."""
+    E = _ugl_matrix(m)
+    eye = TensorElement.identity(E.algebra, 1, m)
     return tensor_product([E - c * eye for c in contents])
 
 
 @lru_cache(maxsize=None)
 def _shifted_product(contents: tuple[int, ...], m: int, n: int) -> TensorElement:
-    """(E - c_1) (x) ... (x) (E - c_k), cached per content vector."""
-    return _shifted_tensor(build_E(m, n), contents)
+    """(E - c_1) (x) ... (x) (E - c_k) over the Weyl algebra, cached per
+    content vector: the product is built over U(gl(m)), where products are
+    lookups in the straightening memo, and mapped into the Weyl algebra by
+    the homomorphism E[a,b] -> sum_i x[a,i] D[b,i]."""
+    return _weyl_image(_shifted_tensor(m, contents), n)
 
 
 @lru_cache(maxsize=None)
@@ -163,6 +181,8 @@ def rhs_theorem(
 
 
 def _first_diff(lhs: TensorElement, rhs: TensorElement) -> str | None:
+    if lhs == rhs:
+        return None
     for key in sorted(set(lhs.support()) | set(rhs.support())):
         a = lhs.coefficient(*key)
         b = rhs.coefficient(*key)
@@ -341,5 +361,5 @@ def quantum_immanant(shape: Partition, T: StandardTableau, m: int) -> UglElement
     _check_case(shape, m)
     if T.shape != shape:
         raise ValueError(f"tableau shape {T.shape} != {shape}")
-    shifted = _shifted_tensor(_ugl_matrix(m), _contents(T))
+    shifted = _shifted_tensor(m, _contents(T))
     return full_trace(right_mul_group_algebra(shifted, psi(T, T)))

@@ -77,16 +77,16 @@ class Permutation:
         """Parse one-line notation "[2,1,4,3]" or cycle notation "(1 2)(3 4)".
 
         Cycle notation needs ``degree`` whenever the permutation fixes the
-        largest points (e.g. the identity "()").
+        largest points (e.g. the identity "()"). Only integers, commas,
+        whitespace and the brackets of the notation are accepted.
         """
         text = text.strip()
-        if text.startswith("["):
+        if re.fullmatch(r"\[[\d\s,-]*\]", text):
             entries = [int(v) for v in re.findall(r"-?\d+", text)]
             return cls(entries)
-        if text.startswith("(") or text == "":
-            body = text
+        if re.fullmatch(r"(\([\d\s,-]*\)\s*)*", text):
             cycles = []
-            for chunk in re.findall(r"\(([^()]*)\)", body):
+            for chunk in re.findall(r"\(([^()]*)\)", text):
                 entries = [int(v) for v in re.split(r"[,\s]+", chunk.strip()) if v]
                 if entries:
                     cycles.append(entries)

@@ -5,7 +5,9 @@ code under test: hook products instead of enumeration, hook-content
 products instead of place-operator traces, border-strip recursion instead
 of traces, one-step rewriting instead of the closed contraction formula,
 floating point instead of exact rationals, Leibniz determinants instead of
-PBW bookkeeping, a ratio of determinants instead of a trace over U(gl(m)).
+PBW bookkeeping, a ratio of determinants instead of a trace over U(gl(m)),
+Weyl products of the x and D entries instead of the image of a U(gl(m))
+product.
 """
 
 from __future__ import annotations
@@ -16,7 +18,8 @@ from fractions import Fraction
 
 from capelli.permutations import Permutation
 from capelli.tableaux import Partition, adjacent_word, enumerate_standard_tableaux
-from capelli.weyl import WeylElement, WeylMonomial
+from capelli.tensors import TensorElement, tensor_product
+from capelli.weyl import WeylAlgebra, WeylElement, WeylMonomial
 
 
 def hook_count(parts: tuple[int, ...]) -> int:
@@ -120,6 +123,26 @@ def naive_weyl_product(u: WeylElement, v: WeylElement) -> WeylElement:
                 mono = WeylMonomial(tuple(alpha), tuple(beta))
                 terms[mono] = terms.get(mono, Fraction(0)) + cu * cv * c
     return WeylElement(m, n, terms)
+
+
+def shifted_weyl(contents: tuple[int, ...], m: int, n: int) -> TensorElement:
+    """(E - c_1) (x) ... (x) (E - c_k) built in the Weyl algebra itself: each
+    entry E[a,b] = sum_i x[a,i] D[b,i] is multiplied out from the x and D
+    operators, and the factors are multiplied there, not mapped from U(gl(m))."""
+    w = WeylAlgebra(m, n)
+    span = range(1, m + 1)
+    factors = []
+    for c in contents:
+        rows = [
+            [
+                w.sum([w.x(a, i) * w.d(b, i) for i in range(1, n + 1)])
+                - (w.scalar(c) if a == b else w.zero())
+                for b in span
+            ]
+            for a in span
+        ]
+        factors.append(TensorElement.matrix(w, rows))
+    return tensor_product(factors)
 
 
 def orthonormal_matrix(shape: Partition, s: Permutation) -> list[list[float]]:

@@ -117,6 +117,27 @@ def test_to_weyl_multiplicative_on_random_pairs(m):
         )
 
 
+@pytest.mark.parametrize("m,n", [(2, 1), (3, 1), (3, 2), (1, 2), (2, 3)])
+def test_to_weyl_word_images_off_the_square_grid(m, n):
+    # the image of every generator word of length <= 3, in any order, is the
+    # left-to-right product of sum_i x[a,i] D[b,i] over its letters
+    from capelli.weyl import WeylAlgebra
+
+    alg, w = EnvelopingAlgebra(m), WeylAlgebra(m, n)
+    pairs = generator_order(m)
+    image = {
+        (a, b): w.sum([w.x(a, i) * w.d(b, i) for i in range(1, n + 1)])
+        for a, b in pairs
+    }
+    for length in (1, 2, 3):
+        for word in itertools.product(pairs, repeat=length):
+            u, expected = alg.one(), w.one()
+            for pair in word:
+                u = u * alg.gen(*pair)
+                expected = expected * image[pair]
+            assert ugl_to_weyl(u, n) == expected
+
+
 def test_straightening_confluent_on_generator_triples():
     rng = random.Random(42)
     for m in (2, 3):

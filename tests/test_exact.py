@@ -80,6 +80,19 @@ def test_arithmetic_keeps_coefficients_canonical(kind, data, q):
         assert_canonical(w)
 
 
+@pytest.mark.parametrize("kind", sorted(KINDS))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), p=st.integers(-6, 6), q=st.integers(1, 6))
+def test_fraction_scaling_is_termwise(kind, data, p, q):
+    # int and Fraction coefficients mixed; p/q also integral, negative, zero
+    u = data.draw(KINDS[kind]())
+    scale = Fraction(p, q)
+    scaled = scale * u
+    expected = {key: scale * c for key, c in u.items()}
+    assert dict(scaled.items()) == {key: c for key, c in expected.items() if c}
+    assert_canonical(scaled)
+
+
 @pytest.mark.parametrize("kind", ["weyl", "ugl", "rational"])
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())

@@ -33,7 +33,7 @@ from capelli.tensors import (
     tensor_product,
 )
 from capelli.weyl import WeylAlgebra
-from oracles import cdet, exact_rank
+from oracles import cdet, exact_rank, shifted_weyl
 
 
 def part(text):
@@ -243,6 +243,27 @@ def test_immanant_consistent_with_traced_weyl_side(m, n):
             for T in enumerate_standard_tableaux(shape):
                 u = quantum_immanant(shape, T, m)
                 assert ugl_to_weyl(u, n) == full_trace(lhs_theorem(T, T, m, n))
+
+
+@pytest.mark.parametrize("m,n", [(1, 1), (1, 2), (2, 1), (2, 2)])
+def test_lhs_against_shifted_product_built_in_weyl_algebra(m, n):
+    # the left side is built over U(gl(m)) and mapped to the Weyl algebra;
+    # the oracle multiplies E = X D' out in the Weyl algebra itself
+    for k in (1, 2, 3):
+        for shape in all_partitions(k):
+            tableaux = enumerate_standard_tableaux(shape)
+            for T in tableaux:
+                shifted = shifted_weyl(tuple(T.content(r) for r in range(1, k + 1)), m, n)
+                for T2 in tableaux:
+                    expected = right_mul_group_algebra(shifted, psi(T, T2))
+                    assert lhs_theorem(T, T2, m, n) == expected
+
+
+def test_lhs_k4_against_shifted_product_built_in_weyl_algebra():
+    for shape in all_partitions(4):
+        for T in enumerate_standard_tableaux(shape):
+            shifted = shifted_weyl(tuple(T.content(r) for r in range(1, 5)), 2, 2)
+            assert lhs_theorem(T, T, 2, 2) == right_mul_group_algebra(shifted, psi(T, T))
 
 
 def test_theorem_invariant_under_psi_rescaling():

@@ -70,6 +70,12 @@ def test_parse_and_print_round_trip_examples():
     assert Permutation.identity(3).to_cycles() == "()"
 
 
+@pytest.mark.parametrize("text", ["[2,1,junk]", "[2;1]", "(1 2)x", "[2,1]x"])
+def test_parse_rejects_stray_characters(text):
+    with pytest.raises(ValueError):
+        Permutation.parse(text)
+
+
 @given(p=permutation_strategy())
 def test_round_trip_both_syntaxes(p):
     assert Permutation.parse(p.to_oneline()) == p
