@@ -18,15 +18,25 @@ over U(gl(m)), where products are straightening-memo lookups, and mapped
 entry by entry. Scaling by a Fraction (the division by the common
 denominator of Psi, 1/dim mu, the proof steps' constants) stays in int
 arithmetic for int coefficients; see ``SparseElement.__rmul__``.
+
+A trace multiplies only the entries that reach it: trace(u . g) needs u
+only at the keys of ``trace_support(g, k, m)``, read off the int place
+operator of g. The quantum immanant builds just those entries of the
+shifted product, and the corollary restricts X^(x k) . (D')^(x k) to them.
+The corollary's left side is the Weyl image of the quantum immanant: the
+map, the product by Psi and the trace are all linear, and the Weyl tensor
+is the entrywise image of the U(gl(m)) one.
 """
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
+from typing import Iterable
 
 from .enveloping import EnvelopingAlgebra, UglElement, ugl_to_weyl
 from .permutations import GroupAlgebraElement, embed, ga_multiply, jm_element
@@ -40,11 +50,13 @@ from .tableaux import (
     psi,
 )
 from .tensors import (
+    MultiIndex,
     TensorElement,
     full_trace,
     right_mul_group_algebra,
     tensor_matmul,
     tensor_product,
+    trace_support,
 )
 from .weyl import WeylAlgebra
 
@@ -124,20 +136,45 @@ def build_E(m: int, n: int) -> TensorElement:
     return _weyl_image(_ugl_matrix(m), n)
 
 
-def _shifted_tensor(m: int, contents: tuple[int, ...]) -> TensorElement:
-    """(E - c_1) (x) ... (x) (E - c_k) over U(gl(m))."""
+def _shifted_tensor(
+    m: int, contents: tuple[int, ...], keys: Iterable[tuple[MultiIndex, MultiIndex]]
+) -> TensorElement:
+    """The entries at the given keys (rows, cols) of (E - c_1) (x) ... (x)
+    (E - c_k) over U(gl(m)).
+
+    An entry is the left-to-right product of the factor entries
+    E[a_t,b_t] - c_t delta(a_t,b_t). The memo maps each prefix
+    (rows[:t], cols[:t]) to its product, so a prefix shared by many keys is
+    multiplied once; it starts from the first factor's entries, so no entry
+    is multiplied by 1.
+    """
     E = _ugl_matrix(m)
     eye = TensorElement.identity(E.algebra, 1, m)
-    return tensor_product([E - c * eye for c in contents])
+    shifted = [E - c * eye for c in contents]
+    factors = [{(a, b): entry for ((a,), (b,)), entry in F.items()} for F in shifted]
+    memo = dict(shifted[0].items())
+
+    def product(rows: MultiIndex, cols: MultiIndex) -> UglElement:
+        value = memo.get((rows, cols))
+        if value is None:
+            t = len(rows) - 1
+            value = product(rows[:t], cols[:t]) * factors[t][rows[t], cols[t]]
+            memo[rows, cols] = value
+        return value
+
+    terms = {key: value for key in keys if (value := product(*key))}
+    return TensorElement._raw((E.algebra, len(contents), m, m), terms)
 
 
 @lru_cache(maxsize=None)
 def _shifted_product(contents: tuple[int, ...], m: int, n: int) -> TensorElement:
     """(E - c_1) (x) ... (x) (E - c_k) over the Weyl algebra, cached per
-    content vector: the product is built over U(gl(m)), where products are
+    content vector: every entry is built over U(gl(m)), where products are
     lookups in the straightening memo, and mapped into the Weyl algebra by
     the homomorphism E[a,b] -> sum_i x[a,i] D[b,i]."""
-    return _weyl_image(_shifted_tensor(m, contents), n)
+    indices = list(itertools.product(range(1, m + 1), repeat=len(contents)))
+    keys = itertools.product(indices, repeat=2)
+    return _weyl_image(_shifted_tensor(m, contents, keys), n)
 
 
 @lru_cache(maxsize=None)
@@ -250,15 +287,18 @@ def verify_corollary(shape: Partition, m: int, n: int) -> list[VerificationRepor
     tableaux = enumerate_standard_tableaux(shape)
     start = time.perf_counter()
     chi = character_element(shape)
-    rhs = Fraction(1, dimension(shape)) * full_trace(
-        right_mul_group_algebra(_xd_product(k, m, n), chi)
+    support = trace_support(chi, k, m)
+    xd = _xd_product(k, m, n)
+    reaching = TensorElement(
+        xd.algebra, k, m, m, {key: c for key, c in xd.items() if key in support}
     )
+    rhs = Fraction(1, dimension(shape)) * full_trace(right_mul_group_algebra(reaching, chi))
     rhs_elapsed = time.perf_counter() - start
     reports = []
     traces = []
     for T in tableaux:
         start = time.perf_counter()
-        lhs = full_trace(lhs_theorem(T, T, m, n))
+        lhs = ugl_to_weyl(quantum_immanant(shape, T, m), n)
         traces.append(lhs)
         ok = lhs == rhs
         detail = None
@@ -361,5 +401,6 @@ def quantum_immanant(shape: Partition, T: StandardTableau, m: int) -> UglElement
     _check_case(shape, m)
     if T.shape != shape:
         raise ValueError(f"tableau shape {T.shape} != {shape}")
-    shifted = _shifted_tensor(m, _contents(T))
-    return full_trace(right_mul_group_algebra(shifted, psi(T, T)))
+    g = psi(T, T)
+    shifted = _shifted_tensor(m, _contents(T), trace_support(g, shape.size, m))
+    return full_trace(right_mul_group_algebra(shifted, g))

@@ -32,6 +32,7 @@ __all__ = [
     "tensor_matmul",
     "perm_tensor",
     "right_mul_group_algebra",
+    "trace_support",
     "full_trace",
 ]
 
@@ -204,31 +205,22 @@ def perm_tensor(s: Permutation, m: int, algebra=RationalAlgebra()) -> TensorElem
     return TensorElement(algebra, k, m, m, terms)
 
 
-def right_mul_group_algebra(
-    u: TensorElement, g: GroupAlgebraElement
-) -> TensorElement:
-    """u times the place-permutation image of a group algebra element.
-
-    Computed as (1/D) (u . P) with D the least common multiple of g's
-    denominators and P the place operator of D g on the column multi-indices
-    that occur in u: P[cols][cols o s] is the sum of the int scales D c_s.
-    Cancellation happens in P, in int arithmetic, before any coefficient of
-    u is touched; only the nonzero entries of P multiply u. (By Schur-Weyl
-    duality the operator of Psi(T,T') has rank dim V_mu(gl(m)), and is 0
-    when mu has more than m rows.) The product is linear in g, so the
-    result is exact, and the division by D touches only the surviving
-    output coefficients.
-    """
-    if u.p != u.q:
-        raise ValueError("factors must be square to act by place permutations")
-    if g.degree != u.k:
-        raise ValueError(f"degree mismatch: {g.degree} vs k={u.k}")
+def _place_operator(
+    g: GroupAlgebraElement, k: int, columns: Iterable[MultiIndex]
+) -> tuple[int, dict[MultiIndex, list[tuple[MultiIndex, int]]]]:
+    """(D, P): D is the least common multiple of g's denominators and P the
+    int place operator of D g on the given column multi-indices, where
+    P[cols][cols o s] is the sum of the int scales D c_s. Each row of P keeps
+    only its nonzero entries, so cancellation happens here, in int
+    arithmetic."""
+    if g.degree != k:
+        raise ValueError(f"degree mismatch: {g.degree} vs k={k}")
     denom = lcm(*(c.denominator for _, c in g.items()))
-    place: dict[MultiIndex, dict[MultiIndex, int]] = {cols: {} for _, cols in u._terms}
+    place: dict[MultiIndex, dict[MultiIndex, int]] = {cols: {} for cols in columns}
     for s, c in g.items():
         scale = c.numerator * (denom // c.denominator)
         # itemgetter of one index returns a scalar; at k = 1 s is the identity
-        permute = itemgetter(*[i - 1 for i in s.images]) if u.k > 1 else tuple
+        permute = itemgetter(*[i - 1 for i in s.images]) if k > 1 else tuple
         for cols, row in place.items():
             new = permute(cols)
             row[new] = row.get(new, 0) + scale
@@ -236,6 +228,25 @@ def right_mul_group_algebra(
         cols: [(new, scale) for new, scale in row.items() if scale]
         for cols, row in place.items()
     }
+    return denom, nonzero
+
+
+def right_mul_group_algebra(
+    u: TensorElement, g: GroupAlgebraElement
+) -> TensorElement:
+    """u times the place-permutation image of a group algebra element.
+
+    Computed as (1/D) (u . P) with D and P from ``_place_operator`` on the
+    column multi-indices that occur in u. Cancellation happens in P before
+    any coefficient of u is touched; only the nonzero entries of P multiply
+    u. (By Schur-Weyl duality the operator of Psi(T,T') has rank
+    dim V_mu(gl(m)), and is 0 when mu has more than m rows.) The product is
+    linear in g, so the result is exact, and the division by D touches only
+    the surviving output coefficients.
+    """
+    if u.p != u.q:
+        raise ValueError("factors must be square to act by place permutations")
+    denom, nonzero = _place_operator(g, u.k, (cols for _, cols in u._terms))
     buckets: dict[tuple[MultiIndex, MultiIndex], list] = {}
     for (rows, cols), coeff in u.items():
         for new, scale in nonzero[cols]:
@@ -247,6 +258,20 @@ def right_mul_group_algebra(
         if total:
             terms[key] = total if denom == 1 else inverse * total
     return TensorElement._raw(u._space, terms)
+
+
+def trace_support(
+    g: GroupAlgebraElement, k: int, m: int
+) -> set[tuple[MultiIndex, MultiIndex]]:
+    """The keys (rows, cols) of a k-fold tensor u over m x m matrices whose
+    entry reaches full_trace(right_mul_group_algebra(u, g)).
+
+    That trace is (1/D) sum u[rows, cols] P[cols][rows] over every key, with
+    D and P from ``_place_operator``, so exactly the keys with
+    P[cols][rows] != 0 contribute; they are read off P in int arithmetic.
+    """
+    _, nonzero = _place_operator(g, k, itertools.product(range(1, m + 1), repeat=k))
+    return {(new, cols) for cols, row in nonzero.items() for new, _ in row}
 
 
 def full_trace(u: TensorElement):

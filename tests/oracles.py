@@ -7,7 +7,7 @@ of traces, one-step rewriting instead of the closed contraction formula,
 floating point instead of exact rationals, Leibniz determinants instead of
 PBW bookkeeping, a ratio of determinants instead of a trace over U(gl(m)),
 Weyl products of the x and D entries instead of the image of a U(gl(m))
-product.
+product, the trace of the whole tensor instead of its trace support.
 """
 
 from __future__ import annotations
@@ -16,9 +16,15 @@ import itertools
 import math
 from fractions import Fraction
 
+from capelli.enveloping import EnvelopingAlgebra, UglElement
 from capelli.permutations import Permutation
-from capelli.tableaux import Partition, adjacent_word, enumerate_standard_tableaux
-from capelli.tensors import TensorElement, tensor_product
+from capelli.tableaux import Partition, adjacent_word, enumerate_standard_tableaux, psi
+from capelli.tensors import (
+    TensorElement,
+    full_trace,
+    right_mul_group_algebra,
+    tensor_product,
+)
 from capelli.weyl import WeylAlgebra, WeylElement, WeylMonomial
 
 
@@ -143,6 +149,19 @@ def shifted_weyl(contents: tuple[int, ...], m: int, n: int) -> TensorElement:
         ]
         factors.append(TensorElement.matrix(w, rows))
     return tensor_product(factors)
+
+
+def traced_immanant(shape: Partition, T, m: int) -> UglElement:
+    """The quantum immanant traced from the whole tensor: every entry of
+    (E - c_1) (x) ... (x) (E - c_k) over U(gl(m)) is built with
+    ``tensor_product``, multiplied by Psi(T,T), and then traced."""
+    algebra = EnvelopingAlgebra(m)
+    span = range(1, m + 1)
+    E = TensorElement.matrix(algebra, [[algebra.gen(a, b) for b in span] for a in span])
+    eye = TensorElement.identity(algebra, 1, m)
+    contents = [T.content(r) for r in range(1, shape.size + 1)]
+    shifted = tensor_product([E - c * eye for c in contents])
+    return full_trace(right_mul_group_algebra(shifted, psi(T, T)))
 
 
 def orthonormal_matrix(shape: Partition, s: Permutation) -> list[list[float]]:

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -120,6 +123,19 @@ def test_tableaux_listing(capsys):
     assert "2 standard tableaux" in out
     assert "[[1,2],[3,4]]" in out
     assert "[[1,3],[2,4]]" in out
+
+
+def test_python_dash_m_runs_the_cli():
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run(
+        [sys.executable, "-m", "capelli", "tableaux", "--shape", "2,1"],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[0] == "2 standard tableaux of shape 2,1:"
 
 
 def test_tableaux_json(capsys):

@@ -237,6 +237,18 @@ def test_eigenvalue_matches_shifted_schur_oracle(m, max_k):
                 assert hc_eigenvalue(u, weights) == expected, (shape, weights)
 
 
+def test_k4_immanants_at_m4_against_shifted_schur_oracle():
+    # every k = 4 shape at m = 4, including (1,1,1,1), which fits in 4 rows
+    for shape in all_partitions(4):
+        T = enumerate_standard_tableaux(shape)[0]
+        u = quantum_immanant(shape, T, 4)
+        assert bool(is_central(u)), shape
+        scale = Fraction(factorial(4), hook_count(shape.parts))
+        for weights in [(0, 0, 0, 0), (5, 3, 3, 1), (9, 6, 2, 0)]:
+            expected = scale * shifted_schur(shape.parts, weights)
+            assert hc_eigenvalue(u, weights) == expected, (shape, weights)
+
+
 def test_centrality_verdict_is_recorded_only_when_passed():
     alg = EnvelopingAlgebra(2)
     trace = alg.gen(1, 1) + alg.gen(2, 2)

@@ -33,7 +33,7 @@ from capelli.tensors import (
     tensor_product,
 )
 from capelli.weyl import WeylAlgebra
-from oracles import cdet, exact_rank, shifted_weyl
+from oracles import cdet, exact_rank, shifted_weyl, traced_immanant
 
 
 def part(text):
@@ -236,13 +236,36 @@ def test_immanant_tableau_independence(k):
             assert quantum_immanant(shape, T, 2) == first
 
 
-@pytest.mark.parametrize("m,n", [(1, 1), (1, 2), (2, 1), (2, 2)])
-def test_immanant_consistent_with_traced_weyl_side(m, n):
-    for k in (1, 2, 3):
+@pytest.mark.parametrize(
+    "ks,m,n",
+    [((1, 2, 3), 1, 1), ((1, 2, 3), 1, 2), ((1, 2, 3), 2, 1), ((1, 2, 3), 2, 2), ((4,), 2, 2)],
+    ids=["1-1", "1-2", "2-1", "2-2", "k4-2-2"],
+)
+def test_immanant_consistent_with_traced_weyl_side(ks, m, n):
+    # the corollary's left side is the Weyl image of the quantum immanant
+    for k in ks:
         for shape in all_partitions(k):
             for T in enumerate_standard_tableaux(shape):
                 u = quantum_immanant(shape, T, m)
                 assert ugl_to_weyl(u, n) == full_trace(lhs_theorem(T, T, m, n))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_quantum_immanant_against_whole_traced_tensor(m):
+    # only the trace-support entries are built; the oracle builds and traces all
+    for k in (1, 2, 3):
+        for shape in all_partitions(k):
+            for T in enumerate_standard_tableaux(shape):
+                assert quantum_immanant(shape, T, m) == traced_immanant(shape, T, m), T
+
+
+def test_quantum_immanant_k4_m3_against_whole_traced_tensor():
+    # (1,1,1,1) has more rows than m: its immanant is 0 on both routes
+    for shape in all_partitions(4):
+        T = enumerate_standard_tableaux(shape)[0]
+        expected = traced_immanant(shape, T, 3)
+        assert (not expected) == (len(shape.parts) > 3), shape
+        assert quantum_immanant(shape, T, 3) == expected, shape
 
 
 @pytest.mark.parametrize("m,n", [(1, 1), (1, 2), (2, 1), (2, 2)])

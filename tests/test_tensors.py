@@ -14,7 +14,12 @@ from capelli.permutations import (
     all_permutations,
     compose,
 )
-from capelli.tableaux import all_partitions, enumerate_standard_tableaux, psi
+from capelli.tableaux import (
+    all_partitions,
+    character_element,
+    enumerate_standard_tableaux,
+    psi,
+)
 from capelli.tensors import (
     RationalAlgebra,
     TensorElement,
@@ -23,6 +28,7 @@ from capelli.tensors import (
     right_mul_group_algebra,
     tensor_matmul,
     tensor_product,
+    trace_support,
 )
 from capelli.weyl import WeylAlgebra
 from oracles import gl_dimension, hook_count
@@ -314,6 +320,37 @@ def test_place_operator_of_psi_against_schur_weyl(k, m):
             out = right_mul_group_algebra(TensorElement.identity(Q, k, m), psi(T, T))
             assert (not out) == (len(shape.parts) > m), (T, m)
             assert full_trace(out) == scale * gl_dimension(shape.parts, m), (T, m)
+
+
+def _antisymmetrizer(k):
+    return GroupAlgebraElement(k, {s: s.sign() for s in all_permutations(k)})
+
+
+@pytest.mark.parametrize("k,m", [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (3, 2), (2, 3)])
+def test_trace_support_is_exact(k, m):
+    # a key is in the support exactly when the unit tensor there has a
+    # nonzero traced product with g
+    antisymmetrizer = GroupAlgebraElement(k, {s: s.sign() for s in all_permutations(k)})
+    # it acts as 0 on (C^m)^(x k) exactly when k > m
+    assert (not trace_support(antisymmetrizer, k, m)) == (k > m)
+    elements = [antisymmetrizer]
+    for shape in all_partitions(k):
+        elements.append(character_element(shape))
+        tableaux = enumerate_standard_tableaux(shape)
+        elements.extend(psi(T, T2) for T in tableaux for T2 in tableaux)
+    indices = list(itertools.product(range(1, m + 1), repeat=k))
+    for g in elements:
+        support = trace_support(g, k, m)
+        for key in itertools.product(indices, repeat=2):
+            unit = TensorElement(Q, k, m, m, {key: 1})
+            traced = full_trace(right_mul_group_algebra(unit, g))
+            assert (key in support) == (traced != 0), (g, key)
+        assert support <= set(itertools.product(indices, repeat=2))
+
+
+def test_trace_support_degree_mismatch():
+    with pytest.raises(ValueError):
+        trace_support(GroupAlgebraElement.one(2), 3, 2)
 
 
 def test_full_trace_examples():
