@@ -14,6 +14,22 @@ weight eigenvalue directly.
 A PBW monomial is keyed by its word, the nondecreasing tuple of its generator
 indices in this order: E[2,1]^2 E[1,2] is (0, 0, 1) at m = 2, the unit is ().
 Only the ``UglElement`` constructor and ``coefficient`` take exponent vectors.
+
+The Weyl realization E[a,b] -> sum_i x[a,i] D[b,i] on an m x n grid goes
+through normal-ordered symbols, which do not depend on n. The image of u is
+GL(n)-invariant, so by the first fundamental theorem of invariant theory its
+normal-ordered symbol (D replaced by a commuting xi) is a polynomial in the
+m^2 commuting variables e[a,b] = sum_i x[a,i] xi[b,i] (Howe, *Remarks on
+classical invariant theory*, 1989): a ``SymbolElement``, keyed by sorted
+words like a PBW monomial. ``symbol`` computes it word by word with one
+rule, right multiplication by a generator,
+
+    f * E[a,b] = f e[a,b] + sum_c e[c,b] df/de[c,a],
+
+memoized per PBW word. ``ev_n`` maps a symbol to the Weyl operator at n by
+expanding each e[a,b] commutatively into normal-ordered monomials, and
+``ugl_to_weyl`` is ev_n after ``symbol``. ev_n is injective exactly when
+n >= m; for n < m its kernel is the ideal of (n+1)-minors of [e[a,b]].
 """
 
 from __future__ import annotations
@@ -22,10 +38,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import groupby
+from math import lcm
 from typing import Sequence
 
 from .exact import SparseElement, as_exact
-from .weyl import WeylElement
+from .weyl import WeylElement, WeylMonomial
 
 __all__ = [
     "generator_order",
@@ -33,6 +50,10 @@ __all__ = [
     "EnvelopingAlgebra",
     "Centrality",
     "ugl_multiply",
+    "SymbolElement",
+    "SymbolAlgebra",
+    "symbol",
+    "ev_n",
     "ugl_to_weyl",
     "is_central",
     "hc_eigenvalue",
@@ -162,30 +183,144 @@ def ugl_multiply(u: UglElement, v: UglElement) -> UglElement:
     return u._product(v, lambda a, b: _straighten(m, a + b).items())
 
 
+class SymbolElement(SparseElement):
+    """A polynomial in the m^2 commuting variables e[a,b], sparse over
+    sorted words of generator indices (the index of E[a,b] in
+    ``generator_order(m)`` names e[a,b]); ``*`` is the commutative product.
+
+    It stands for the normal-ordered symbol of a GL(n)-invariant Weyl
+    operator, e[a,b] for sum_i x[a,i] xi[b,i]; ``ev_n`` maps it back.
+    """
+
+    __slots__ = ()
+
+    _MISMATCH = "rank mismatch: {0[0]} vs {1[0]}"
+
+    def __init__(self, m: int, terms: dict[tuple[int, ...], Fraction] | None = None):
+        super().__init__((m,), terms)
+
+    m = property(lambda self: self._space[0])
+
+    @staticmethod
+    def _key(space: tuple, word) -> tuple[int, ...]:
+        (m,) = space
+        if not all(0 <= g < m * m for g in word):
+            raise ValueError(f"word does not name variables of gl({m}): {word}")
+        return tuple(sorted(word))
+
+    def __mul__(self, other) -> SymbolElement:
+        if isinstance(other, SymbolElement):
+            return self._product(other, lambda a, b: ((tuple(sorted(a + b)), 1),))
+        return as_exact(other) * self
+
+    def _format_key(self, word: tuple[int, ...]) -> str:
+        order = generator_order(self.m)
+        return " ".join(
+            f"e[{a},{b}]" + (f"^{e}" if e > 1 else "")
+            for (a, b), e in ((order[g], len(list(run))) for g, run in groupby(word))
+        )
+
+    def __repr__(self) -> str:
+        return f"<SymbolElement gl({self.m}) {self}>"
+
+
+@dataclass(frozen=True)
+class SymbolAlgebra:
+    """C[e_ab] for one rank as a tensor coefficient algebra."""
+
+    m: int
+
+    def zero(self) -> SymbolElement:
+        return SymbolElement(self.m)
+
+    def var(self, a: int, b: int) -> SymbolElement:
+        if not (1 <= a <= self.m and 1 <= b <= self.m):
+            raise ValueError(f"variable e[{a},{b}] outside gl({self.m})")
+        return SymbolElement._raw((self.m,), {(_generator_index(self.m)[(a, b)],): 1})
+
+    sum = staticmethod(SymbolElement._sum)
+    scaled_sum = staticmethod(SymbolElement._scaled_sum)
+
+
 @lru_cache(maxsize=None)
-def _word_weyl(m: int, n: int, word: tuple[int, ...]) -> WeylElement:
-    """The Weyl image of a PBW word: a generator's image is
-    sum_i x[a,i] D[b,i], and a longer word's is its prefix's image times the
-    image of its last generator."""
-    if len(word) > 1:
-        return _word_weyl(m, n, word[:-1]) * _word_weyl(m, n, word[-1:])
+def _word_symbol(m: int, word: tuple[int, ...]) -> SymbolElement:
+    """The symbol of a PBW word, free of n: the symbol f of its prefix times
+    the last generator E[a,b] is f e[a,b] + sum_c e[c,b] df/de[c,a]. Every
+    coefficient is a positive int, so nothing cancels."""
     if not word:
-        return WeylElement.one(m, n)
-    a, b = generator_order(m)[word[0]]
-    return WeylElement._sum(
-        [WeylElement.x(m, n, a, i) * WeylElement.d(m, n, b, i) for i in range(1, n + 1)]
-    )
+        return SymbolElement._raw((m,), {(): 1})
+    order, index = generator_order(m), _generator_index(m)
+    g = word[-1]
+    a, b = order[g]
+    terms: dict[tuple[int, ...], int] = {}
+    for w, coeff in _word_symbol(m, word[:-1]).items():
+        key = tuple(sorted(w + (g,)))
+        terms[key] = terms.get(key, 0) + coeff
+        for v, run in groupby(w):
+            c, a_v = order[v]
+            if a_v == a:
+                i = w.index(v)
+                key = tuple(sorted(w[:i] + w[i + 1 :] + (index[(c, b)],)))
+                terms[key] = terms.get(key, 0) + len(list(run)) * coeff
+    return SymbolElement._raw((m,), terms)
+
+
+def symbol(u: UglElement) -> SymbolElement:
+    """The normal-ordered symbol in C[e_ab] of the Weyl image of u, for
+    every n at once: ``ugl_to_weyl(u, n) == ev_n(symbol(u), n)``."""
+    if not u:
+        return SymbolElement(u.m)
+    return SymbolElement._scaled_sum([(c, _word_symbol(u.m, word)) for word, c in u.items()])
+
+
+def _evaluator(m: int, n: int):
+    """ev_n for one (m, n), with a memo over the prefixes of the sorted
+    words it has expanded: a word's image is its prefix's image times
+    sum_i x[a,i] D[b,i], expanded commutatively, since normal order is the
+    order of a symbol."""
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    order = generator_order(m)
+    memo = {(): WeylElement.one(m, n)}
+
+    def image(word: tuple[int, ...]) -> WeylElement:
+        value = memo.get(word)
+        if value is None:
+            a, b = order[word[-1]]
+            terms: dict[WeylMonomial, int] = {}
+            for (alpha, beta), c in image(word[:-1]).items():
+                for i in range(n):
+                    x, d = list(alpha), list(beta)
+                    x[(a - 1) * n + i] += 1
+                    d[(b - 1) * n + i] += 1
+                    mono = WeylMonomial(tuple(x), tuple(d))
+                    terms[mono] = terms.get(mono, 0) + c
+            value = memo[word] = WeylElement._raw((m, n), terms)
+        return value
+
+    def ev(f: SymbolElement) -> WeylElement:
+        # summed with int scales D c, D the common denominator, then divided once
+        if not f:
+            return WeylElement.zero(m, n)
+        denom = lcm(*(c.denominator for _, c in f.items()))
+        total = WeylElement._scaled_sum(
+            [(c.numerator * (denom // c.denominator), image(word)) for word, c in f.items()]
+        )
+        return total if denom == 1 else Fraction(1, denom) * total
+
+    return ev
+
+
+def ev_n(f: SymbolElement, n: int) -> WeylElement:
+    """The Weyl operator with normal-ordered symbol f at n: e[a,b] goes to
+    sum_i x[a,i] D[b,i]. Injective exactly when n >= m."""
+    return _evaluator(f.m, n)(f)
 
 
 def ugl_to_weyl(u: UglElement, n: int) -> WeylElement:
-    """The homomorphism sending E[a,b] to sum_i x[a,i] D[b,i]."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if not u:
-        return WeylElement.zero(u.m, n)
-    return WeylElement._scaled_sum(
-        [(c, _word_weyl(u.m, n, word)) for word, c in u.items()]
-    )
+    """The homomorphism sending E[a,b] to sum_i x[a,i] D[b,i], as
+    ev_n of the symbol."""
+    return ev_n(symbol(u), n)
 
 
 @dataclass(frozen=True)

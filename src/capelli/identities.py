@@ -6,26 +6,39 @@ For a standard tableau T with contents c_T(1..k), the tensor identity says
     (E - c_T(1)) (x) ... (x) (E - c_T(k)) . Psi(T,T')
         = X^(x k) . (D')^(x k) . Psi(T,T')
 
-over the Weyl algebra, and tracing both sides over all matrix factors gives
-the scalar (higher Capelli) identity with the character in place of Psi.
+over the Weyl algebra of an m x n grid, and tracing both sides over all
+matrix factors gives the scalar (higher Capelli) identity with the
+character in place of Psi.
 The traced left side, computed over U(gl(m)) instead, is the quantum
 immanant of the shape.
 
-The Weyl left side is the image of the U(gl(m)) one: E[a,b] =
-sum_i x[a,i] D[b,i] is the image of the generator E[a,b] under the
-homomorphism ``ugl_to_weyl``, so (E - c_1) (x) ... (x) (E - c_k) is built
-over U(gl(m)), where products are straightening-memo lookups, and mapped
-entry by entry. Scaling by a Fraction (the division by the common
+Both sides are computed as normal-ordered symbols in C[e_ab], free of n
+(see ``capelli.enveloping``): every entry is GL(n)-invariant, so its symbol
+is a polynomial in e[a,b] = sum_i x[a,i] xi[b,i]. The right side
+X^(x k) . (D')^(x k) is already normal ordered, and its entry (rows, cols)
+is the monomial prod_t e[rows_t, cols_t]: the k-fold ``tensor_product`` of
+the matrix [e_ab]. The left side is built over U(gl(m)), where products are
+straightening-memo lookups, and mapped entrywise by ``symbol``. Both are
+multiplied by Psi over symbols. For n >= m the evaluation ev_n into the
+Weyl algebra is injective, so ``verify_theorem`` compares the symbol tensors
+themselves; their term counts are those of the Weyl images, and a failing
+report names a monomial of ev_n of the first differing entry. For n < m
+ev_n kills the (n+1)-minors, so the Weyl images are compared entry by entry
+instead, which is also exact; reducing modulo the minors is not done here.
+``lhs_theorem`` and ``rhs_theorem`` return the Weyl images. Every (m, n)
+is checked on its own: the n-freedom of the symbols shares work across n,
+it never skips a case. Scaling by a Fraction (the division by the common
 denominator of Psi, 1/dim mu, the proof steps' constants) stays in int
 arithmetic for int coefficients; see ``SparseElement.__rmul__``.
 
 A trace multiplies only the entries that reach it: trace(u . g) needs u
 only at the keys of ``trace_support(g, k, m)``, read off the int place
 operator of g. The quantum immanant builds just those entries of the
-shifted product, and the corollary restricts X^(x k) . (D')^(x k) to them.
-The corollary's left side is the Weyl image of the quantum immanant: the
-map, the product by Psi and the trace are all linear, and the Weyl tensor
-is the entrywise image of the U(gl(m)) one.
+shifted product, and the corollary restricts the symbols of
+X^(x k) . (D')^(x k) to them, traces over symbols and maps the trace once by
+ev_n. The corollary's left side is the Weyl image of the quantum immanant:
+the map, the product by Psi and the trace are all linear, and the Weyl
+tensor is the entrywise image of the U(gl(m)) one.
 """
 
 from __future__ import annotations
@@ -38,7 +51,16 @@ from functools import lru_cache
 from math import factorial
 from typing import Iterable
 
-from .enveloping import EnvelopingAlgebra, UglElement, ugl_to_weyl
+from .enveloping import (
+    EnvelopingAlgebra,
+    SymbolAlgebra,
+    SymbolElement,
+    UglElement,
+    _evaluator,
+    ev_n,
+    symbol,
+    ugl_to_weyl,
+)
 from .permutations import GroupAlgebraElement, embed, ga_multiply, jm_element
 from .tableaux import (
     Partition,
@@ -58,7 +80,7 @@ from .tensors import (
     tensor_product,
     trace_support,
 )
-from .weyl import WeylAlgebra
+from .weyl import WeylAlgebra, WeylElement
 
 __all__ = [
     "VerificationReport",
@@ -124,16 +146,24 @@ def _ugl_matrix(m: int) -> TensorElement:
     )
 
 
+def _symbol_image(u: TensorElement) -> TensorElement:
+    """A tensor over U(gl(m)) mapped entrywise to symbols in C[e_ab]."""
+    terms = {key: symbol(c) for key, c in u.items()}
+    return TensorElement(SymbolAlgebra(u.algebra.m), u.k, u.p, u.q, terms)
+
+
 def _weyl_image(u: TensorElement, n: int) -> TensorElement:
-    """A tensor over U(gl(m)) mapped entrywise into the m x n Weyl algebra by
-    ``ugl_to_weyl``; the constructor drops entries whose image is 0."""
-    terms = {key: ugl_to_weyl(c, n) for key, c in u.items()}
+    """A symbol tensor mapped entrywise into the m x n Weyl algebra by ev_n;
+    the constructor drops entries whose image is 0, which happens only for
+    n < m."""
+    ev = _evaluator(u.algebra.m, n)
+    terms = {key: ev(c) for key, c in u.items()}
     return TensorElement(WeylAlgebra(u.algebra.m, n), u.k, u.p, u.q, terms)
 
 
 def build_E(m: int, n: int) -> TensorElement:
-    """The m x m matrix with entry (a,b) = sum_i x[a,i] D[b,i], the image of E[a,b]."""
-    return _weyl_image(_ugl_matrix(m), n)
+    """The m x m matrix X . D' with entry (a,b) = sum_i x[a,i] D[b,i]."""
+    return tensor_matmul(build_X(m, n), build_D(m, n).transpose())
 
 
 def _shifted_tensor(
@@ -167,22 +197,25 @@ def _shifted_tensor(
 
 
 @lru_cache(maxsize=None)
-def _shifted_product(contents: tuple[int, ...], m: int, n: int) -> TensorElement:
-    """(E - c_1) (x) ... (x) (E - c_k) over the Weyl algebra, cached per
-    content vector: every entry is built over U(gl(m)), where products are
-    lookups in the straightening memo, and mapped into the Weyl algebra by
-    the homomorphism E[a,b] -> sum_i x[a,i] D[b,i]."""
+def _shifted_product(contents: tuple[int, ...], m: int) -> TensorElement:
+    """The symbol tensor of (E - c_1) (x) ... (x) (E - c_k), cached per
+    content vector and free of n: every entry is built over U(gl(m)), where
+    products are lookups in the straightening memo, and mapped to its
+    symbol."""
     indices = list(itertools.product(range(1, m + 1), repeat=len(contents)))
     keys = itertools.product(indices, repeat=2)
-    return _weyl_image(_shifted_tensor(m, contents, keys), n)
+    return _symbol_image(_shifted_tensor(m, contents, keys))
 
 
 @lru_cache(maxsize=None)
-def _xd_product(k: int, m: int, n: int) -> TensorElement:
-    """X^(x k) . (D')^(x k), cached per (k, m, n)."""
-    X = build_X(m, n)
-    Dt = build_D(m, n).transpose()
-    return tensor_matmul(tensor_product([X] * k), tensor_product([Dt] * k))
+def _xd_product(k: int, m: int) -> TensorElement:
+    """The symbol tensor of X^(x k) . (D')^(x k), cached per (k, m): that
+    product is normal ordered, so its entry (rows, cols) has the symbol
+    prod_t e[rows_t, cols_t], the entry of [e_ab]^(x k)."""
+    algebra = SymbolAlgebra(m)
+    span = range(1, m + 1)
+    e = TensorElement.matrix(algebra, [[algebra.var(a, b) for b in span] for a in span])
+    return tensor_product([e] * k)
 
 
 def _check_case(shape: Partition, m: int, n: int | None = None) -> None:
@@ -199,43 +232,56 @@ def _contents(T: StandardTableau) -> tuple[int, ...]:
     return tuple(T.content(r) for r in range(1, T.size + 1))
 
 
+def _lhs_symbols(T: StandardTableau, T2: StandardTableau, m: int) -> TensorElement:
+    """The symbols of the left side; ``psi`` refuses a shape mismatch
+    before any tensor is built."""
+    g = psi(T, T2)
+    return right_mul_group_algebra(_shifted_product(_contents(T), m), g)
+
+
+def _rhs_symbols(T: StandardTableau, T2: StandardTableau, m: int) -> TensorElement:
+    """The symbols of the right side, checked like ``_lhs_symbols``."""
+    g = psi(T, T2)
+    return right_mul_group_algebra(_xd_product(T.size, m), g)
+
+
 def lhs_theorem(
     T: StandardTableau, T2: StandardTableau, m: int, n: int
 ) -> TensorElement:
     """(E - c_T(1)) (x) ... (x) (E - c_T(k)) . Psi(T,T2) over the Weyl algebra."""
-    if T.shape != T2.shape:
-        raise ValueError(f"shape mismatch: {T.shape} vs {T2.shape}")
-    return right_mul_group_algebra(_shifted_product(_contents(T), m, n), psi(T, T2))
+    return _weyl_image(_lhs_symbols(T, T2, m), n)
 
 
 def rhs_theorem(
     T: StandardTableau, T2: StandardTableau, m: int, n: int
 ) -> TensorElement:
     """X^(x k) . (D')^(x k) . Psi(T,T2) over the Weyl algebra."""
-    if T.shape != T2.shape:
-        raise ValueError(f"shape mismatch: {T.shape} vs {T2.shape}")
-    return right_mul_group_algebra(_xd_product(T.size, m, n), psi(T, T2))
+    return _weyl_image(_rhs_symbols(T, T2, m), n)
 
 
-def _first_diff(lhs: TensorElement, rhs: TensorElement) -> str | None:
+def _first_monomial(delta: WeylElement) -> str:
+    return delta._format_key(delta.support()[0]) or "1"
+
+
+def _first_diff(lhs: TensorElement, rhs: TensorElement, n: int) -> str | None:
+    """The first key, in sorted order, where the sides differ, and the
+    leading Weyl monomial of the difference there; a symbol difference is
+    mapped by ev_n first."""
     if lhs == rhs:
         return None
     for key in sorted(set(lhs.support()) | set(rhs.support())):
-        a = lhs.coefficient(*key)
-        b = rhs.coefficient(*key)
-        if a != b:
-            delta = a - b
-            detail = ""
-            support = getattr(delta, "support", None)
-            if support:
-                mono = support()[0]
-                detail = f" first monomial {mono}"
-            return f"at {key}: lhs != rhs{detail}"
+        delta = lhs.coefficient(*key) - rhs.coefficient(*key)
+        if delta:
+            if isinstance(delta, SymbolElement):
+                delta = ev_n(delta, n)
+            return f"at {key}: lhs != rhs first monomial {_first_monomial(delta)}"
     return None
 
 
-def _report(case: str, lhs: TensorElement, rhs: TensorElement, start: float) -> VerificationReport:
-    diff = _first_diff(lhs, rhs)
+def _report(
+    case: str, lhs: TensorElement, rhs: TensorElement, n: int, start: float
+) -> VerificationReport:
+    diff = _first_diff(lhs, rhs, n)
     return VerificationReport(
         case=case,
         outcome=diff is None,
@@ -273,9 +319,12 @@ def verify_theorem(
     for T, T2 in pairs:
         start = time.perf_counter()
         case = f"theorem shape={shape} T={T} T'={T2} m={m} n={n}"
-        reports.append(
-            _report(case, lhs_theorem(T, T2, m, n), rhs_theorem(T, T2, m, n), start)
-        )
+        if n >= m:
+            # ev_n is injective: compare the symbols
+            lhs, rhs = _lhs_symbols(T, T2, m), _rhs_symbols(T, T2, m)
+        else:
+            lhs, rhs = lhs_theorem(T, T2, m, n), rhs_theorem(T, T2, m, n)
+        reports.append(_report(case, lhs, rhs, n, start))
     return reports
 
 
@@ -288,11 +337,12 @@ def verify_corollary(shape: Partition, m: int, n: int) -> list[VerificationRepor
     start = time.perf_counter()
     chi = character_element(shape)
     support = trace_support(chi, k, m)
-    xd = _xd_product(k, m, n)
+    xd = _xd_product(k, m)
     reaching = TensorElement(
         xd.algebra, k, m, m, {key: c for key, c in xd.items() if key in support}
     )
-    rhs = Fraction(1, dimension(shape)) * full_trace(right_mul_group_algebra(reaching, chi))
+    traced = full_trace(right_mul_group_algebra(reaching, chi))
+    rhs = ev_n(Fraction(1, dimension(shape)) * traced, n)
     rhs_elapsed = time.perf_counter() - start
     reports = []
     traces = []
@@ -304,7 +354,7 @@ def verify_corollary(shape: Partition, m: int, n: int) -> list[VerificationRepor
         detail = None
         if not ok:
             delta = lhs - rhs
-            detail = f"trace differs, first monomial {delta.support()[0]}"
+            detail = f"trace differs, first monomial {_first_monomial(delta)}"
         reports.append(
             VerificationReport(
                 case=f"corollary shape={shape} T={T} m={m} n={n}",

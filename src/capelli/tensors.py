@@ -1,9 +1,10 @@
 """Tensor products of matrices over a pluggable coefficient algebra.
 
-A coefficient algebra is any handle providing ``zero()``, ``one()``,
-``scalar(q)``, ``sum(values)`` and ``scaled_sum((q, value) pairs)`` whose
-elements support +, -, * and == on canonical forms; ``RationalAlgebra``,
-``WeylAlgebra`` and ``EnvelopingAlgebra`` all qualify.
+A coefficient algebra is any handle providing ``zero()``, ``sum(values)``
+and ``scaled_sum((q, value) pairs)`` whose elements support +, -, * and ==
+on canonical forms, and ``one()`` for ``TensorElement.identity`` and
+``perm_tensor``; ``RationalAlgebra``, ``WeylAlgebra``, ``EnvelopingAlgebra``
+and the commutative ``SymbolAlgebra`` all qualify.
 
 A k-fold tensor product of p x q matrices is stored sparsely as a map from
 multi-index pairs ((a1..ak), (b1..bk)) to coefficients, standing for

@@ -7,7 +7,8 @@ of traces, one-step rewriting instead of the closed contraction formula,
 floating point instead of exact rationals, Leibniz determinants instead of
 PBW bookkeeping, a ratio of determinants instead of a trace over U(gl(m)),
 Weyl products of the x and D entries instead of the image of a U(gl(m))
-product, the trace of the whole tensor instead of its trace support.
+product or of a normal-ordered symbol, the trace of the whole tensor
+instead of its trace support.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from capelli.tensors import (
     TensorElement,
     full_trace,
     right_mul_group_algebra,
+    tensor_matmul,
     tensor_product,
 )
 from capelli.weyl import WeylAlgebra, WeylElement, WeylMonomial
@@ -149,6 +151,16 @@ def shifted_weyl(contents: tuple[int, ...], m: int, n: int) -> TensorElement:
         ]
         factors.append(TensorElement.matrix(w, rows))
     return tensor_product(factors)
+
+
+def xd_weyl(k: int, m: int, n: int) -> TensorElement:
+    """X^(x k) . (D')^(x k) formed in the Weyl algebra itself: the k-fold
+    tensor powers of the x and transposed D matrices, contracted over the
+    shared n-index with ``tensor_matmul``, not read off symbols."""
+    w = WeylAlgebra(m, n)
+    X = TensorElement.matrix(w, [[w.x(a, i) for i in range(1, n + 1)] for a in range(1, m + 1)])
+    Dt = TensorElement.matrix(w, [[w.d(b, i) for b in range(1, m + 1)] for i in range(1, n + 1)])
+    return tensor_matmul(tensor_product([X] * k), tensor_product([Dt] * k))
 
 
 def traced_immanant(shape: Partition, T, m: int) -> UglElement:

@@ -8,10 +8,14 @@ from hypothesis import given, settings, strategies as st
 
 from capelli.enveloping import (
     EnvelopingAlgebra,
+    SymbolAlgebra,
+    SymbolElement,
     UglElement,
+    ev_n,
     generator_order,
     hc_eigenvalue,
     is_central,
+    symbol,
     ugl_multiply,
     ugl_to_weyl,
 )
@@ -329,3 +333,50 @@ def test_exponent_vector_edge(data, m, c):
         UglElement(m, {expo + (0,): c})
     with pytest.raises(ValueError):
         u.coefficient(expo[1:])
+
+
+@st.composite
+def ugl_elements(draw, m, max_degree=2, max_terms=3):
+    """A sparse element of U(gl(m)), 0 included, with small words."""
+    words = st.lists(st.integers(0, m * m - 1), max_size=max_degree).map(
+        lambda letters: tuple(letters.count(g) for g in range(m * m))
+    )
+    coefficients = st.fractions(min_value=-3, max_value=3, max_denominator=2).filter(bool)
+    return UglElement(m, draw(st.dictionaries(words, coefficients, max_size=max_terms)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), m=st.integers(1, 3), n=st.integers(1, 3))
+def test_ev_n_of_symbol_is_the_weyl_homomorphism(data, m, n):
+    # ugl_to_weyl is ev_n o symbol; it must be multiplicative at every n,
+    # above, at and below m
+    u, v = data.draw(ugl_elements(m)), data.draw(ugl_elements(m))
+    assert ugl_to_weyl(u * v, n) == weyl_multiply(ugl_to_weyl(u, n), ugl_to_weyl(v, n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), m=st.integers(1, 3))
+def test_symbol_vanishes_exactly_when_weyl_image_does_for_n_at_least_m(data, m):
+    # the injectivity of ev_n for n >= m, which lets the theorem compare symbols
+    n = data.draw(st.integers(m, 3))
+    u = data.draw(ugl_elements(m, max_degree=3))
+    assert (not symbol(u)) == (not ugl_to_weyl(u, n)) == (not u)
+
+
+def test_ev_n_kernel_below_m():
+    # below m, ev_n kills the (n+1)-minors: e11 e22 - e12 e21 at n = 1
+    e = SymbolAlgebra(2).var
+    minor = e(1, 1) * e(2, 2) - e(1, 2) * e(2, 1)
+    assert minor and not ev_n(minor, 1)
+    assert ev_n(minor, 2)
+
+
+def test_symbol_rule_for_one_commutator():
+    # E[1,2] E[2,1] has symbol e12 e21 + e11 (the right-multiplication rule)
+    alg, e = EnvelopingAlgebra(2), SymbolAlgebra(2).var
+    assert symbol(alg.gen(1, 2) * alg.gen(2, 1)) == e(1, 2) * e(2, 1) + e(1, 1)
+    assert str(symbol(alg.gen(2, 1) * alg.gen(2, 1))) == "e[2,1]^2"
+    with pytest.raises(ValueError):
+        SymbolElement(2, {(4,): 1})
+    with pytest.raises(ValueError):
+        e(3, 1)

@@ -6,6 +6,9 @@ import pytest
 
 from capelli.enveloping import EnvelopingAlgebra, is_central, ugl_to_weyl
 from capelli.identities import (
+    _lhs_symbols,
+    _report,
+    _rhs_symbols,
     build_D,
     build_E,
     build_X,
@@ -32,8 +35,8 @@ from capelli.tensors import (
     tensor_matmul,
     tensor_product,
 )
-from capelli.weyl import WeylAlgebra
-from oracles import cdet, exact_rank, shifted_weyl, traced_immanant
+from capelli.weyl import WeylAlgebra, WeylElement
+from oracles import cdet, exact_rank, shifted_weyl, traced_immanant, xd_weyl
 
 
 def part(text):
@@ -268,25 +271,61 @@ def test_quantum_immanant_k4_m3_against_whole_traced_tensor():
         assert quantum_immanant(shape, T, 3) == expected, shape
 
 
-@pytest.mark.parametrize("m,n", [(1, 1), (1, 2), (2, 1), (2, 2)])
+def _weyl_oracle_sides(T, T2, m, n):
+    k = T.size
+    shifted = shifted_weyl(tuple(T.content(r) for r in range(1, k + 1)), m, n)
+    g = psi(T, T2)
+    return right_mul_group_algebra(shifted, g), right_mul_group_algebra(xd_weyl(k, m, n), g)
+
+
+@pytest.mark.parametrize("m,n", list(itertools.product((1, 2, 3), repeat=2)))
 def test_lhs_against_shifted_product_built_in_weyl_algebra(m, n):
-    # the left side is built over U(gl(m)) and mapped to the Weyl algebra;
-    # the oracle multiplies E = X D' out in the Weyl algebra itself
+    # both sides are built as symbols over C[e_ab] and mapped by ev_n; the
+    # oracles multiply E = X D' and X^(x k) . (D')^(x k) out in the Weyl
+    # algebra itself; n < m, n = m and n > m all occur
     for k in (1, 2, 3):
         for shape in all_partitions(k):
             tableaux = enumerate_standard_tableaux(shape)
             for T in tableaux:
-                shifted = shifted_weyl(tuple(T.content(r) for r in range(1, k + 1)), m, n)
                 for T2 in tableaux:
-                    expected = right_mul_group_algebra(shifted, psi(T, T2))
-                    assert lhs_theorem(T, T2, m, n) == expected
+                    lhs, rhs = _weyl_oracle_sides(T, T2, m, n)
+                    assert lhs_theorem(T, T2, m, n) == lhs, (T, T2)
+                    assert rhs_theorem(T, T2, m, n) == rhs, (T, T2)
 
 
 def test_lhs_k4_against_shifted_product_built_in_weyl_algebra():
     for shape in all_partitions(4):
-        for T in enumerate_standard_tableaux(shape):
-            shifted = shifted_weyl(tuple(T.content(r) for r in range(1, 5)), 2, 2)
-            assert lhs_theorem(T, T, 2, 2) == right_mul_group_algebra(shifted, psi(T, T))
+        tableaux = enumerate_standard_tableaux(shape)
+        for T in tableaux:
+            for T2 in tableaux:
+                lhs, rhs = _weyl_oracle_sides(T, T2, 2, 2)
+                assert lhs_theorem(T, T2, 2, 2) == lhs, (T, T2)
+                assert rhs_theorem(T, T2, 2, 2) == rhs, (T, T2)
+
+
+@pytest.mark.parametrize("m,n", [(2, 2), (3, 2)], ids=["symbols", "weyl-images"])
+def test_first_diff_on_a_real_mismatch(m, n):
+    # Psi(T,T2) on the left against Psi(T,T3) on the right: the sides differ.
+    # At n >= m the verifier compares symbols, below m their ev_n images.
+    T, T2, T3 = tab("[[1,2],[3]]"), tab("[[1,2],[3]]"), tab("[[1,3],[2]]")
+    if n >= m:
+        lhs, rhs = _lhs_symbols(T, T2, m), _rhs_symbols(T, T3, m)
+    else:
+        lhs, rhs = lhs_theorem(T, T2, m, n), rhs_theorem(T, T3, m, n)
+    report = _report("mismatch", lhs, rhs, n, 0.0)
+    expected_lhs, _ = _weyl_oracle_sides(T, T2, m, n)
+    _, expected_rhs = _weyl_oracle_sides(T, T3, m, n)
+    key = next(
+        key
+        for key in sorted(set(expected_lhs.support()) | set(expected_rhs.support()))
+        if expected_lhs.coefficient(*key) != expected_rhs.coefficient(*key)
+    )
+    delta = expected_lhs.coefficient(*key) - expected_rhs.coefficient(*key)
+    monomial = str(WeylElement(m, n, {delta.support()[0]: 1}))
+    assert report.to_dict()["outcome"] == "fail"
+    assert (report.lhs_terms, report.rhs_terms) == (len(expected_lhs), len(expected_rhs))
+    assert report.first_diff == f"at {key}: lhs != rhs first monomial {monomial}"
+    assert "x[" in monomial or "D[" in monomial
 
 
 def test_theorem_invariant_under_psi_rescaling():
