@@ -373,3 +373,48 @@ def test_report_serialization():
         "first_diff",
         "millis",
     }
+
+
+def test_failing_proof_step_and_corollary_reports(monkeypatch):
+    # each failing path, forced by a product that is off by a known term;
+    # the pinned fields are what the CLI prints for a failure
+    import capelli.identities as identities
+
+    ga, immanant = identities.ga_multiply, identities.quantum_immanant
+
+    def off_by_transposition(u, v):
+        swap = Permutation.transposition(1, v.degree, v.degree)
+        return ga(u, v) + GroupAlgebraElement.from_permutation(swap)
+
+    monkeypatch.setattr(identities, "ga_multiply", off_by_transposition)
+    fields = [
+        (r.case.split()[0], r.outcome, r.lhs_terms, r.rhs_terms, r.first_diff)
+        for r in verify_proof_steps(part("2,1"))
+    ]
+    assert fields == [
+        ("branching", False, 6, 5, "first term (1 3)"),
+        ("jm-annihilation", False, 1, 0, "first term (1 3)"),
+        ("branching", False, 4, 4, "first term (1 3)"),
+        ("jm-annihilation", False, 1, 0, "first term (1 3)"),
+        ("branching", False, 4, 4, "first term (1 3)"),
+        ("jm-annihilation", False, 1, 0, "first term (1 3)"),
+        ("branching", False, 6, 6, "first term (1 3)"),
+        ("jm-annihilation", False, 1, 0, "first term (1 3)"),
+    ]
+
+    def tableau_dependent(shape, T, m):
+        # +E[1,1] for [[1,2],[3]], -E[1,1] for [[1,3],[2]]
+        return immanant(shape, T, m) + T.content(2) * EnvelopingAlgebra(m).gen(1, 1)
+
+    monkeypatch.setattr(identities, "ga_multiply", ga)
+    monkeypatch.setattr(identities, "quantum_immanant", tableau_dependent)
+    fields = [
+        (r.case.split()[0], r.outcome, r.lhs_terms, r.rhs_terms, r.first_diff)
+        for r in verify_corollary(part("2,1"), 2, 2)
+    ]
+    assert fields == [
+        ("corollary", False, 18, 16, "trace differs, first monomial x[1,1] D[1,1]"),
+        ("corollary", False, 18, 16, "trace differs, first monomial x[1,1] D[1,1]"),
+        ("corollary-T-independence", False, 18, 18,
+         "traced left side depends on the tableau"),
+    ]
