@@ -38,7 +38,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import groupby
-from math import lcm
 from typing import Sequence
 
 from .exact import SparseElement, as_exact
@@ -299,14 +298,9 @@ def _evaluator(m: int, n: int):
         return value
 
     def ev(f: SymbolElement) -> WeylElement:
-        # summed with int scales D c, D the common denominator, then divided once
         if not f:
             return WeylElement.zero(m, n)
-        denom = lcm(*(c.denominator for _, c in f.items()))
-        total = WeylElement._scaled_sum(
-            [(c.numerator * (denom // c.denominator), image(word)) for word, c in f.items()]
-        )
-        return total if denom == 1 else Fraction(1, denom) * total
+        return WeylElement._scaled_sum([(c, image(word)) for word, c in f.items()])
 
     return ev
 

@@ -11,6 +11,7 @@ unwraps every integral Fraction there.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterator
 
 __all__ = ["as_exact", "as_int", "SparseElement"]
@@ -158,9 +159,16 @@ class SparseElement:
 
     @classmethod
     def _scaled_sum(cls, pairs):
-        # sum of scale * element over (nonzero scale, element) pairs, merged once
+        # sum of scale * element over (nonzero scale, element) pairs, merged
+        # once in int arithmetic: at the first scale that is not an int, the
+        # scales are cleared to ints over the lcm D of their denominators and
+        # the sum is divided by D once, through __rmul__
         terms = {}
         for scale, element in pairs:
+            if type(scale) is not int:
+                denom = lcm(*(s.denominator for s, _ in pairs))
+                cleared = [(s.numerator * (denom // s.denominator), e) for s, e in pairs]
+                return Fraction(1, denom) * cls._scaled_sum(cleared)
             for key, c in element._terms.items():
                 c = scale * c
                 if key in terms:

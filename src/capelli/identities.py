@@ -33,23 +33,25 @@ arithmetic for int coefficients; see ``SparseElement.__rmul__``.
 
 A trace multiplies only the entries that reach it: trace(u . g) needs u
 only at the keys of ``trace_support(g, k, m)``, read off the int place
-operator of g. The quantum immanant builds just those entries of the
-shifted product, and the corollary restricts the symbols of
-X^(x k) . (D')^(x k) to them, traces over symbols and maps the trace once by
-ev_n. The corollary's left side is the Weyl image of the quantum immanant:
-the map, the product by Psi and the trace are all linear, and the Weyl
-tensor is the entrywise image of the U(gl(m)) one.
+operator of g. Both traces go through ``_traced``, which builds
+``tensor_product(factors, keys)`` on just those keys: the quantum immanant
+from the factors E - c_t over U(gl(m)), and the corollary's right side
+from k copies of [e_ab], traced over symbols and mapped once by ev_n. The
+corollary's left side is the Weyl image of the quantum immanant: the map,
+the product by Psi and the trace are all linear, and the Weyl tensor is
+the entrywise image of the U(gl(m)) one.
+
+Every report whose verdict is lhs == rhs is built by ``_report``; a failing
+one names what ``describe(lhs - rhs)`` returns.
 """
 
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import factorial
-from typing import Iterable
 
 from .enveloping import (
     EnvelopingAlgebra,
@@ -72,7 +74,6 @@ from .tableaux import (
     psi,
 )
 from .tensors import (
-    MultiIndex,
     TensorElement,
     full_trace,
     right_mul_group_algebra,
@@ -137,15 +138,6 @@ def build_D(m: int, n: int) -> TensorElement:
     )
 
 
-def _ugl_matrix(m: int) -> TensorElement:
-    """The m x m matrix of generators E[a,b] of U(gl(m))."""
-    algebra = EnvelopingAlgebra(m)
-    return TensorElement.matrix(
-        algebra,
-        [[algebra.gen(a, b) for b in range(1, m + 1)] for a in range(1, m + 1)],
-    )
-
-
 def _symbol_image(u: TensorElement) -> TensorElement:
     """A tensor over U(gl(m)) mapped entrywise to symbols in C[e_ab]."""
     terms = {key: symbol(c) for key, c in u.items()}
@@ -166,34 +158,19 @@ def build_E(m: int, n: int) -> TensorElement:
     return tensor_matmul(build_X(m, n), build_D(m, n).transpose())
 
 
-def _shifted_tensor(
-    m: int, contents: tuple[int, ...], keys: Iterable[tuple[MultiIndex, MultiIndex]]
-) -> TensorElement:
-    """The entries at the given keys (rows, cols) of (E - c_1) (x) ... (x)
-    (E - c_k) over U(gl(m)).
+def _shifted_factors(m: int, contents: tuple[int, ...]) -> list[TensorElement]:
+    """The factors E - c_t of (E - c_1) (x) ... (x) (E - c_k), E the m x m
+    matrix of generators E[a,b] of U(gl(m))."""
+    algebra, span = EnvelopingAlgebra(m), range(1, m + 1)
+    E = TensorElement.matrix(algebra, [[algebra.gen(a, b) for b in span] for a in span])
+    eye = TensorElement.identity(algebra, 1, m)
+    return [E - c * eye for c in contents]
 
-    An entry is the left-to-right product of the factor entries
-    E[a_t,b_t] - c_t delta(a_t,b_t). The memo maps each prefix
-    (rows[:t], cols[:t]) to its product, so a prefix shared by many keys is
-    multiplied once; it starts from the first factor's entries, so no entry
-    is multiplied by 1.
-    """
-    E = _ugl_matrix(m)
-    eye = TensorElement.identity(E.algebra, 1, m)
-    shifted = [E - c * eye for c in contents]
-    factors = [{(a, b): entry for ((a,), (b,)), entry in F.items()} for F in shifted]
-    memo = dict(shifted[0].items())
 
-    def product(rows: MultiIndex, cols: MultiIndex) -> UglElement:
-        value = memo.get((rows, cols))
-        if value is None:
-            t = len(rows) - 1
-            value = product(rows[:t], cols[:t]) * factors[t][rows[t], cols[t]]
-            memo[rows, cols] = value
-        return value
-
-    terms = {key: value for key in keys if (value := product(*key))}
-    return TensorElement._raw((E.algebra, len(contents), m, m), terms)
+def _symbol_matrix(m: int) -> TensorElement:
+    """The m x m matrix [e_ab] of the variables of C[e_ab]."""
+    algebra, span = SymbolAlgebra(m), range(1, m + 1)
+    return TensorElement.matrix(algebra, [[algebra.var(a, b) for b in span] for a in span])
 
 
 @lru_cache(maxsize=None)
@@ -202,9 +179,7 @@ def _shifted_product(contents: tuple[int, ...], m: int) -> TensorElement:
     content vector and free of n: every entry is built over U(gl(m)), where
     products are lookups in the straightening memo, and mapped to its
     symbol."""
-    indices = list(itertools.product(range(1, m + 1), repeat=len(contents)))
-    keys = itertools.product(indices, repeat=2)
-    return _symbol_image(_shifted_tensor(m, contents, keys))
+    return _symbol_image(tensor_product(_shifted_factors(m, contents)))
 
 
 @lru_cache(maxsize=None)
@@ -212,10 +187,15 @@ def _xd_product(k: int, m: int) -> TensorElement:
     """The symbol tensor of X^(x k) . (D')^(x k), cached per (k, m): that
     product is normal ordered, so its entry (rows, cols) has the symbol
     prod_t e[rows_t, cols_t], the entry of [e_ab]^(x k)."""
-    algebra = SymbolAlgebra(m)
-    span = range(1, m + 1)
-    e = TensorElement.matrix(algebra, [[algebra.var(a, b) for b in span] for a in span])
-    return tensor_product([e] * k)
+    return tensor_product([_symbol_matrix(m)] * k)
+
+
+def _traced(factors: list[TensorElement], g: GroupAlgebraElement):
+    """trace((F_1 (x) ... (x) F_k) . g) for m x m matrices F_t, building
+    only the entries of the tensor product that reach the trace, the keys
+    of ``trace_support``."""
+    keys = trace_support(g, len(factors), factors[0].p)
+    return full_trace(right_mul_group_algebra(tensor_product(factors, keys), g))
 
 
 def _check_case(shape: Partition, m: int, n: int | None = None) -> None:
@@ -263,31 +243,35 @@ def _first_monomial(delta: WeylElement) -> str:
     return delta._format_key(delta.support()[0]) or "1"
 
 
-def _first_diff(lhs: TensorElement, rhs: TensorElement, n: int) -> str | None:
-    """The first key, in sorted order, where the sides differ, and the
-    leading Weyl monomial of the difference there; a symbol difference is
-    mapped by ev_n first."""
-    if lhs == rhs:
-        return None
-    for key in sorted(set(lhs.support()) | set(rhs.support())):
-        delta = lhs.coefficient(*key) - rhs.coefficient(*key)
-        if delta:
-            if isinstance(delta, SymbolElement):
-                delta = ev_n(delta, n)
-            return f"at {key}: lhs != rhs first monomial {_first_monomial(delta)}"
-    return None
+def _first_entry(n: int, delta: TensorElement) -> str:
+    """The theorem's ``describe``: the first key, in sorted order, of a
+    tensor difference and the leading Weyl monomial of its entry there; a
+    symbol entry is mapped by ev_n first."""
+    key = delta.support()[0]
+    entry = delta.coefficient(*key)
+    if isinstance(entry, SymbolElement):
+        entry = ev_n(entry, n)
+    return f"at {key}: lhs != rhs first monomial {_first_monomial(entry)}"
 
 
-def _report(
-    case: str, lhs: TensorElement, rhs: TensorElement, n: int, start: float
-) -> VerificationReport:
-    diff = _first_diff(lhs, rhs, n)
+def _trace_differs(delta: WeylElement) -> str:
+    return f"trace differs, first monomial {_first_monomial(delta)}"
+
+
+def _first_term(delta: GroupAlgebraElement) -> str:
+    return f"first term {delta.support()[0]}"
+
+
+def _report(case: str, lhs, rhs, start: float, describe) -> VerificationReport:
+    """The report of the check lhs == rhs, timed from ``start``; a failure
+    is described by ``describe(lhs - rhs)``."""
+    outcome = lhs == rhs
     return VerificationReport(
         case=case,
-        outcome=diff is None,
+        outcome=outcome,
         lhs_terms=len(lhs),
         rhs_terms=len(rhs),
-        first_diff=diff,
+        first_diff=None if outcome else describe(lhs - rhs),
         millis=(time.perf_counter() - start) * 1000.0,
     )
 
@@ -324,7 +308,7 @@ def verify_theorem(
             lhs, rhs = _lhs_symbols(T, T2, m), _rhs_symbols(T, T2, m)
         else:
             lhs, rhs = lhs_theorem(T, T2, m, n), rhs_theorem(T, T2, m, n)
-        reports.append(_report(case, lhs, rhs, n, start))
+        reports.append(_report(case, lhs, rhs, start, partial(_first_entry, n)))
     return reports
 
 
@@ -332,41 +316,19 @@ def verify_corollary(shape: Partition, m: int, n: int) -> list[VerificationRepor
     """Check the traced identity for every tableau of the shape, plus the
     tableau-independence of the traced left side."""
     _check_case(shape, m, n)
-    k = shape.size
     tableaux = enumerate_standard_tableaux(shape)
     start = time.perf_counter()
-    chi = character_element(shape)
-    support = trace_support(chi, k, m)
-    xd = _xd_product(k, m)
-    reaching = TensorElement(
-        xd.algebra, k, m, m, {key: c for key, c in xd.items() if key in support}
-    )
-    traced = full_trace(right_mul_group_algebra(reaching, chi))
+    traced = _traced([_symbol_matrix(m)] * shape.size, character_element(shape))
     rhs = ev_n(Fraction(1, dimension(shape)) * traced, n)
-    rhs_elapsed = time.perf_counter() - start
     reports = []
     traces = []
     for T in tableaux:
-        start = time.perf_counter()
+        # the first report's time includes the right side's
         lhs = ugl_to_weyl(quantum_immanant(shape, T, m), n)
         traces.append(lhs)
-        ok = lhs == rhs
-        detail = None
-        if not ok:
-            delta = lhs - rhs
-            detail = f"trace differs, first monomial {_first_monomial(delta)}"
-        reports.append(
-            VerificationReport(
-                case=f"corollary shape={shape} T={T} m={m} n={n}",
-                outcome=ok,
-                lhs_terms=len(lhs),
-                rhs_terms=len(rhs),
-                first_diff=detail,
-                millis=(time.perf_counter() - start + rhs_elapsed) * 1000.0,
-            )
-        )
-        rhs_elapsed = 0.0
-    start = time.perf_counter()
+        case = f"corollary shape={shape} T={T} m={m} n={n}"
+        reports.append(_report(case, lhs, rhs, start, _trace_differs))
+        start = time.perf_counter()
     same = all(t == traces[0] for t in traces)
     reports.append(
         VerificationReport(
@@ -389,6 +351,7 @@ def verify_proof_steps(shape: Partition) -> list[VerificationReport]:
     if k < 2:
         raise ValueError("proof steps need at least two cells")
     tableaux = enumerate_standard_tableaux(shape)
+    zero = GroupAlgebraElement.zero(k)
     reports = []
     for T in tableaux:
         U = T.remove_largest()
@@ -397,34 +360,13 @@ def verify_proof_steps(shape: Partition) -> list[VerificationReport]:
         jm = jm_element(k, k) - Fraction(T.content(k)) * GroupAlgebraElement.one(k)
         for T2 in tableaux:
             target = psi(T, T2)
+            case = f"shape={shape} T={T} T'={T2}"
             start = time.perf_counter()
             branched = const * ga_multiply(psi_uu, target)
-            ok = branched == target
-            reports.append(
-                VerificationReport(
-                    case=f"branching shape={shape} T={T} T'={T2}",
-                    outcome=ok,
-                    lhs_terms=len(target),
-                    rhs_terms=len(branched),
-                    first_diff=None
-                    if ok
-                    else f"first term {str((target - branched).support()[0])}",
-                    millis=(time.perf_counter() - start) * 1000.0,
-                )
-            )
+            reports.append(_report(f"branching {case}", target, branched, start, _first_term))
             start = time.perf_counter()
             killed = ga_multiply(jm, target)
-            ok = not killed
-            reports.append(
-                VerificationReport(
-                    case=f"jm-annihilation shape={shape} T={T} T'={T2}",
-                    outcome=ok,
-                    lhs_terms=len(killed),
-                    rhs_terms=0,
-                    first_diff=None if ok else f"first term {str(killed.support()[0])}",
-                    millis=(time.perf_counter() - start) * 1000.0,
-                )
-            )
+            reports.append(_report(f"jm-annihilation {case}", killed, zero, start, _first_term))
     return reports
 
 
@@ -451,6 +393,4 @@ def quantum_immanant(shape: Partition, T: StandardTableau, m: int) -> UglElement
     _check_case(shape, m)
     if T.shape != shape:
         raise ValueError(f"tableau shape {T.shape} != {shape}")
-    g = psi(T, T)
-    shifted = _shifted_tensor(m, _contents(T), trace_support(g, shape.size, m))
-    return full_trace(right_mul_group_algebra(shifted, g))
+    return _traced(_shifted_factors(m, _contents(T)), psi(T, T))

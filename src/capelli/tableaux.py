@@ -59,7 +59,11 @@ class Partition:
 
     @classmethod
     def parse(cls, text: str) -> Partition:
-        return cls(int(v) for v in text.strip().split(",") if v.strip())
+        # a blank text is the empty partition; an empty field is refused
+        fields = text.split(",") if text.strip() else []
+        if not all(v.strip() for v in fields):
+            raise ValueError(f"empty part in shape {text!r}")
+        return cls(int(v) for v in fields)
 
     @property
     def size(self) -> int:

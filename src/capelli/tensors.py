@@ -140,7 +140,10 @@ class TensorElement(SparseElement):
         return f"<TensorElement k={self.k} {self.p}x{self.q} terms={len(self._terms)}>"
 
 
-def tensor_product(factors: Sequence[TensorElement]) -> TensorElement:
+def tensor_product(
+    factors: Sequence[TensorElement],
+    keys: Iterable[tuple[MultiIndex, MultiIndex]] | None = None,
+) -> TensorElement:
     """The ordered tensor product; entry ((a),(i)) is the left-to-right
     product of the factor entries A[a1,i1] B[a2,i2] ... C[ak,ik]. The k of
     the result is the sum of the factors' k.
@@ -148,7 +151,10 @@ def tensor_product(factors: Sequence[TensorElement]) -> TensorElement:
     Built one factor at a time: level t maps each prefix (rows, cols) of the
     first t factors to its nonzero product, and the next level extends every
     prefix by one term of the next factor, on the right. A prefix shared by
-    many multi-indices is multiplied once.
+    many multi-indices is multiplied once. Given ``keys``, a level keeps
+    only the prefixes of those keys, so just those entries are built (the
+    ones whose product is 0 are left out, as always); a trace needs only
+    the keys of ``trace_support``.
     """
     if not factors:
         raise ValueError("need at least one factor")
@@ -156,14 +162,19 @@ def tensor_product(factors: Sequence[TensorElement]) -> TensorElement:
     for factor in factors:
         if factor.algebra != algebra or (factor.p, factor.q) != (p, q):
             raise ValueError("all factors must share dimensions and algebra")
-    level = dict(factors[0]._terms)
-    for factor in factors[1:]:
+    # the prefixes of the wanted keys at each level, or None for every key
+    keys = None if keys is None else list(keys)
+    ends = itertools.accumulate(f.k for f in factors)
+    wanted = [None if keys is None else {(r[:e], c[:e]) for r, c in keys} for e in ends]
+    allowed = wanted[0]
+    level = {key: c for key, c in factors[0].items() if allowed is None or key in allowed}
+    for factor, allowed in zip(factors[1:], wanted[1:]):
         entries = factor._terms.items()
         level = {
             (rows + a, cols + i): prod
             for (rows, cols), coeff in level.items()
             for (a, i), entry in entries
-            if (prod := coeff * entry)
+            if (allowed is None or (rows + a, cols + i) in allowed) and (prod := coeff * entry)
         }
     return TensorElement._raw((algebra, sum(f.k for f in factors), p, q), level)
 

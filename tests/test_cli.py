@@ -197,6 +197,10 @@ def test_tableau_shape_mismatch_returns_error(capsys):
           "--tableau", "[[true,2]]"], "expected an integer, got True"),
         (["eigenvalue", "--shape", "2,1", "--m", "2", "--weights", "1/0,1"],
          "weight '1/0' has a zero denominator"),
+        (["tableaux", "--shape", "2,,1"], "empty part in shape '2,,1'"),
+        (["tableaux", "--shape", "2,1,"], "empty part in shape '2,1,'"),
+        (["verify", "theorem", "--shape", ",2", "--m", "2", "--n", "2"],
+         "empty part in shape ',2'"),
     ],
 )
 def test_degenerate_input_returns_error(argv, message, capsys):

@@ -65,19 +65,17 @@ def test_arithmetic_keeps_coefficients_canonical(kind, data, q):
     u = data.draw(KINDS[kind]())
     v = data.draw(KINDS[kind]())
     cls = type(u)
-    results = [
-        u,
-        u + v,
-        u - v,
-        -u,
-        q * u,
-        u * q,
-        u * v,
-        cls._sum([u, v, u]),
-        cls._scaled_sum([(q or 1, u), (Fraction(1, 2), v), (2, u)]),
-    ]
+    pairs = [(q or 1, u), (Fraction(1, 2), v), (2, u)]
+    scaled = cls._scaled_sum(pairs)
+    results = [u, u + v, u - v, -u, q * u, u * q, u * v, cls._sum([u, v, u]), scaled]
     for w in results:
         assert_canonical(w)
+    # the scales are cleared over their lcm inside; the value is the termwise sum
+    expected = {}
+    for scale, element in pairs:
+        for key, c in element.items():
+            expected[key] = expected.get(key, 0) + scale * c
+    assert dict(scaled.items()) == {key: c for key, c in expected.items() if c}
 
 
 @pytest.mark.parametrize("kind", sorted(KINDS))

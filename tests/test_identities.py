@@ -1,11 +1,13 @@
 import itertools
 from fractions import Fraction
+from functools import partial
 from math import factorial
 
 import pytest
 
 from capelli.enveloping import EnvelopingAlgebra, is_central, ugl_to_weyl
 from capelli.identities import (
+    _first_entry,
     _lhs_symbols,
     _report,
     _rhs_symbols,
@@ -312,7 +314,7 @@ def test_first_diff_on_a_real_mismatch(m, n):
         lhs, rhs = _lhs_symbols(T, T2, m), _rhs_symbols(T, T3, m)
     else:
         lhs, rhs = lhs_theorem(T, T2, m, n), rhs_theorem(T, T3, m, n)
-    report = _report("mismatch", lhs, rhs, n, 0.0)
+    report = _report("mismatch", lhs, rhs, 0.0, partial(_first_entry, n))
     expected_lhs, _ = _weyl_oracle_sides(T, T2, m, n)
     _, expected_rhs = _weyl_oracle_sides(T, T3, m, n)
     key = next(

@@ -77,22 +77,32 @@ def test_tensor_product_entrywise_with_zero_entries(k):
     W = WeylAlgebra(2, 2)
     rng = random.Random(k)
     gens = [W.x(1, 1), W.d(1, 1), W.x(2, 1), W.d(2, 2), W.zero(), W.zero()]
-    factors = [
-        TensorElement.matrix(
-            W, [[rng.choice(gens) + rng.choice(gens) for _ in range(3)] for _ in range(2)]
-        )
+    drawn = [
+        [[rng.choice(gens) + rng.choice(gens) for _ in range(3)] for _ in range(2)]
         for _ in range(k)
     ]
+    drawn[0][0][0] = W.zero()  # at least one zero entry, whatever the draw
+    factors = [TensorElement.matrix(W, rows) for rows in drawn]
     product = tensor_product(factors)
+    keys = [
+        (rows, cols)
+        for rows in itertools.product((1, 2), repeat=k)
+        for cols in itertools.product((1, 2, 3), repeat=k)
+    ]
     expected = {}
-    for rows in itertools.product((1, 2), repeat=k):
-        for cols in itertools.product((1, 2, 3), repeat=k):
-            entries = [f.coefficient((a,), (i,)) for f, a, i in zip(factors, rows, cols)]
-            value = reduce(lambda acc, e: acc * e, entries)
-            if value:
-                expected[(rows, cols)] = value
+    for rows, cols in keys:
+        entries = [f.coefficient((a,), (i,)) for f, a, i in zip(factors, rows, cols)]
+        value = reduce(lambda acc, e: acc * e, entries)
+        if value:
+            expected[(rows, cols)] = value
     assert product == TensorElement(W, k, 2, 3, expected)
     assert_canonical(product)
+    # built on a random subset of the keys, some of whose products are 0, it
+    # is the full product restricted to them
+    zeros = [key for key in keys if key not in expected]
+    subset = set(rng.sample(keys, len(keys) // 3) + rng.sample(zeros, min(3, len(zeros))))
+    restricted = {key: c for key, c in expected.items() if key in subset}
+    assert tensor_product(factors, subset) == TensorElement(W, k, 2, 3, restricted)
 
 
 def test_tensor_product_dimension_mismatch():
