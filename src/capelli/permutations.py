@@ -63,14 +63,17 @@ class Permutation:
     @classmethod
     def from_cycles(cls, cycles: Iterable[Iterable[int]], degree: int) -> Permutation:
         images = list(range(1, degree + 1))
+        seen = set()
         for cycle in cycles:
             cycle = list(cycle)
             for a, b in zip(cycle, cycle[1:] + cycle[:1]):
                 if not 1 <= a <= degree:
                     raise ValueError(f"cycle entry {a} out of range 1..{degree}")
+                if a in seen:
+                    raise ValueError(f"cycle entry {a} repeated: cycles must be disjoint")
+                seen.add(a)
                 images[a - 1] = b
-        p = cls(images)
-        return p
+        return cls(images)
 
     @classmethod
     def parse(cls, text: str, degree: int | None = None) -> Permutation:

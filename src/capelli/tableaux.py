@@ -9,6 +9,10 @@ of a tableau T with axial distance d = content(T, r+1) - content(T, r):
 where cross(T) = 1 on the side with d > 0 and 1 - 1/d**2 on the other, so
 that the generator squares to the identity. When T' is not standard the
 cross term is absent and 1/d is +-1.
+
+Each builder is one forward recursion: tableaux fill addable cells top row
+first, which is already the order of their positions; rho(s) = rho(s . s_r)
+rho(s_r) at the first descent r; chi is the sum of the diagonal Psi(T, T).
 """
 
 from __future__ import annotations
@@ -86,31 +90,6 @@ class Partition:
 
     def __lt__(self, other: Partition) -> bool:
         return self.parts < other.parts
-
-    def cells(self) -> Iterator[tuple[int, int]]:
-        """All cells (i, j), 1-based, row-major."""
-        for i, row_len in enumerate(self.parts, start=1):
-            for j in range(1, row_len + 1):
-                yield (i, j)
-
-    def corners(self) -> list[tuple[int, int]]:
-        """Removable cells: ends of rows that are strictly longer than the next."""
-        out = []
-        for i, row_len in enumerate(self.parts, start=1):
-            below = self.parts[i] if i < len(self.parts) else 0
-            if row_len > below:
-                out.append((i, row_len))
-        return out
-
-    def remove_corner(self, cell: tuple[int, int]) -> Partition:
-        if cell not in self.corners():
-            raise ValueError(f"{cell} is not a removable corner of {self}")
-        i = cell[0] - 1
-        parts = list(self.parts)
-        parts[i] -= 1
-        if parts[i] == 0:
-            parts.pop(i)
-        return Partition(parts)
 
     def __str__(self) -> str:
         return ",".join(str(v) for v in self.parts)
@@ -221,31 +200,24 @@ def content(tableau: StandardTableau, r: int) -> int:
 
 @lru_cache(maxsize=None)
 def _enumerate_cached(parts: tuple[int, ...]) -> tuple[StandardTableau, ...]:
-    shape = Partition(parts)
-    k = shape.size
-    if k == 0:
-        return (StandardTableau(()),)
+    # depth first, entry by entry; each row has at most one addable cell, so
+    # trying rows top to bottom visits the position sequences in order
+    k = sum(parts)
+    rows = [[] for _ in parts]
+    out = []
 
-    def place(shape: Partition, entry: int) -> list[list[list[int]]]:
-        # all fillings of `shape` with 1..entry, built by removing corners
-        if entry == 0:
-            return [[]]
-        out = []
-        for corner in shape.corners():
-            smaller = shape.remove_corner(corner)
-            for filling in place(smaller, entry - 1):
-                rows = [list(row) for row in filling]
-                i, j = corner
-                while len(rows) < i:
-                    rows.append([])
-                rows[i - 1] = rows[i - 1] + [0] * (j - len(rows[i - 1]))
-                rows[i - 1][j - 1] = entry
-                out.append(rows)
-        return out
+    def place(entry: int) -> None:
+        if entry > k:
+            out.append(StandardTableau(rows))
+            return
+        for i, row in enumerate(rows):
+            if len(row) < parts[i] and (i == 0 or len(row) < len(rows[i - 1])):
+                row.append(entry)
+                place(entry + 1)
+                row.pop()
 
-    tableaux = [StandardTableau(rows) for rows in place(shape, k)]
-    tableaux.sort(key=lambda t: t.position_sequence())
-    return tuple(tableaux)
+    place(1)
+    return tuple(out)
 
 
 def enumerate_standard_tableaux(shape: Partition) -> list[StandardTableau]:
@@ -301,9 +273,6 @@ class RepMatrix:
                 row.append(acc)
             rows.append(row)
         return RepMatrix(self.shape, rows)
-
-    def trace(self) -> Fraction:
-        return sum(self.entries[i][i] for i in range(self.dim))
 
     def is_diagonal(self) -> bool:
         return all(
@@ -372,12 +341,13 @@ def _generator_matrix(parts: tuple[int, ...], r: int) -> RepMatrix:
 
 @lru_cache(maxsize=None)
 def _seminormal_cached(parts: tuple[int, ...], images: tuple[int, ...]) -> RepMatrix:
-    shape = Partition(parts)
-    word = adjacent_word(Permutation(images))
-    matrix = RepMatrix.identity(shape)
-    for r in word:
-        matrix = matrix * _generator_matrix(parts, r)
-    return matrix
+    # rho(s) = rho(s . s_r) rho(s_r) at the first descent r; s . s_r swaps
+    # the images at r and r+1 and has one inversion less
+    for r in range(1, len(images)):
+        if images[r - 1] > images[r]:
+            shorter = images[: r - 1] + (images[r], images[r - 1]) + images[r + 1 :]
+            return _seminormal_cached(parts, shorter) * _generator_matrix(parts, r)
+    return RepMatrix.identity(Partition(parts))
 
 
 def seminormal_matrix(shape: Partition, s: Permutation) -> RepMatrix:
@@ -422,10 +392,7 @@ def psi(T: StandardTableau, T2: StandardTableau) -> GroupAlgebraElement:
 
 def character_element(shape: Partition) -> GroupAlgebraElement:
     """The central element sum of character(s) * s; coefficients are integers."""
-    k = shape.size
-    terms = {}
-    for s in all_permutations(k):
-        c = seminormal_matrix(shape, s).trace()
-        if c:
-            terms[s] = c
-    return GroupAlgebraElement(k, terms)
+    # the coefficients of the diagonal Psi(T, T) at s^-1 add up to the trace
+    # of rep(s), and a character takes the same value on s and s^-1
+    tableaux = enumerate_standard_tableaux(shape)
+    return GroupAlgebraElement._sum([psi(T, T) for T in tableaux])

@@ -70,7 +70,10 @@ def test_parse_and_print_round_trip_examples():
     assert Permutation.identity(3).to_cycles() == "()"
 
 
-@pytest.mark.parametrize("text", ["[2,1,junk]", "[2;1]", "(1 2)x", "[2,1]x"])
+@pytest.mark.parametrize(
+    "text",
+    ["[2,1,junk]", "[2;1]", "(1 2)x", "[2,1]x", "(1 2)(1 2)", "(1 2 3)(1 2 3)", "(1 1)"],
+)
 def test_parse_rejects_stray_characters(text):
     with pytest.raises(ValueError):
         Permutation.parse(text)

@@ -82,6 +82,7 @@ def test_tableau_parse_print_round_trip():
 
 
 def test_enumerate_examples():
+    assert enumerate_standard_tableaux(Partition([])) == [StandardTableau([])]
     assert len(enumerate_standard_tableaux(part("1,1,1"))) == 1
     two = enumerate_standard_tableaux(part("2,1"))
     assert [str(t) for t in two] == ["[[1,2],[3]]", "[[1,3],[2]]"]
@@ -256,7 +257,7 @@ def test_character_examples():
     assert chi.coefficient(Permutation.parse("(1 2 3)")) == -1
 
 
-@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
 def test_characters_match_murnaghan_nakayama(k):
     for shape in all_partitions(k):
         chi = character_element(shape)
