@@ -19,27 +19,37 @@ X^(x k) . (D')^(x k) is already normal ordered, and its entry (rows, cols)
 is the monomial prod_t e[rows_t, cols_t]: the k-fold ``tensor_product`` of
 the matrix [e_ab]. The left side is built over U(gl(m)), where products are
 straightening-memo lookups, and mapped entrywise by ``symbol``. Both are
-multiplied by Psi over symbols. For n >= m the evaluation ev_n into the
-Weyl algebra is injective, so ``verify_theorem`` compares the symbol tensors
-themselves; their term counts are those of the Weyl images, and a failing
-report names a monomial of ev_n of the first differing entry. For n < m
-ev_n kills the (n+1)-minors, so the Weyl images are compared entry by entry
-instead, which is also exact; reducing modulo the minors is not done here.
-``lhs_theorem`` and ``rhs_theorem`` return the Weyl images. Every (m, n)
-is checked on its own: the n-freedom of the symbols shares work across n,
-it never skips a case. Scaling by a Fraction (the division by the common
-denominator of Psi, 1/dim mu, the proof steps' constants) stays in int
-arithmetic for int coefficients; see ``SparseElement.__rmul__``.
+multiplied by Psi over symbols, and the two symbol tensors are compared
+once. Every operator is ev_n of its symbol, so equal symbols give equal
+operators at every n. For n >= m the evaluation ev_n into the Weyl algebra
+is injective, so that comparison is the verdict; the term counts are those
+of the Weyl images, and a failing report names a monomial of ev_n of the
+first differing entry. For n < m ev_n kills the (n+1)-minors: equal
+symbols have one side mapped by ev_n, whose count stands for both, and
+different ones have both Weyl images compared entry by entry, which is
+also exact; reducing modulo the minors is not done here. ``lhs_theorem``
+and ``rhs_theorem`` return the Weyl images.
+
+``_theorem_reports`` and ``_corollary_reports`` take a sequence of n:
+they build a (shape, m)'s n-free symbols once and report every n from
+them, with the ev_n of each (m, n) from a per-call ``evaluator``.
+``verify_theorem`` and ``verify_corollary`` call them with one n, ``sweep``
+with 1..max_n and one evaluator cache for the whole sweep; no case is
+skipped. The shared work is timed into the report at the first n. Scaling
+by a Fraction (the division by the common denominator of Psi, 1/dim mu,
+the proof steps' constants) stays in int arithmetic for int coefficients;
+see ``SparseElement.__rmul__``.
 
 A trace multiplies only the entries that reach it: trace(u . g) needs u
 only at the keys of ``trace_support(g, k, m)``, read off the int place
 operator of g. Both traces go through ``_traced``, which builds
 ``tensor_product(factors, keys)`` on just those keys: the quantum immanant
 from the factors E - c_t over U(gl(m)), and the corollary's right side
-from k copies of [e_ab], traced over symbols and mapped once by ev_n. The
-corollary's left side is the Weyl image of the quantum immanant: the map,
-the product by Psi and the trace are all linear, and the Weyl tensor is
-the entrywise image of the U(gl(m)) one.
+from k copies of [e_ab], traced over symbols and mapped by ev_n at each n.
+The corollary's left side is ev_n of the quantum immanant's symbol: the
+map, the product by Psi and the trace are all linear, and the Weyl tensor
+is the entrywise image of the U(gl(m)) one. A left symbol equal to the
+right one takes the right side's image.
 
 Every report whose verdict is lhs == rhs is built by ``_report``; a failing
 one names what ``describe(lhs - rhs)`` returns.
@@ -50,7 +60,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import cache, lru_cache, partial
 from math import factorial
 
 from .enveloping import (
@@ -61,7 +71,6 @@ from .enveloping import (
     _evaluator,
     ev_n,
     symbol,
-    ugl_to_weyl,
 )
 from .permutations import GroupAlgebraElement, embed, ga_multiply, jm_element
 from .tableaux import (
@@ -144,11 +153,11 @@ def _symbol_image(u: TensorElement) -> TensorElement:
     return TensorElement(SymbolAlgebra(u.algebra.m), u.k, u.p, u.q, terms)
 
 
-def _weyl_image(u: TensorElement, n: int) -> TensorElement:
-    """A symbol tensor mapped entrywise into the m x n Weyl algebra by ev_n;
-    the constructor drops entries whose image is 0, which happens only for
-    n < m."""
-    ev = _evaluator(u.algebra.m, n)
+def _weyl_image(u: TensorElement, n: int, ev=None) -> TensorElement:
+    """A symbol tensor mapped entrywise into the m x n Weyl algebra by ev_n
+    (``ev``, or a fresh ``_evaluator``); the constructor drops entries whose
+    image is 0, which happens only for n < m."""
+    ev = ev or _evaluator(u.algebra.m, n)
     terms = {key: ev(c) for key, c in u.items()}
     return TensorElement(WeylAlgebra(u.algebra.m, n), u.k, u.p, u.q, terms)
 
@@ -276,6 +285,45 @@ def _report(case: str, lhs, rhs, start: float, describe) -> VerificationReport:
     )
 
 
+def _theorem_report(
+    case: str, lhs: TensorElement, rhs: TensorElement, same: bool, n: int, ev, start: float
+) -> VerificationReport:
+    """The theorem's report at n for the symbol tensors of both sides;
+    ``same`` is their n-free comparison and ``ev`` is ev_n. For n >= m ev_n
+    is injective, so the symbols are reported as they are. For n < m equal
+    symbols have only one side mapped by ev_n, since their images agree;
+    different ones have both mapped, since ev_n may still identify them."""
+    if same:
+        rhs = lhs
+    if n < lhs.algebra.m:
+        lhs = _weyl_image(lhs, n, ev)
+        rhs = lhs if same else _weyl_image(rhs, n, ev)
+    return _report(case, lhs, rhs, start, partial(_first_entry, n))
+
+
+def _theorem_reports(
+    shape: Partition, m: int, ns, evaluator, pairs=None
+) -> dict[int, list[VerificationReport]]:
+    """The theorem's reports for each n of ``ns``, from one n-free symbol
+    tensor per side and tableau pair (every ordered pair of the shape if
+    ``pairs`` is None); ``evaluator(m, n)`` gives ev_n. A pair's symbol work
+    is charged to its report at the first n."""
+    if pairs is None:
+        tableaux = enumerate_standard_tableaux(shape)
+        pairs = [(T, T2) for T in tableaux for T2 in tableaux]
+    reports = {n: [] for n in ns}
+    for T, T2 in pairs:
+        start = time.perf_counter()
+        lhs, rhs = _lhs_symbols(T, T2, m), _rhs_symbols(T, T2, m)
+        same = lhs == rhs
+        for n in ns:
+            case = f"theorem shape={shape} T={T} T'={T2} m={m} n={n}"
+            ev = evaluator(m, n)
+            reports[n].append(_theorem_report(case, lhs, rhs, same, n, ev, start))
+            start = time.perf_counter()
+    return reports
+
+
 def verify_theorem(
     shape: Partition,
     m: int,
@@ -290,25 +338,57 @@ def verify_theorem(
     _check_case(shape, m, n)
     if tableau is None and tableau2 is not None:
         raise ValueError("tableau2 needs tableau")
+    pairs = None
     if tableau is not None:
         pair = (tableau, tableau2 if tableau2 is not None else tableau)
         for T in pair:
             if T.shape != shape:
                 raise ValueError(f"tableau {T} is not of shape {shape}")
         pairs = [pair]
-    else:
-        tableaux = enumerate_standard_tableaux(shape)
-        pairs = [(T, T2) for T in tableaux for T2 in tableaux]
-    reports = []
-    for T, T2 in pairs:
+    return _theorem_reports(shape, m, (n,), cache(_evaluator), pairs)[n]
+
+
+def _corollary_reports(
+    shape: Partition, m: int, ns, evaluator
+) -> dict[int, list[VerificationReport]]:
+    """The corollary's reports for each n of ``ns``, from the n-free symbols
+    of its right side and of each tableau's quantum immanant; a left side
+    whose symbol equals the right side's takes the right side's Weyl image.
+    The right side's work is charged to the first report at the first n,
+    each immanant to its tableau's report there."""
+    tableaux = enumerate_standard_tableaux(shape)
+    start = time.perf_counter()
+    traced = _traced([_symbol_matrix(m)] * shape.size, character_element(shape))
+    rhs = Fraction(1, dimension(shape)) * traced
+    rhs_images = {}
+    reports = {n: [] for n in ns}
+    traces = {n: [] for n in ns}
+    for T in tableaux:
+        lhs = symbol(quantum_immanant(shape, T, m))
+        same = lhs == rhs
+        for n in ns:
+            ev = evaluator(m, n)
+            if n not in rhs_images:
+                rhs_images[n] = ev(rhs)
+            image = rhs_images[n] if same else ev(lhs)
+            traces[n].append(image)
+            case = f"corollary shape={shape} T={T} m={m} n={n}"
+            reports[n].append(_report(case, image, rhs_images[n], start, _trace_differs))
+            start = time.perf_counter()
+    for n in ns:
         start = time.perf_counter()
-        case = f"theorem shape={shape} T={T} T'={T2} m={m} n={n}"
-        if n >= m:
-            # ev_n is injective: compare the symbols
-            lhs, rhs = _lhs_symbols(T, T2, m), _rhs_symbols(T, T2, m)
-        else:
-            lhs, rhs = lhs_theorem(T, T2, m, n), rhs_theorem(T, T2, m, n)
-        reports.append(_report(case, lhs, rhs, start, partial(_first_entry, n)))
+        images = traces[n]
+        same = all(t == images[0] for t in images)
+        reports[n].append(
+            VerificationReport(
+                case=f"corollary-T-independence shape={shape} m={m} n={n}",
+                outcome=same,
+                lhs_terms=len(images[0]) if images else 0,
+                rhs_terms=len(images[-1]) if images else 0,
+                first_diff=None if same else "traced left side depends on the tableau",
+                millis=(time.perf_counter() - start) * 1000.0,
+            )
+        )
     return reports
 
 
@@ -316,31 +396,7 @@ def verify_corollary(shape: Partition, m: int, n: int) -> list[VerificationRepor
     """Check the traced identity for every tableau of the shape, plus the
     tableau-independence of the traced left side."""
     _check_case(shape, m, n)
-    tableaux = enumerate_standard_tableaux(shape)
-    start = time.perf_counter()
-    traced = _traced([_symbol_matrix(m)] * shape.size, character_element(shape))
-    rhs = ev_n(Fraction(1, dimension(shape)) * traced, n)
-    reports = []
-    traces = []
-    for T in tableaux:
-        # the first report's time includes the right side's
-        lhs = ugl_to_weyl(quantum_immanant(shape, T, m), n)
-        traces.append(lhs)
-        case = f"corollary shape={shape} T={T} m={m} n={n}"
-        reports.append(_report(case, lhs, rhs, start, _trace_differs))
-        start = time.perf_counter()
-    same = all(t == traces[0] for t in traces)
-    reports.append(
-        VerificationReport(
-            case=f"corollary-T-independence shape={shape} m={m} n={n}",
-            outcome=same,
-            lhs_terms=len(traces[0]) if traces else 0,
-            rhs_terms=len(traces[-1]) if traces else 0,
-            first_diff=None if same else "traced left side depends on the tableau",
-            millis=(time.perf_counter() - start) * 1000.0,
-        )
-    )
-    return reports
+    return _corollary_reports(shape, m, (n,), cache(_evaluator))[n]
 
 
 def verify_proof_steps(shape: Partition) -> list[VerificationReport]:
@@ -375,15 +431,21 @@ def sweep(max_k: int, max_m: int, max_n: int) -> list[VerificationReport]:
     for name, bound in (("max_k", max_k), ("max_m", max_m), ("max_n", max_n)):
         if bound < 1:
             raise ValueError(f"{name} must be at least 1, got {bound}")
+    # one ev_n per (m, n) for the whole sweep, so each word image is
+    # expanded once; the n-free symbols of a (shape, m) serve every n
+    evaluator = cache(_evaluator)
+    ns = range(1, max_n + 1)
     reports = []
     for k in range(1, max_k + 1):
         for shape in all_partitions(k):
             if k >= 2:
                 reports.extend(verify_proof_steps(shape))
             for m in range(1, max_m + 1):
-                for n in range(1, max_n + 1):
-                    reports.extend(verify_theorem(shape, m, n))
-                    reports.extend(verify_corollary(shape, m, n))
+                theorem = _theorem_reports(shape, m, ns, evaluator)
+                corollary = _corollary_reports(shape, m, ns, evaluator)
+                for n in ns:
+                    reports.extend(theorem[n])
+                    reports.extend(corollary[n])
     return reports
 
 

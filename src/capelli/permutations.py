@@ -184,8 +184,9 @@ def compose(p: Permutation, q: Permutation) -> Permutation:
 def all_permutations(k: int) -> Iterator[Permutation]:
     import itertools
 
+    # every tuple itertools yields is a permutation of 1..k by construction
     for images in itertools.permutations(range(1, k + 1)):
-        yield Permutation(images)
+        yield Permutation._raw(images)
 
 
 class GroupAlgebraElement(SparseElement):

@@ -375,7 +375,8 @@ def _psi_cached(
         c = seminormal_matrix(shape, s).entry(t2, t)
         if c:
             terms[s.inverse()] = c
-    return GroupAlgebraElement(k, terms)
+    # the entries of a RepMatrix are exact already, and every key is in S_k
+    return GroupAlgebraElement._raw((k,), terms)
 
 
 def psi(T: StandardTableau, T2: StandardTableau) -> GroupAlgebraElement:

@@ -5,12 +5,20 @@ from math import factorial
 
 import pytest
 
-from capelli.enveloping import EnvelopingAlgebra, is_central, ugl_to_weyl
+from capelli.enveloping import (
+    EnvelopingAlgebra,
+    SymbolAlgebra,
+    _evaluator,
+    is_central,
+    ugl_to_weyl,
+)
 from capelli.identities import (
     _first_entry,
     _lhs_symbols,
     _report,
     _rhs_symbols,
+    _theorem_report,
+    _weyl_image,
     build_D,
     build_E,
     build_X,
@@ -32,6 +40,7 @@ from capelli.tableaux import (
     psi,
 )
 from capelli.tensors import (
+    TensorElement,
     full_trace,
     right_mul_group_algebra,
     tensor_matmul,
@@ -330,6 +339,55 @@ def test_first_diff_on_a_real_mismatch(m, n):
     assert "x[" in monomial or "D[" in monomial
 
 
+def _minor_weyl(n):
+    # ev_n of e11 e22 - e12 e21, multiplied out in the Weyl algebra: every
+    # x stands left of every D, so each product is already normal ordered
+    W = WeylAlgebra(2, n)
+    total = WeylElement.zero(2, n)
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            xx = W.x(1, i) * W.x(2, j)
+            total = total + xx * W.d(1, i) * W.d(2, j) - xx * W.d(2, i) * W.d(1, j)
+    return total
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_theorem_report_on_symbols_that_differ_by_a_minor(n):
+    # at m = 2 the rhs symbols are the lhs ones plus the 2-minor at one key:
+    # ev_1 kills the minor, so the sides agree at n = 1 (where the Weyl
+    # images are compared) and differ at n = 2 (where the symbols are)
+    m = 2
+    T, T2 = tab("[[1,2],[3]]"), tab("[[1,3],[2]]")
+    lhs = _lhs_symbols(T, T2, m)
+    key = lhs.support()[0]
+    e = SymbolAlgebra(m).var
+    minor = e(1, 1) * e(2, 2) - e(1, 2) * e(2, 1)
+    rhs = lhs + TensorElement(SymbolAlgebra(m), 3, m, m, {key: minor})
+    assert lhs != rhs
+    report = _theorem_report("minor", lhs, rhs, False, n, _evaluator(m, n), 0.0)
+    expected_lhs, _ = _weyl_oracle_sides(T, T2, m, n)
+    minor_weyl = _minor_weyl(n)
+    expected_rhs = expected_lhs + TensorElement(WeylAlgebra(m, n), 3, m, m, {key: minor_weyl})
+    assert (report.lhs_terms, report.rhs_terms) == (len(expected_lhs), len(expected_rhs))
+    if n == 1:
+        assert not minor_weyl
+        assert report.outcome and report.first_diff is None
+    else:
+        monomial = str(WeylElement(m, n, {minor_weyl.support()[0]: 1}))
+        assert not report.outcome
+        assert report.first_diff == f"at {key}: lhs != rhs first monomial {monomial}"
+
+
+def test_theorem_report_maps_one_side_when_symbols_agree_below_m():
+    T, T2 = tab("[[1,2],[3]]"), tab("[[1,3],[2]]")
+    for m, n in ((2, 1), (3, 1), (3, 2)):
+        lhs = _lhs_symbols(T, T2, m)
+        report = _theorem_report("same", lhs, lhs, True, n, _evaluator(m, n), 0.0)
+        count = len(_weyl_image(lhs, n))
+        assert (report.outcome, report.lhs_terms, report.rhs_terms) == (True, count, count)
+        assert count == len(lhs_theorem(T, T2, m, n))
+
+
 def test_theorem_invariant_under_psi_rescaling():
     # both sides are linear in the matrix element, so any nonzero multiple
     # must verify as well; built from the public pieces directly
@@ -361,6 +419,39 @@ def test_sweep_small_grid():
     kinds = {r.case.split()[0] for r in reports}
     assert kinds == {"theorem", "corollary", "corollary-T-independence",
                      "branching", "jm-annihilation"}
+
+
+def _without_millis(reports):
+    return [{k: v for k, v in r.to_dict().items() if k != "millis"} for r in reports]
+
+
+@pytest.mark.parametrize("broken", [False, True], ids=["passing", "failing"])
+def test_sweep_equals_the_per_case_checks(broken, monkeypatch):
+    # the sweep builds the symbols of each (shape, m) once for every n and
+    # keeps one ev_n per (m, n); each per-case call builds its own. n < m
+    # occurs at m = 2 and m = 3. Broken, both sides of the theorem (off the
+    # diagonal) and of the corollary differ, so the fallbacks run as well
+    import capelli.identities as identities
+
+    if broken:
+        rhs_symbols, immanant = identities._rhs_symbols, identities.quantum_immanant
+        monkeypatch.setattr(identities, "_rhs_symbols", lambda T, T2, m: rhs_symbols(T2, T, m))
+        monkeypatch.setattr(
+            identities,
+            "quantum_immanant",
+            lambda shape, T, m: immanant(shape, T, m)
+            + T.content(T.size) * EnvelopingAlgebra(m).gen(1, 1),
+        )
+    expected = []
+    for k in (1, 2, 3):
+        for shape in all_partitions(k):
+            if k >= 2:
+                expected += verify_proof_steps(shape)
+            for m, n in itertools.product((1, 2, 3), repeat=2):
+                expected += verify_theorem(shape, m, n) + verify_corollary(shape, m, n)
+    assert len(expected) == 214
+    assert any(not r.outcome for r in expected) == broken
+    assert _without_millis(sweep(3, 3, 3)) == _without_millis(expected)
 
 
 def test_report_serialization():
