@@ -20,7 +20,24 @@ is the monomial prod_t e[rows_t, cols_t]: the k-fold ``tensor_product`` of
 the matrix [e_ab]. The left side is built over U(gl(m)), where products are
 straightening-memo lookups, and mapped entrywise by ``symbol``. Both are
 multiplied by Psi over symbols, and the two symbol tensors are compared
-once. Every operator is ev_n of its symbol, so equal symbols give equal
+once.
+
+The left side is built only on the keys whose cols lie in the column
+support of Psi(T,T), the cols of ``trace_support(psi(T, T), k, m)``, once
+per tableau T for every T'. The reason is the matrix units: Psi(T,T')
+= (dim mu / k!) Psi(T,T) Psi(T,T'), and right multiplication is a right
+action, so the place operator of Psi(T,T') is that of Psi(T,T) times
+another and its row at a column that Psi(T,T) kills is 0. For a shape of
+more than m rows Psi(T,T) kills every column (Schur-Weyl), and nothing is
+built. The right side is the shared, unrestricted [e_ab]^(x k), so a wrong
+support would show as a failing report. Both sides are linear in Psi, so
+the verify path multiplies both by the least integral multiple D Psi(T,T'),
+D the lcm of Psi's denominators: the product never divides, and symbols,
+comparisons and ev_n images stay in ints. D != 0 changes no verdict, no
+term count and no ``first_diff``, which names a key and a monomial, not a
+coefficient. ``lhs_theorem`` and ``rhs_theorem`` multiply by Psi itself.
+
+Every operator is ev_n of its symbol, so equal symbols give equal
 operators at every n. For n >= m the evaluation ev_n into the Weyl algebra
 is injective, so that comparison is the verdict; the term counts are those
 of the Weyl images, and a failing report names a monomial of ev_n of the
@@ -36,9 +53,10 @@ them, with the ev_n of each (m, n) from a per-call ``evaluator``.
 ``verify_theorem`` and ``verify_corollary`` call them with one n, ``sweep``
 with 1..max_n and one evaluator cache for the whole sweep; no case is
 skipped. The shared work is timed into the report at the first n. Scaling
-by a Fraction (the division by the common denominator of Psi, 1/dim mu,
-the proof steps' constants) stays in int arithmetic for int coefficients;
-see ``SparseElement.__rmul__``.
+by a Fraction (the division by the common denominator of Psi in
+``lhs_theorem``/``rhs_theorem``, 1/dim mu, the proof steps' constants)
+stays in int arithmetic for int coefficients; see
+``SparseElement.__rmul__``.
 
 A trace multiplies only the entries that reach it: trace(u . g) needs u
 only at the keys of ``trace_support(g, k, m)``, read off the int place
@@ -61,7 +79,8 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache, partial
-from math import factorial
+from itertools import product
+from math import factorial, lcm
 
 from .enveloping import (
     EnvelopingAlgebra,
@@ -148,18 +167,19 @@ def build_D(m: int, n: int) -> TensorElement:
 
 
 def _symbol_image(u: TensorElement) -> TensorElement:
-    """A tensor over U(gl(m)) mapped entrywise to symbols in C[e_ab]."""
+    """A tensor over U(gl(m)) mapped entrywise to symbols in C[e_ab]; the
+    symbol map is injective, so no entry vanishes and u's keys serve."""
     terms = {key: symbol(c) for key, c in u.items()}
-    return TensorElement(SymbolAlgebra(u.algebra.m), u.k, u.p, u.q, terms)
+    return TensorElement._raw((SymbolAlgebra(u.algebra.m), u.k, u.p, u.q), terms)
 
 
 def _weyl_image(u: TensorElement, n: int, ev=None) -> TensorElement:
     """A symbol tensor mapped entrywise into the m x n Weyl algebra by ev_n
-    (``ev``, or a fresh ``_evaluator``); the constructor drops entries whose
-    image is 0, which happens only for n < m."""
+    (``ev``, or a fresh ``_evaluator``); entries whose image is 0 are
+    dropped, which happens only for n < m. The keys are u's, valid already."""
     ev = ev or _evaluator(u.algebra.m, n)
-    terms = {key: ev(c) for key, c in u.items()}
-    return TensorElement(WeylAlgebra(u.algebra.m, n), u.k, u.p, u.q, terms)
+    terms = {key: image for key, c in u.items() if (image := ev(c))}
+    return TensorElement._raw((WeylAlgebra(u.algebra.m, n), u.k, u.p, u.q), terms)
 
 
 def build_E(m: int, n: int) -> TensorElement:
@@ -183,12 +203,16 @@ def _symbol_matrix(m: int) -> TensorElement:
 
 
 @lru_cache(maxsize=None)
-def _shifted_product(contents: tuple[int, ...], m: int) -> TensorElement:
-    """The symbol tensor of (E - c_1) (x) ... (x) (E - c_k), cached per
-    content vector and free of n: every entry is built over U(gl(m)), where
-    products are lookups in the straightening memo, and mapped to its
-    symbol."""
-    return _symbol_image(tensor_product(_shifted_factors(m, contents)))
+def _shifted_product(T: StandardTableau, m: int) -> TensorElement:
+    """The symbol tensor of (E - c_T(1)) (x) ... (x) (E - c_T(k)), cached
+    per tableau and free of n, on the keys whose cols lie in the column
+    support of Psi(T,T) only: every Psi(T,T') reads no other column (see the
+    module docstring). Every entry is built over U(gl(m)), where products
+    are lookups in the straightening memo, and mapped to its symbol."""
+    k = T.size
+    support = {cols for _, cols in trace_support(psi(T, T), k, m)}
+    keys = [(rows, cols) for rows in product(range(1, m + 1), repeat=k) for cols in support]
+    return _symbol_image(tensor_product(_shifted_factors(m, _contents(T)), keys))
 
 
 @lru_cache(maxsize=None)
@@ -221,31 +245,28 @@ def _contents(T: StandardTableau) -> tuple[int, ...]:
     return tuple(T.content(r) for r in range(1, T.size + 1))
 
 
-def _lhs_symbols(T: StandardTableau, T2: StandardTableau, m: int) -> TensorElement:
-    """The symbols of the left side; ``psi`` refuses a shape mismatch
-    before any tensor is built."""
-    g = psi(T, T2)
-    return right_mul_group_algebra(_shifted_product(_contents(T), m), g)
+def _lhs_symbols(T: StandardTableau, g: GroupAlgebraElement, m: int) -> TensorElement:
+    """The symbols of the left side times g, a multiple of some Psi(T,T')."""
+    return right_mul_group_algebra(_shifted_product(T, m), g)
 
 
-def _rhs_symbols(T: StandardTableau, T2: StandardTableau, m: int) -> TensorElement:
-    """The symbols of the right side, checked like ``_lhs_symbols``."""
-    g = psi(T, T2)
-    return right_mul_group_algebra(_xd_product(T.size, m), g)
+def _rhs_symbols(g: GroupAlgebraElement, m: int) -> TensorElement:
+    """The symbols of the right side times g."""
+    return right_mul_group_algebra(_xd_product(g.degree, m), g)
 
 
 def lhs_theorem(
     T: StandardTableau, T2: StandardTableau, m: int, n: int
 ) -> TensorElement:
     """(E - c_T(1)) (x) ... (x) (E - c_T(k)) . Psi(T,T2) over the Weyl algebra."""
-    return _weyl_image(_lhs_symbols(T, T2, m), n)
+    return _weyl_image(_lhs_symbols(T, psi(T, T2), m), n)
 
 
 def rhs_theorem(
     T: StandardTableau, T2: StandardTableau, m: int, n: int
 ) -> TensorElement:
     """X^(x k) . (D')^(x k) . Psi(T,T2) over the Weyl algebra."""
-    return _weyl_image(_rhs_symbols(T, T2, m), n)
+    return _weyl_image(_rhs_symbols(psi(T, T2), m), n)
 
 
 def _first_monomial(delta: WeylElement) -> str:
@@ -314,7 +335,10 @@ def _theorem_reports(
     reports = {n: [] for n in ns}
     for T, T2 in pairs:
         start = time.perf_counter()
-        lhs, rhs = _lhs_symbols(T, T2, m), _rhs_symbols(T, T2, m)
+        # D Psi, D the lcm of Psi's denominators, has int coefficients
+        g = psi(T, T2)
+        g = lcm(*(c.denominator for _, c in g.items())) * g
+        lhs, rhs = _lhs_symbols(T, g, m), _rhs_symbols(g, m)
         same = lhs == rhs
         for n in ns:
             case = f"theorem shape={shape} T={T} T'={T2} m={m} n={n}"

@@ -17,6 +17,7 @@ from capelli.identities import (
     _lhs_symbols,
     _report,
     _rhs_symbols,
+    _shifted_product,
     _theorem_report,
     _weyl_image,
     build_D,
@@ -320,7 +321,7 @@ def test_first_diff_on_a_real_mismatch(m, n):
     # At n >= m the verifier compares symbols, below m their ev_n images.
     T, T2, T3 = tab("[[1,2],[3]]"), tab("[[1,2],[3]]"), tab("[[1,3],[2]]")
     if n >= m:
-        lhs, rhs = _lhs_symbols(T, T2, m), _rhs_symbols(T, T3, m)
+        lhs, rhs = _lhs_symbols(T, psi(T, T2), m), _rhs_symbols(psi(T, T3), m)
     else:
         lhs, rhs = lhs_theorem(T, T2, m, n), rhs_theorem(T, T3, m, n)
     report = _report("mismatch", lhs, rhs, 0.0, partial(_first_entry, n))
@@ -358,7 +359,7 @@ def test_theorem_report_on_symbols_that_differ_by_a_minor(n):
     # images are compared) and differ at n = 2 (where the symbols are)
     m = 2
     T, T2 = tab("[[1,2],[3]]"), tab("[[1,3],[2]]")
-    lhs = _lhs_symbols(T, T2, m)
+    lhs = _lhs_symbols(T, psi(T, T2), m)
     key = lhs.support()[0]
     e = SymbolAlgebra(m).var
     minor = e(1, 1) * e(2, 2) - e(1, 2) * e(2, 1)
@@ -381,11 +382,37 @@ def test_theorem_report_on_symbols_that_differ_by_a_minor(n):
 def test_theorem_report_maps_one_side_when_symbols_agree_below_m():
     T, T2 = tab("[[1,2],[3]]"), tab("[[1,3],[2]]")
     for m, n in ((2, 1), (3, 1), (3, 2)):
-        lhs = _lhs_symbols(T, T2, m)
+        lhs = _lhs_symbols(T, psi(T, T2), m)
         report = _theorem_report("same", lhs, lhs, True, n, _evaluator(m, n), 0.0)
         count = len(_weyl_image(lhs, n))
         assert (report.outcome, report.lhs_terms, report.rhs_terms) == (True, count, count)
         assert count == len(lhs_theorem(T, T2, m, n))
+
+
+def test_theorem_builds_no_left_side_for_a_shape_with_more_rows_than_m():
+    # Psi(T,T) acts as 0 on (C^2)^(x 4) for a shape of three rows
+    # (Schur-Weyl), so no column of the left side is built and both sides are 0
+    shape = part("2,1,1")
+    reports = verify_theorem(shape, 2, 2)
+    assert len(reports) == 9
+    assert all(r.outcome and (r.lhs_terms, r.rhs_terms) == (0, 0) for r in reports)
+    for T in enumerate_standard_tableaux(shape):
+        assert not _shifted_product(T, 2)
+
+
+def test_left_side_is_built_on_the_columns_of_the_diagonal_psi():
+    # at m = 3, Psi(T,T) of shape 2,2 keeps 54 and 36 of the 81 columns; the
+    # right side is built on every column, so equal symbols show that the
+    # left side lost nothing that a Psi(T,T') reads
+    m = 3
+    tableaux = enumerate_standard_tableaux(part("2,2"))
+    columns = [{cols for (_, cols), _ in _shifted_product(T, m).items()} for T in tableaux]
+    assert [len(c) for c in columns] == [54, 36]
+    for T in tableaux:
+        for T2 in tableaux:
+            g = psi(T, T2)
+            lhs = _lhs_symbols(T, g, m)
+            assert lhs and lhs == _rhs_symbols(g, m), (T, T2)
 
 
 def test_theorem_invariant_under_psi_rescaling():
@@ -435,7 +462,14 @@ def test_sweep_equals_the_per_case_checks(broken, monkeypatch):
 
     if broken:
         rhs_symbols, immanant = identities._rhs_symbols, identities.quantum_immanant
-        monkeypatch.setattr(identities, "_rhs_symbols", lambda T, T2, m: rhs_symbols(T2, T, m))
+        # the antipode s -> s^-1 sends Psi(T,T2) to a nonzero multiple of Psi(T2,T)
+        monkeypatch.setattr(
+            identities,
+            "_rhs_symbols",
+            lambda g, m: rhs_symbols(
+                GroupAlgebraElement(g.degree, {s.inverse(): c for s, c in g.items()}), m
+            ),
+        )
         monkeypatch.setattr(
             identities,
             "quantum_immanant",

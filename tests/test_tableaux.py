@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 import pytest
 from hypothesis import given, strategies as st
@@ -246,6 +246,25 @@ def test_matrix_unit_behaviour(k):
             for T2 in tableaux:
                 if T != T2:
                     assert not psi(T, T) * psi(T2, T2)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_diagonal_psi_scales_its_row(k):
+    # Psi(T,T) Psi(T,T') = (k!/dim mu) Psi(T,T') for every T' of the shape,
+    # checked on multiples free of denominators, so the products run in ints
+    def cleared(g):
+        return lcm(*(c.denominator for _, c in g.items())) * g
+
+    for shape in all_partitions(k):
+        tableaux = enumerate_standard_tableaux(shape)
+        scale = Fraction(factorial(k), dimension(shape))
+        for T in tableaux:
+            diagonal = cleared(psi(T, T))
+            # the coefficient of the identity in Psi(T,T) is 1
+            d = diagonal.coefficient(Permutation.identity(k))
+            for T2 in tableaux:
+                g = cleared(psi(T, T2))
+                assert diagonal * g == (scale * d) * g, (T, T2)
 
 
 def test_character_examples():

@@ -13,6 +13,7 @@ from capelli.permutations import (
     Permutation,
     all_permutations,
     compose,
+    ga_multiply,
 )
 from capelli.tableaux import (
     all_partitions,
@@ -23,6 +24,7 @@ from capelli.tableaux import (
 from capelli.tensors import (
     RationalAlgebra,
     TensorElement,
+    _place_operator,
     full_trace,
     perm_tensor,
     right_mul_group_algebra,
@@ -267,6 +269,11 @@ def _algebra_value(algebra, draw):
     return value
 
 
+def _group_element(draw, k):
+    perms = st.permutations(range(1, k + 1)).map(Permutation)
+    return GroupAlgebraElement(k, draw(st.dictionaries(perms, GROUP_COEFFS, max_size=4)))
+
+
 @st.composite
 def right_mul_cases(draw, kind):
     algebra = ALGEBRAS[kind]
@@ -274,9 +281,7 @@ def right_mul_cases(draw, kind):
     index = st.tuples(*[st.integers(1, m)] * k)
     keys = draw(st.lists(st.tuples(index, index), min_size=1, max_size=4, unique=True))
     u = TensorElement(algebra, k, m, m, {key: _algebra_value(algebra, draw) for key in keys})
-    perms = st.permutations(range(1, k + 1)).map(Permutation)
-    g = GroupAlgebraElement(k, draw(st.dictionaries(perms, GROUP_COEFFS, max_size=4)))
-    return u, g
+    return u, _group_element(draw, k)
 
 
 @pytest.mark.parametrize("kind", sorted(ALGEBRAS))
@@ -287,6 +292,17 @@ def test_right_mul_exact_against_perm_tensor_sum(kind, data):
     result = right_mul_group_algebra(u, g)
     assert result == _perm_tensor_sum(u, g)
     assert_canonical(result)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_right_mul_is_a_right_action(data):
+    # u . (a b) = (u . a) . b, with a b taken by ga_multiply
+    u, a = data.draw(right_mul_cases("rational"))
+    b = _group_element(data.draw, u.k)
+    assert right_mul_group_algebra(right_mul_group_algebra(u, a), b) == right_mul_group_algebra(
+        u, ga_multiply(a, b)
+    )
 
 
 @pytest.mark.parametrize("kind", sorted(ALGEBRAS))
@@ -330,6 +346,26 @@ def test_place_operator_of_psi_against_schur_weyl(k, m):
             out = right_mul_group_algebra(TensorElement.identity(Q, k, m), psi(T, T))
             assert (not out) == (len(shape.parts) > m), (T, m)
             assert full_trace(out) == scale * gl_dimension(shape.parts, m), (T, m)
+
+
+def _nonzero_rows(g, k, m):
+    _, place = _place_operator(g, k, itertools.product(range(1, m + 1), repeat=k))
+    return {cols for cols, row in place.items() if row}
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_place_operator_rows_of_psi_lie_in_those_of_the_diagonal_psi(k, m):
+    # Psi(T,T') = (dim mu / k!) Psi(T,T) Psi(T,T') and right multiplication
+    # is a right action, so a column that Psi(T,T) kills, every Psi(T,T')
+    # kills: the theorem's left side is built on Psi(T,T)'s columns only
+    for shape in all_partitions(k):
+        tableaux = enumerate_standard_tableaux(shape)
+        for T in tableaux:
+            rows = _nonzero_rows(psi(T, T), k, m)
+            assert (not rows) == (len(shape.parts) > m), (T, m)
+            for T2 in tableaux:
+                assert _nonzero_rows(psi(T, T2), k, m) <= rows, (T, T2, m)
 
 
 def _antisymmetrizer(k):
