@@ -58,12 +58,16 @@ by a Fraction (the division by the common denominator of Psi in
 stays in int arithmetic for int coefficients; see
 ``SparseElement.__rmul__``.
 
-A trace multiplies only the entries that reach it: trace(u . g) needs u
-only at the keys of ``trace_support(g, k, m)``, read off the int place
-operator of g. Both traces go through ``_traced``, which builds
-``tensor_product(factors, keys)`` on just those keys: the quantum immanant
-from the factors E - c_t over U(gl(m)), and the corollary's right side
-from k copies of [e_ab], traced over symbols and mapped by ev_n at each n.
+A trace multiplies only the entries that reach it and forms only the
+outputs it keeps: trace(u . g) needs u only at the keys of
+``trace_support(g, k, m)``, read off the int place operator of g, and the
+product only at the diagonal keys (rows, rows). Both traces go through
+``_traced``, which builds ``tensor_product(factors, keys)`` on just those
+keys and passes the diagonal to ``right_mul_group_algebra``, so each
+support entry forms one scaled pair and only the diagonal outputs are
+summed and divided by D: the quantum immanant from the factors E - c_t
+over U(gl(m)), and the corollary's right side from k copies of [e_ab],
+traced over symbols and mapped by ev_n at each n.
 The corollary's left side is ev_n of the quantum immanant's symbol: the
 map, the product by Psi and the trace are all linear, and the Weyl tensor
 is the entrywise image of the U(gl(m)) one. A left symbol equal to the
@@ -226,9 +230,11 @@ def _xd_product(k: int, m: int) -> TensorElement:
 def _traced(factors: list[TensorElement], g: GroupAlgebraElement):
     """trace((F_1 (x) ... (x) F_k) . g) for m x m matrices F_t, building
     only the entries of the tensor product that reach the trace, the keys
-    of ``trace_support``."""
-    keys = trace_support(g, len(factors), factors[0].p)
-    return full_trace(right_mul_group_algebra(tensor_product(factors, keys), g))
+    of ``trace_support``, and only the diagonal outputs of the product."""
+    support = trace_support(g, len(factors), factors[0].p)
+    diagonal = {(rows, rows) for rows, _ in support}
+    u = tensor_product(factors, support)
+    return full_trace(right_mul_group_algebra(u, g, diagonal))
 
 
 def _check_case(shape: Partition, m: int, n: int | None = None) -> None:

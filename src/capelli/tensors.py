@@ -19,6 +19,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 from operator import itemgetter
 from typing import Iterable, Sequence
@@ -218,18 +219,26 @@ def perm_tensor(s: Permutation, m: int, algebra=RationalAlgebra()) -> TensorElem
 
 
 def _place_operator(
-    g: GroupAlgebraElement, k: int, columns: Iterable[MultiIndex]
+    g: GroupAlgebraElement, k: int, m: int
 ) -> tuple[int, dict[MultiIndex, list[tuple[MultiIndex, int]]]]:
     """(D, P): D is the least common multiple of g's denominators and P the
-    int place operator of D g on the given column multi-indices, where
+    int place operator of D g on every column multi-index in 1..m, where
     P[cols][cols o s] is the sum of the int scales D c_s. Each row of P keeps
     only its nonzero entries, so cancellation happens here, in int
-    arithmetic."""
+    arithmetic. The last operator built is kept, so the trace support and
+    the products by one g share it."""
     if g.degree != k:
         raise ValueError(f"degree mismatch: {g.degree} vs k={k}")
-    denom = lcm(*(c.denominator for _, c in g.items()))
-    place: dict[MultiIndex, dict[MultiIndex, int]] = {cols: {} for cols in columns}
-    for s, c in g.items():
+    return _place_operator_of(k, m, tuple(g.items()))
+
+
+@lru_cache(maxsize=1)
+def _place_operator_of(k: int, m: int, terms: tuple[tuple[Permutation, Fraction], ...]):
+    denom = lcm(*(c.denominator for _, c in terms))
+    place: dict[MultiIndex, dict[MultiIndex, int]] = {
+        cols: {} for cols in itertools.product(range(1, m + 1), repeat=k)
+    }
+    for s, c in terms:
         scale = c.numerator * (denom // c.denominator)
         # itemgetter of one index returns a scalar; at k = 1 s is the identity
         permute = itemgetter(*[i - 1 for i in s.images]) if k > 1 else tuple
@@ -244,25 +253,37 @@ def _place_operator(
 
 
 def right_mul_group_algebra(
-    u: TensorElement, g: GroupAlgebraElement
+    u: TensorElement,
+    g: GroupAlgebraElement,
+    keys: set[tuple[MultiIndex, MultiIndex]] | None = None,
 ) -> TensorElement:
-    """u times the place-permutation image of a group algebra element.
+    """u times the place-permutation image of a group algebra element, or,
+    given a set ``keys`` of output keys (rows, cols), only its entries at
+    those keys.
 
-    Computed as (1/D) (u . P) with D and P from ``_place_operator`` on the
-    column multi-indices that occur in u. Cancellation happens in P before
-    any coefficient of u is touched; only the nonzero entries of P multiply
-    u. (By Schur-Weyl duality the operator of Psi(T,T') has rank
-    dim V_mu(gl(m)), and is 0 when mu has more than m rows.) The product is
-    linear in g, so the result is exact, and the division by D touches only
-    the surviving output coefficients.
+    Computed as (1/D) (u . P) with D and P from ``_place_operator``.
+    Cancellation happens in P before any coefficient of u is touched; only
+    the nonzero entries of P multiply u. (By Schur-Weyl duality the operator
+    of Psi(T,T') has rank dim V_mu(gl(m)), and is 0 when mu has more than m
+    rows.) The product is linear in g, so the result is exact, and the
+    division by D touches only the kept outputs. Given ``keys``, no output
+    outside them is formed, summed or divided; a trace passes the diagonal
+    keys (rows, rows), and each trace-support entry of u then forms one
+    scaled pair.
     """
     if u.p != u.q:
         raise ValueError("factors must be square to act by place permutations")
-    denom, nonzero = _place_operator(g, u.k, (cols for _, cols in u._terms))
+    denom, nonzero = _place_operator(g, u.k, u.p)
     buckets: dict[tuple[MultiIndex, MultiIndex], list] = {}
-    for (rows, cols), coeff in u.items():
-        for new, scale in nonzero[cols]:
-            buckets.setdefault((rows, new), []).append((scale, coeff))
+    if keys is None:
+        for (rows, cols), coeff in u.items():
+            for new, scale in nonzero[cols]:
+                buckets.setdefault((rows, new), []).append((scale, coeff))
+    else:
+        for (rows, cols), coeff in u.items():
+            for new, scale in nonzero[cols]:
+                if (rows, new) in keys:
+                    buckets.setdefault((rows, new), []).append((scale, coeff))
     inverse = Fraction(1, denom)
     terms = {}
     for key, pairs in buckets.items():
@@ -282,7 +303,7 @@ def trace_support(
     D and P from ``_place_operator``, so exactly the keys with
     P[cols][rows] != 0 contribute; they are read off P in int arithmetic.
     """
-    _, nonzero = _place_operator(g, k, itertools.product(range(1, m + 1), repeat=k))
+    _, nonzero = _place_operator(g, k, m)
     return {(new, cols) for cols, row in nonzero.items() for new, _ in row}
 
 

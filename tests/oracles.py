@@ -7,8 +7,9 @@ of traces, one-step rewriting instead of the closed contraction formula,
 floating point instead of exact rationals, Leibniz determinants instead of
 PBW bookkeeping, a ratio of determinants instead of a trace over U(gl(m)),
 Weyl products of the x and D entries instead of the image of a U(gl(m))
-product or of a normal-ordered symbol, the trace of the whole tensor
-instead of its trace support.
+product or of a normal-ordered symbol, the trace of the whole tensor with
+every output of the product formed instead of its trace support and its
+diagonal outputs.
 """
 
 from __future__ import annotations
@@ -17,9 +18,15 @@ import itertools
 import math
 from fractions import Fraction
 
-from capelli.enveloping import EnvelopingAlgebra, UglElement
+from capelli.enveloping import EnvelopingAlgebra, SymbolAlgebra, SymbolElement, UglElement
 from capelli.permutations import Permutation
-from capelli.tableaux import Partition, adjacent_word, enumerate_standard_tableaux, psi
+from capelli.tableaux import (
+    Partition,
+    adjacent_word,
+    character_element,
+    enumerate_standard_tableaux,
+    psi,
+)
 from capelli.tensors import (
     TensorElement,
     full_trace,
@@ -174,6 +181,18 @@ def traced_immanant(shape: Partition, T, m: int) -> UglElement:
     contents = [T.content(r) for r in range(1, shape.size + 1)]
     shifted = tensor_product([E - c * eye for c in contents])
     return full_trace(right_mul_group_algebra(shifted, psi(T, T)))
+
+
+def traced_xd(shape: Partition, m: int) -> SymbolElement:
+    """The corollary's right side before the 1/dim mu, traced from the whole
+    tensor: every entry of [e_ab]^(x k) over C[e_ab] is built with
+    ``tensor_product``, multiplied by the character of the shape with every
+    output formed, and then traced."""
+    algebra = SymbolAlgebra(m)
+    span = range(1, m + 1)
+    e = TensorElement.matrix(algebra, [[algebra.var(a, b) for b in span] for a in span])
+    whole = tensor_product([e] * shape.size)
+    return full_trace(right_mul_group_algebra(whole, character_element(shape)))
 
 
 def orthonormal_matrix(shape: Partition, s: Permutation) -> list[list[float]]:

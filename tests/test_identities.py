@@ -18,7 +18,9 @@ from capelli.identities import (
     _report,
     _rhs_symbols,
     _shifted_product,
+    _symbol_matrix,
     _theorem_report,
+    _traced,
     _weyl_image,
     build_D,
     build_E,
@@ -36,6 +38,7 @@ from capelli.tableaux import (
     Partition,
     StandardTableau,
     all_partitions,
+    character_element,
     dimension,
     enumerate_standard_tableaux,
     psi,
@@ -48,7 +51,7 @@ from capelli.tensors import (
     tensor_product,
 )
 from capelli.weyl import WeylAlgebra, WeylElement
-from oracles import cdet, exact_rank, shifted_weyl, traced_immanant, xd_weyl
+from oracles import cdet, exact_rank, shifted_weyl, traced_immanant, traced_xd, xd_weyl
 
 
 def part(text):
@@ -281,6 +284,17 @@ def test_quantum_immanant_k4_m3_against_whole_traced_tensor():
         expected = traced_immanant(shape, T, 3)
         assert (not expected) == (len(shape.parts) > 3), shape
         assert quantum_immanant(shape, T, 3) == expected, shape
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_traced_right_side_against_whole_traced_tensor(m):
+    # the corollary's right side builds the trace-support entries and forms
+    # the diagonal outputs only; the oracle builds, multiplies and traces all
+    for k in (1, 2, 3, 4):
+        for shape in all_partitions(k):
+            expected = traced_xd(shape, m)
+            assert (not expected) == (len(shape.parts) > m), shape
+            assert _traced([_symbol_matrix(m)] * k, character_element(shape)) == expected, shape
 
 
 def _weyl_oracle_sides(T, T2, m, n):

@@ -305,6 +305,33 @@ def test_right_mul_is_a_right_action(data):
     )
 
 
+@pytest.mark.parametrize("keyset", ["subset", "diagonal", "empty", "unreached"])
+@pytest.mark.parametrize("kind", sorted(ALGEBRAS))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_right_mul_on_keys_is_the_product_restricted_to_them(kind, keyset, data):
+    u, g = data.draw(right_mul_cases(kind))
+    # 1/6 plus a coefficient from GROUP_COEFFS is never 0 or an integer, so
+    # D > 1 and the division by D runs on the kept keys
+    s = data.draw(st.permutations(range(1, u.k + 1)).map(Permutation))
+    g = g + Fraction(1, 6) * GroupAlgebraElement.from_permutation(s)
+    full = right_mul_group_algebra(u, g)
+    indices = list(itertools.product(range(1, u.p + 1), repeat=u.k))
+    every = list(itertools.product(indices, repeat=2))
+    if keyset == "subset":
+        keys = data.draw(st.sets(st.sampled_from(every)))
+    elif keyset == "diagonal":
+        keys = {(rows, rows) for rows in indices}
+    elif keyset == "empty":
+        keys = set()
+    else:
+        keys = set(every) - set(full.support())
+    result = right_mul_group_algebra(u, g, keys)
+    kept = {key: c for key, c in full.items() if key in keys}
+    assert result == TensorElement(u.algebra, u.k, u.p, u.q, kept)
+    assert_canonical(result)
+
+
 @pytest.mark.parametrize("kind", sorted(ALGEBRAS))
 def test_right_mul_denominator_edge_cases(kind):
     algebra = ALGEBRAS[kind]
@@ -349,7 +376,7 @@ def test_place_operator_of_psi_against_schur_weyl(k, m):
 
 
 def _nonzero_rows(g, k, m):
-    _, place = _place_operator(g, k, itertools.product(range(1, m + 1), repeat=k))
+    _, place = _place_operator(g, k, m)
     return {cols for cols, row in place.items() if row}
 
 
