@@ -4,118 +4,18 @@ algebra operators, enveloping algebra elements and their normal-ordered
 symbols, and algebra-valued tensors.
 """
 
-from .enveloping import (
-    Centrality,
-    EnvelopingAlgebra,
-    SymbolAlgebra,
-    SymbolElement,
-    UglElement,
-    ev_n,
-    generator_order,
-    hc_eigenvalue,
-    is_central,
-    symbol,
-    ugl_multiply,
-    ugl_to_weyl,
-)
-from .identities import (
-    VerificationReport,
-    build_D,
-    build_E,
-    build_X,
-    lhs_theorem,
-    quantum_immanant,
-    rhs_theorem,
-    sweep,
-    verify_corollary,
-    verify_proof_steps,
-    verify_theorem,
-)
-from .permutations import (
-    GroupAlgebraElement,
-    Permutation,
-    all_permutations,
-    compose,
-    embed,
-    ga_multiply,
-    jm_element,
-)
-from .tableaux import (
-    Partition,
-    RepMatrix,
-    StandardTableau,
-    all_partitions,
-    character_element,
-    content,
-    dimension,
-    enumerate_standard_tableaux,
-    psi,
-    seminormal_matrix,
-)
-from .tensors import (
-    RationalAlgebra,
-    TensorElement,
-    full_trace,
-    perm_tensor,
-    right_mul_group_algebra,
-    tensor_matmul,
-    tensor_product,
-    trace_support,
-)
-from .weyl import WeylAlgebra, WeylElement, WeylMonomial, weyl_apply, weyl_multiply
+from . import enveloping, identities, permutations, tableaux, tensors, weyl
+from .enveloping import *  # noqa: F403
+from .identities import *  # noqa: F403
+from .permutations import *  # noqa: F403
+from .tableaux import *  # noqa: F403
+from .tensors import *  # noqa: F403
+from .weyl import *  # noqa: F403
 
-__all__ = [
-    "Centrality",
-    "EnvelopingAlgebra",
-    "GroupAlgebraElement",
-    "Partition",
-    "Permutation",
-    "RationalAlgebra",
-    "RepMatrix",
-    "StandardTableau",
-    "SymbolAlgebra",
-    "SymbolElement",
-    "TensorElement",
-    "UglElement",
-    "VerificationReport",
-    "WeylAlgebra",
-    "WeylElement",
-    "WeylMonomial",
-    "all_partitions",
-    "all_permutations",
-    "build_D",
-    "build_E",
-    "build_X",
-    "character_element",
-    "compose",
-    "content",
-    "dimension",
-    "embed",
-    "enumerate_standard_tableaux",
-    "ev_n",
-    "full_trace",
-    "ga_multiply",
-    "generator_order",
-    "hc_eigenvalue",
-    "is_central",
-    "jm_element",
-    "lhs_theorem",
-    "perm_tensor",
-    "psi",
-    "quantum_immanant",
-    "rhs_theorem",
-    "right_mul_group_algebra",
-    "seminormal_matrix",
-    "sweep",
-    "symbol",
-    "tensor_matmul",
-    "tensor_product",
-    "trace_support",
-    "ugl_multiply",
-    "ugl_to_weyl",
-    "verify_corollary",
-    "verify_proof_steps",
-    "verify_theorem",
-    "weyl_apply",
-    "weyl_multiply",
-]
+__all__ = sorted(
+    {
+        name
+        for module in (enveloping, identities, permutations, tableaux, tensors, weyl)
+        for name in module.__all__
+    }
+)

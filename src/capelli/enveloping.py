@@ -40,7 +40,7 @@ from functools import lru_cache
 from itertools import groupby
 from typing import Sequence
 
-from .exact import SparseElement, as_exact
+from .exact import CoefficientAlgebra, SparseElement, as_exact
 from .weyl import WeylElement, WeylMonomial
 
 __all__ = [
@@ -109,7 +109,36 @@ def _word(expo) -> tuple[int, ...]:
     return tuple(g for g, e in enumerate(expo) for _ in range(e))
 
 
-class UglElement(SparseElement):
+class _WordElement(SparseElement):
+    """An element of a rank-m algebra whose basis keys are nondecreasing
+    words of generator indices, printed as products of powers of
+    ``_LETTER``[a,b]; the unit is the empty word."""
+
+    __slots__ = ()
+
+    _MISMATCH = "rank mismatch: {0[0]} vs {1[0]}"
+
+    def __init__(self, m: int, terms: dict | None = None):
+        super().__init__((m,), terms)
+
+    m = property(lambda self: self._space[0])
+
+    @staticmethod
+    def _unit(space: tuple) -> tuple[int, ...]:
+        return ()
+
+    def _format_key(self, word: tuple[int, ...]) -> str:
+        order = generator_order(self.m)
+        return " ".join(
+            f"{self._LETTER}[{a},{b}]" + (f"^{e}" if e > 1 else "")
+            for (a, b), e in ((order[g], len(list(run))) for g, run in groupby(word))
+        )
+
+    def __repr__(self) -> str:
+        return f"<{type(self).__name__} gl({self.m}) {self}>"
+
+
+class UglElement(_WordElement):
     """A PBW-normal-ordered element, sparse over generator words; the
     constructor and ``coefficient`` take m^2-long exponent vectors instead.
 
@@ -120,12 +149,7 @@ class UglElement(SparseElement):
 
     __slots__ = ("_central",)
 
-    _MISMATCH = "rank mismatch: {0[0]} vs {1[0]}"
-
-    def __init__(self, m: int, terms: dict[tuple[int, ...], Fraction] | None = None):
-        super().__init__((m,), terms)
-
-    m = property(lambda self: self._space[0])
+    _LETTER = "E"
 
     @staticmethod
     def _key(space: tuple, expo) -> tuple[int, ...]:
@@ -133,25 +157,6 @@ class UglElement(SparseElement):
         if len(expo) != m * m:
             raise ValueError(f"exponent vector does not fit gl({m}): {expo}")
         return _word(expo)
-
-    @classmethod
-    def zero(cls, m: int) -> UglElement:
-        return cls(m)
-
-    @classmethod
-    def one(cls, m: int) -> UglElement:
-        return cls.constant(m, 1)
-
-    @classmethod
-    def constant(cls, m: int, value) -> UglElement:
-        value = as_exact(value)
-        return cls._raw((m,), {(): value} if value else {})
-
-    @classmethod
-    def generator(cls, m: int, a: int, b: int) -> UglElement:
-        if not (1 <= a <= m and 1 <= b <= m):
-            raise ValueError(f"generator E[{a},{b}] outside gl({m})")
-        return cls._raw((m,), {(_generator_index(m)[(a, b)],): 1})
 
     def coefficient(self, expo) -> int | Fraction:
         return super().coefficient(self._key(self._space, expo))
@@ -165,16 +170,6 @@ class UglElement(SparseElement):
             return ugl_multiply(self, other)
         return as_exact(other) * self
 
-    def _format_key(self, word: tuple[int, ...]) -> str:
-        order = generator_order(self.m)
-        return " ".join(
-            f"E[{a},{b}]" + (f"^{e}" if e > 1 else "")
-            for (a, b), e in ((order[g], len(list(run))) for g, run in groupby(word))
-        )
-
-    def __repr__(self) -> str:
-        return f"<UglElement gl({self.m}) {self}>"
-
 
 def ugl_multiply(u: UglElement, v: UglElement) -> UglElement:
     """The product, straightened to PBW normal form."""
@@ -182,7 +177,7 @@ def ugl_multiply(u: UglElement, v: UglElement) -> UglElement:
     return u._product(v, lambda a, b: _straighten(m, a + b).items())
 
 
-class SymbolElement(SparseElement):
+class SymbolElement(_WordElement):
     """A polynomial in the m^2 commuting variables e[a,b], sparse over
     sorted words of generator indices (the index of E[a,b] in
     ``generator_order(m)`` names e[a,b]); ``*`` is the commutative product.
@@ -193,12 +188,7 @@ class SymbolElement(SparseElement):
 
     __slots__ = ()
 
-    _MISMATCH = "rank mismatch: {0[0]} vs {1[0]}"
-
-    def __init__(self, m: int, terms: dict[tuple[int, ...], Fraction] | None = None):
-        super().__init__((m,), terms)
-
-    m = property(lambda self: self._space[0])
+    _LETTER = "e"
 
     @staticmethod
     def _key(space: tuple, word) -> tuple[int, ...]:
@@ -212,33 +202,24 @@ class SymbolElement(SparseElement):
             return self._product(other, lambda a, b: ((tuple(sorted(a + b)), 1),))
         return as_exact(other) * self
 
-    def _format_key(self, word: tuple[int, ...]) -> str:
-        order = generator_order(self.m)
-        return " ".join(
-            f"e[{a},{b}]" + (f"^{e}" if e > 1 else "")
-            for (a, b), e in ((order[g], len(list(run))) for g, run in groupby(word))
-        )
 
-    def __repr__(self) -> str:
-        return f"<SymbolElement gl({self.m}) {self}>"
+def _generator(algebra, a: int, b: int) -> _WordElement:
+    """The one-letter word of E[a,b] in the handle's algebra of rank m."""
+    m, element = algebra.m, algebra.element
+    if not (1 <= a <= m and 1 <= b <= m):
+        raise ValueError(f"{element._LETTER}[{a},{b}] outside gl({m})")
+    return element._raw((m,), {(_generator_index(m)[(a, b)],): 1})
 
 
 @dataclass(frozen=True)
-class SymbolAlgebra:
+class SymbolAlgebra(CoefficientAlgebra):
     """C[e_ab] for one rank as a tensor coefficient algebra."""
 
     m: int
 
-    def zero(self) -> SymbolElement:
-        return SymbolElement(self.m)
+    element = SymbolElement
 
-    def var(self, a: int, b: int) -> SymbolElement:
-        if not (1 <= a <= self.m and 1 <= b <= self.m):
-            raise ValueError(f"variable e[{a},{b}] outside gl({self.m})")
-        return SymbolElement._raw((self.m,), {(_generator_index(self.m)[(a, b)],): 1})
-
-    sum = staticmethod(SymbolElement._sum)
-    scaled_sum = staticmethod(SymbolElement._scaled_sum)
+    var = _generator
 
 
 @lru_cache(maxsize=None)
@@ -247,7 +228,7 @@ def _word_symbol(m: int, word: tuple[int, ...]) -> SymbolElement:
     the last generator E[a,b] is f e[a,b] + sum_c e[c,b] df/de[c,a]. Every
     coefficient is a positive int, so nothing cancels."""
     if not word:
-        return SymbolElement._raw((m,), {(): 1})
+        return SymbolElement.one(m)
     order, index = generator_order(m), _generator_index(m)
     g = word[-1]
     a, b = order[g]
@@ -268,41 +249,46 @@ def symbol(u: UglElement) -> SymbolElement:
     """The normal-ordered symbol in C[e_ab] of the Weyl image of u, for
     every n at once: ``ugl_to_weyl(u, n) == ev_n(symbol(u), n)``."""
     if not u:
-        return SymbolElement(u.m)
+        return SymbolElement.zero(u.m)
     return SymbolElement._scaled_sum([(c, _word_symbol(u.m, word)) for word, c in u.items()])
 
 
 def _evaluator(m: int, n: int):
-    """ev_n for one (m, n), with a memo over the prefixes of the sorted
-    words it has expanded: a word's image is its prefix's image times
-    sum_i x[a,i] D[b,i], expanded commutatively, since normal order is the
-    order of a symbol."""
+    """ev_n for one (m, n), with a memo of the images of the prefixes of
+    the sorted words it has expanded (see ``_word_image``)."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    order = generator_order(m)
     memo = {(): WeylElement.one(m, n)}
-
-    def image(word: tuple[int, ...]) -> WeylElement:
-        value = memo.get(word)
-        if value is None:
-            a, b = order[word[-1]]
-            terms: dict[WeylMonomial, int] = {}
-            for (alpha, beta), c in image(word[:-1]).items():
-                for i in range(n):
-                    x, d = list(alpha), list(beta)
-                    x[(a - 1) * n + i] += 1
-                    d[(b - 1) * n + i] += 1
-                    mono = WeylMonomial(tuple(x), tuple(d))
-                    terms[mono] = terms.get(mono, 0) + c
-            value = memo[word] = WeylElement._raw((m, n), terms)
-        return value
 
     def ev(f: SymbolElement) -> WeylElement:
         if not f:
             return WeylElement.zero(m, n)
-        return WeylElement._scaled_sum([(c, image(word)) for word, c in f.items()])
+        return WeylElement._scaled_sum([(c, _word_image(memo, word)) for word, c in f.items()])
 
     return ev
+
+
+def _word_image(memo: dict, word: tuple[int, ...]) -> WeylElement:
+    """The image of a sorted word, memoized in ``memo``, whose unit fixes
+    m and n: its prefix's image times sum_i x[a,i] D[b,i], expanded
+    commutatively, since normal order is the order of a symbol. The memo is
+    passed down, not closed over, so a dropped evaluator holds no reference
+    cycle and is freed at once."""
+    value = memo.get(word)
+    if value is None:
+        prefix = _word_image(memo, word[:-1])
+        m, n = prefix._space
+        a, b = generator_order(m)[word[-1]]
+        terms: dict[WeylMonomial, int] = {}
+        for (alpha, beta), c in prefix.items():
+            for i in range(n):
+                x, d = list(alpha), list(beta)
+                x[(a - 1) * n + i] += 1
+                d[(b - 1) * n + i] += 1
+                mono = WeylMonomial(tuple(x), tuple(d))
+                terms[mono] = terms.get(mono, 0) + c
+        value = memo[word] = WeylElement._raw((m, n), terms)
+    return value
 
 
 def ev_n(f: SymbolElement, n: int) -> WeylElement:
@@ -332,8 +318,9 @@ class Centrality:
 def is_central(u: UglElement) -> Centrality:
     """Check that u commutes with every generator of gl(m). A passing
     verdict is recorded on u, so ``hc_eigenvalue`` does not repeat it."""
+    algebra = EnvelopingAlgebra(u.m)
     for a, b in generator_order(u.m):
-        g = UglElement.generator(u.m, a, b)
+        g = algebra.gen(a, b)
         delta = ugl_multiply(u, g) - ugl_multiply(g, u)
         if delta:
             return Centrality(False, (a, b), delta)
@@ -366,22 +353,11 @@ def hc_eigenvalue(u: UglElement, weights: Sequence) -> int | Fraction:
 
 
 @dataclass(frozen=True)
-class EnvelopingAlgebra:
+class EnvelopingAlgebra(CoefficientAlgebra):
     """Factory handle for one rank; doubles as a tensor coefficient algebra."""
 
     m: int
 
-    def zero(self) -> UglElement:
-        return UglElement.zero(self.m)
+    element = UglElement
 
-    def one(self) -> UglElement:
-        return UglElement.one(self.m)
-
-    def scalar(self, value) -> UglElement:
-        return UglElement.constant(self.m, value)
-
-    def gen(self, a: int, b: int) -> UglElement:
-        return UglElement.generator(self.m, a, b)
-
-    sum = staticmethod(UglElement._sum)
-    scaled_sum = staticmethod(UglElement._scaled_sum)
+    gen = _generator

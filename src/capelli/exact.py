@@ -1,5 +1,6 @@
-"""Exact rational coefficients, stored as plain int whenever integral, and the
-sparse linear combination that every element type of the library is built on.
+"""Exact rational coefficients, stored as plain int whenever integral, the
+sparse linear combination that every element type of the library is built
+on, and the handle that makes one such algebra a coefficient algebra.
 
 Python promotes mixed int/Fraction arithmetic to Fraction and compares the
 two representations equal, so keeping integers unwrapped costs nothing in
@@ -10,11 +11,12 @@ unwraps every integral Fraction there.
 
 from __future__ import annotations
 
+from dataclasses import fields
 from fractions import Fraction
 from math import lcm
 from typing import Iterator
 
-__all__ = ["as_exact", "as_int", "SparseElement"]
+__all__ = ["as_exact", "as_int", "SparseElement", "CoefficientAlgebra"]
 
 
 def as_exact(value) -> int | Fraction:
@@ -43,11 +45,11 @@ class SparseElement:
     check on the canonical form. Coefficients are exact rationals, except in
     ``TensorElement``, whose coefficients live in an algebra.
 
-    A subclass supplies its named constructors, its product as a rule on
-    basis keys handed to ``_product``, ``_key`` (key validation),
-    ``_format_key``, ``_MISMATCH`` (the error message for mixed spaces,
-    formatted with both spaces) and ``_DESCENDING`` (the order of
-    ``support``, which is also the printing order).
+    A subclass supplies its product as a rule on basis keys handed to
+    ``_product``, ``_key`` (key validation), ``_unit`` (the key of the unit,
+    for ``one``), ``_format_key``, ``_MISMATCH`` (the error message for
+    mixed spaces, formatted with both spaces) and ``_DESCENDING`` (the order
+    of ``support``, which is also the printing order).
     """
 
     __slots__ = ("_space", "_terms")
@@ -80,6 +82,14 @@ class SparseElement:
         u = object.__new__(cls)
         u._store(space, terms)
         return u
+
+    @classmethod
+    def zero(cls, *space):
+        return cls._raw(space, {})
+
+    @classmethod
+    def one(cls, *space):
+        return cls._raw(space, {cls._unit(space): 1})
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -121,20 +131,11 @@ class SparseElement:
         return self._raw(self._space, {key: -c for key, c in self._terms.items()})
 
     def __rmul__(self, scalar):
+        # an integral Fraction product is unwrapped by _store
         scalar = as_exact(scalar)
         if not scalar:
             return self._raw(self._space, {})
-        # p/q times an int coefficient stays in ints when q divides p*c;
-        # only a nonzero remainder builds a Fraction
-        p, q = scalar.numerator, scalar.denominator
-        terms = {}
-        for key, c in self._terms.items():
-            if type(c) is int:
-                whole, rest = divmod(p * c, q)
-                terms[key] = Fraction(p * c, q) if rest else whole
-            else:
-                terms[key] = scalar * c
-        return self._raw(self._space, terms)
+        return self._raw(self._space, {key: scalar * c for key, c in self._terms.items()})
 
     def _product(u, v, rule):
         # bilinear extension of rule(key_u, key_v), which yields (key, c)
@@ -194,3 +195,37 @@ class SparseElement:
             else:
                 out.append(f" {'-' if c < 0 else '+'} {body}")
         return "".join(out)
+
+
+class CoefficientAlgebra:
+    """A handle on one algebra of ``SparseElement``s, usable as the
+    coefficient algebra of a ``TensorElement``.
+
+    A subclass is a frozen dataclass whose fields, in order, are the space
+    of its class attribute ``element``; it adds only its generators.
+    ``TensorElement`` and its functions use ``zero``, ``one``, ``sum``
+    (of a nonempty list of values) and ``scaled_sum`` (of a nonempty list
+    of (nonzero rational, value) pairs); ``scalar`` is a constant.
+    ``capelli.tensors.RationalAlgebra`` offers the same five methods over
+    plain rationals.
+    """
+
+    element: type[SparseElement]
+
+    def _space(self) -> tuple:
+        return tuple(getattr(self, field.name) for field in fields(self))
+
+    def zero(self):
+        return self.element.zero(*self._space())
+
+    def one(self):
+        return self.element.one(*self._space())
+
+    def scalar(self, value):
+        return as_exact(value) * self.one()
+
+    def sum(self, values):
+        return self.element._sum(values)
+
+    def scaled_sum(self, pairs):
+        return self.element._scaled_sum(pairs)

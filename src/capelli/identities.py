@@ -55,8 +55,8 @@ with 1..max_n and one evaluator cache for the whole sweep; no case is
 skipped. The shared work is timed into the report at the first n. Scaling
 by a Fraction (the division by the common denominator of Psi in
 ``lhs_theorem``/``rhs_theorem``, 1/dim mu, the proof steps' constants)
-stays in int arithmetic for int coefficients; see
-``SparseElement.__rmul__``.
+goes through ``SparseElement.__rmul__``, and an integral result is stored
+as an int by ``SparseElement._store``.
 
 A trace multiplies only the entries that reach it and forms only the
 outputs it keeps: trace(u . g) needs u only at the keys of

@@ -212,13 +212,9 @@ class GroupAlgebraElement(SparseElement):
             raise ValueError(f"term degree {p.degree} != {degree}")
         return p
 
-    @classmethod
-    def zero(cls, degree: int) -> GroupAlgebraElement:
-        return cls(degree, {})
-
-    @classmethod
-    def one(cls, degree: int) -> GroupAlgebraElement:
-        return cls(degree, {Permutation.identity(degree): 1})
+    @staticmethod
+    def _unit(space: tuple) -> Permutation:
+        return Permutation.identity(space[0])
 
     @classmethod
     def from_permutation(cls, p: Permutation) -> GroupAlgebraElement:
@@ -230,7 +226,7 @@ class GroupAlgebraElement(SparseElement):
         return as_exact(other) * self
 
     def _format_key(self, p: Permutation) -> str:
-        return "e" if p == Permutation.identity(self.degree) else p.to_cycles()
+        return "e" if p == self._unit(self._space) else p.to_cycles()
 
     def __repr__(self) -> str:
         return f"<GroupAlgebraElement deg={self.degree} {self}>"

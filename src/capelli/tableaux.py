@@ -38,7 +38,6 @@ __all__ = [
     "dimension",
     "content",
     "seminormal_matrix",
-    "adjacent_word",
     "psi",
     "character_element",
 ]

@@ -1,10 +1,11 @@
 """Tensor products of matrices over a pluggable coefficient algebra.
 
-A coefficient algebra is any handle providing ``zero()``, ``sum(values)``
-and ``scaled_sum((q, value) pairs)`` whose elements support +, -, * and ==
-on canonical forms, and ``one()`` for ``TensorElement.identity`` and
-``perm_tensor``; ``RationalAlgebra``, ``WeylAlgebra``, ``EnvelopingAlgebra``
-and the commutative ``SymbolAlgebra`` all qualify.
+A coefficient algebra is a ``capelli.exact.CoefficientAlgebra`` handle
+(``WeylAlgebra``, ``EnvelopingAlgebra`` or the commutative
+``SymbolAlgebra``), whose ``zero``, ``one``, ``sum`` and ``scaled_sum``
+come from its element class, or ``RationalAlgebra``, which offers the same
+methods over plain rationals. Elements support +, -, * and == on canonical
+forms.
 
 A k-fold tensor product of p x q matrices is stored sparsely as a map from
 multi-index pairs ((a1..ak), (b1..bk)) to coefficients, standing for
@@ -113,9 +114,8 @@ class TensorElement(SparseElement):
 
     @classmethod
     def identity(cls, algebra, k: int, m: int) -> TensorElement:
-        terms = {}
-        for rows in itertools.product(range(1, m + 1), repeat=k):
-            terms[(rows, rows)] = algebra.one()
+        one = algebra.one()
+        terms = {(rows, rows): one for rows in itertools.product(range(1, m + 1), repeat=k)}
         return cls(algebra, k, m, m, terms)
 
     def coefficient(self, rows: MultiIndex, cols: MultiIndex):
@@ -275,15 +275,10 @@ def right_mul_group_algebra(
         raise ValueError("factors must be square to act by place permutations")
     denom, nonzero = _place_operator(g, u.k, u.p)
     buckets: dict[tuple[MultiIndex, MultiIndex], list] = {}
-    if keys is None:
-        for (rows, cols), coeff in u.items():
-            for new, scale in nonzero[cols]:
+    for (rows, cols), coeff in u.items():
+        for new, scale in nonzero[cols]:
+            if keys is None or (rows, new) in keys:
                 buckets.setdefault((rows, new), []).append((scale, coeff))
-    else:
-        for (rows, cols), coeff in u.items():
-            for new, scale in nonzero[cols]:
-                if (rows, new) in keys:
-                    buckets.setdefault((rows, new), []).append((scale, coeff))
     inverse = Fraction(1, denom)
     terms = {}
     for key, pairs in buckets.items():

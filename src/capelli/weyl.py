@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import comb, factorial, perm, prod
 from typing import Iterator, NamedTuple
 
-from .exact import SparseElement, as_exact
+from .exact import CoefficientAlgebra, SparseElement, as_exact
 
 __all__ = ["WeylMonomial", "WeylElement", "WeylAlgebra", "weyl_multiply", "weyl_apply"]
 
@@ -54,26 +54,10 @@ class WeylElement(SparseElement):
             raise ValueError(f"monomial does not fit a {m}x{n} grid: {mono}")
         return mono
 
-    @classmethod
-    def zero(cls, m: int, n: int) -> WeylElement:
-        return cls(m, n)
-
-    @classmethod
-    def one(cls, m: int, n: int) -> WeylElement:
-        return cls.constant(m, n, 1)
-
-    @classmethod
-    def constant(cls, m: int, n: int, value) -> WeylElement:
-        empty = (0,) * (m * n)
-        return cls(m, n, {WeylMonomial(empty, empty): value})
-
-    @classmethod
-    def x(cls, m: int, n: int, a: int, i: int) -> WeylElement:
-        return cls(m, n, {WeylMonomial(_unit(m, n, a, i), (0,) * (m * n)): 1})
-
-    @classmethod
-    def d(cls, m: int, n: int, a: int, i: int) -> WeylElement:
-        return cls(m, n, {WeylMonomial((0,) * (m * n), _unit(m, n, a, i)): 1})
+    @staticmethod
+    def _unit(space: tuple) -> WeylMonomial:
+        empty = (0,) * (space[0] * space[1])
+        return WeylMonomial(empty, empty)
 
     def __mul__(self, other) -> WeylElement:
         if isinstance(other, WeylElement):
@@ -83,7 +67,7 @@ class WeylElement(SparseElement):
     def __pow__(self, exponent: int) -> WeylElement:
         if exponent < 0:
             raise ValueError("negative powers are not defined")
-        out = WeylElement.one(self.m, self.n)
+        out = self.one(*self._space)
         for _ in range(exponent):
             out = out * self
         return out
@@ -102,14 +86,6 @@ class WeylElement(SparseElement):
 
     def __repr__(self) -> str:
         return f"<WeylElement {self.m}x{self.n} {self}>"
-
-
-def _unit(m: int, n: int, a: int, i: int) -> tuple[int, ...]:
-    if not (1 <= a <= m and 1 <= i <= n):
-        raise ValueError(f"variable ({a},{i}) outside a {m}x{n} grid")
-    e = [0] * (m * n)
-    e[(a - 1) * n + (i - 1)] = 1
-    return tuple(e)
 
 
 def _mono_mul(
@@ -170,26 +146,25 @@ def weyl_apply(u: WeylElement, f: WeylElement) -> WeylElement:
 
 
 @dataclass(frozen=True)
-class WeylAlgebra:
+class WeylAlgebra(CoefficientAlgebra):
     """Factory handle for one grid size; doubles as a tensor coefficient algebra."""
 
     m: int
     n: int
 
-    def zero(self) -> WeylElement:
-        return WeylElement.zero(self.m, self.n)
-
-    def one(self) -> WeylElement:
-        return WeylElement.one(self.m, self.n)
-
-    def scalar(self, value) -> WeylElement:
-        return WeylElement.constant(self.m, self.n, value)
+    element = WeylElement
 
     def x(self, a: int, i: int) -> WeylElement:
-        return WeylElement.x(self.m, self.n, a, i)
+        return self._variable(a, i, x=True)
 
     def d(self, a: int, i: int) -> WeylElement:
-        return WeylElement.d(self.m, self.n, a, i)
+        return self._variable(a, i, x=False)
 
-    sum = staticmethod(WeylElement._sum)
-    scaled_sum = staticmethod(WeylElement._scaled_sum)
+    def _variable(self, a: int, i: int, x: bool) -> WeylElement:
+        m, n = self.m, self.n
+        if not (1 <= a <= m and 1 <= i <= n):
+            raise ValueError(f"variable ({a},{i}) outside a {m}x{n} grid")
+        e, empty = [0] * (m * n), (0,) * (m * n)
+        e[(a - 1) * n + (i - 1)] = 1
+        mono = WeylMonomial(tuple(e), empty) if x else WeylMonomial(empty, tuple(e))
+        return WeylElement._raw((m, n), {mono: 1})

@@ -242,11 +242,12 @@ def orthonormal_psi(T, T2) -> dict[Permutation, float]:
 
 def minor_determinant(m: int, n: int, r: int) -> WeylElement:
     """Leibniz expansion of the leading r x r minor of the coordinate matrix."""
-    out = WeylElement.zero(m, n)
+    algebra = WeylAlgebra(m, n)
+    out = algebra.zero()
     for images in itertools.permutations(range(1, r + 1)):
-        term = WeylElement.constant(m, n, Permutation(images).sign())
+        term = algebra.scalar(Permutation(images).sign())
         for a, i in enumerate(images, start=1):
-            term = term * WeylElement.x(m, n, a, i)
+            term = term * algebra.x(a, i)
         out = out + term
     return out
 

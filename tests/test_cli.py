@@ -240,3 +240,29 @@ def test_sweep_json_matches_golden_reports(capsys):
         del report["millis"]
     assert len(reports) == len(expected) == 104
     assert reports == expected
+
+
+def test_sweep_to_m3_json_matches_golden_reports(capsys):
+    # the m = 3 cases with n < m go through ev_n on a kernel that is not 0
+    golden = Path(__file__).parent / "data" / "sweep_k3_m3_n3.jsonl"
+    code, out = run(
+        ["verify", "sweep", "--max-k", "3", "--max-m", "3", "--max-n", "3", "--json"],
+        capsys,
+    )
+    assert code == 0
+    reports = [json.loads(line) for line in out.splitlines()]
+    for report in reports:
+        del report["millis"]
+    assert len(reports) == 214
+    assert "".join(json.dumps(report) + "\n" for report in reports) == golden.read_text()
+
+
+def test_immanant_pbw_json_matches_golden(capsys):
+    # every k = 4 quantum immanant at m = 3, printed in PBW form
+    golden = Path(__file__).parent / "data" / "immanant_k4_m3_pbw.jsonl"
+    out = []
+    for shape in ("4", "3,1", "2,2", "2,1,1", "1,1,1,1"):
+        code, text = run(["immanant", "--shape", shape, "--m", "3", "--print-pbw", "--json"], capsys)
+        assert code == 0
+        out.append(text)
+    assert "".join(out) == golden.read_text()

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 from fractions import Fraction
@@ -11,6 +12,7 @@ from capelli.enveloping import (
     SymbolAlgebra,
     SymbolElement,
     UglElement,
+    _evaluator,
     ev_n,
     generator_order,
     hc_eigenvalue,
@@ -380,3 +382,20 @@ def test_symbol_rule_for_one_commutator():
         SymbolElement(2, {(4,): 1})
     with pytest.raises(ValueError):
         e(3, 1)
+
+
+def test_dropped_evaluator_leaves_no_reference_cycle():
+    # the word-image memo of an evaluator must be freed by reference
+    # counting alone, without waiting for the cyclic collector
+    f = symbol(ugl_multiply(EnvelopingAlgebra(3).gen(1, 2), EnvelopingAlgebra(3).gen(2, 1)))
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        ev = _evaluator(3, 1)
+        assert ev(f)
+        del ev
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()

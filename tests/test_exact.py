@@ -1,12 +1,14 @@
 """The exact-coefficient invariant of the shared sparse core: every stored
 coefficient is a nonzero int or a non-integral Fraction, whatever produced it."""
 
+import operator
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from capelli.enveloping import EnvelopingAlgebra, UglElement
+from capelli.enveloping import EnvelopingAlgebra, SymbolAlgebra, UglElement
 from capelli.exact import SparseElement
 from capelli.identities import lhs_theorem
 from capelli.permutations import GroupAlgebraElement, Permutation
@@ -133,3 +135,46 @@ def test_rational_trace_is_int_when_integral():
     algebra = RationalAlgebra()
     assert type(algebra.sum([half, half])) is int
     assert type(algebra.scaled_sum([(half, 4), (3, Fraction(1, 3))])) is int
+
+
+HANDLES = {
+    "rational": (RationalAlgebra(), Fraction(1, 3)),
+    "weyl": (WeylAlgebra(2, 2), WeylAlgebra(2, 2).x(1, 2)),
+    "ugl": (EnvelopingAlgebra(2), EnvelopingAlgebra(2).gen(2, 1)),
+    "symbol": (SymbolAlgebra(2), SymbolAlgebra(2).var(1, 2)),
+}
+
+
+def stored(value):
+    # the stored coefficients of an element, or a rational as it is
+    return [c for _, c in value.items()] if isinstance(value, SparseElement) else [value]
+
+
+@pytest.mark.parametrize("kind", sorted(HANDLES))
+def test_coefficient_algebra_handle_protocol(kind):
+    algebra, gen = HANDLES[kind]
+    assert algebra.scalar(0) == algebra.zero()
+    two = algebra.scalar(Fraction(4, 2))
+    assert stored(two) == [2] and type(stored(two)[0]) is int
+    assert algebra.scalar(1) == algebra.one()
+    values = [algebra.one(), gen, algebra.scalar(Fraction(-2, 3)), gen * gen, gen]
+    assert algebra.sum(values) == reduce(operator.add, values)
+    scales = [Fraction(1, 2), 3, Fraction(-5, 6), -1, Fraction(1, 2)]
+    pairs = list(zip(scales, values))
+    assert algebra.scaled_sum(pairs) == reduce(operator.add, (q * v for q, v in pairs))
+    eye = TensorElement.identity(algebra, 2, 2)
+    assert len(eye) == 4
+    assert all(c == algebra.one() for _, c in eye.items())
+    assert eye.coefficient((1, 2), (2, 1)) == algebra.zero()
+
+
+def test_package_exports_the_union_of_the_module_lists():
+    import capelli
+    from capelli import enveloping, exact, identities, permutations, tableaux, tensors, weyl
+
+    modules = (enveloping, identities, permutations, tableaux, tensors, weyl)
+    union = {name for module in modules for name in module.__all__}
+    assert capelli.__all__ == sorted(union)
+    assert not set(capelli.__all__) & set(exact.__all__)
+    assert all(getattr(capelli, name) is getattr(module, name)
+               for module in modules for name in module.__all__)
