@@ -26,7 +26,9 @@ rule, right multiplication by a generator,
 
     f * E[a,b] = f e[a,b] + sum_c e[c,b] df/de[c,a],
 
-memoized per PBW word. ``ev_n`` maps a symbol to the Weyl operator at n by
+memoized per PBW word. The same rule (``_times_generator``) builds the
+theorem's left side, factor by factor, straight in C[e_ab], with no PBW
+straightening. ``ev_n`` maps a symbol to the Weyl operator at n by
 expanding each e[a,b] commutatively into normal-ordered monomials, and
 ``ugl_to_weyl`` is ev_n after ``symbol``. ev_n is injective exactly when
 n >= m; for n < m its kernel is the ideal of (n+1)-minors of [e[a,b]].
@@ -34,6 +36,7 @@ n >= m; for n < m its kernel is the ideal of (n+1)-minors of [e[a,b]].
 
 from __future__ import annotations
 
+from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -222,27 +225,43 @@ class SymbolAlgebra(CoefficientAlgebra):
     var = _generator
 
 
+def _times_generator(f: SymbolElement, a: int, b: int, shift=0) -> SymbolElement:
+    """The symbol of u (E[a,b] - shift delta_ab), f the symbol of u, by the
+    one right-action rule: f e[a,b] + sum_c e[c,b] df/de[c,a], less
+    shift f when a = b. Free of n."""
+    m = f.m
+    index = _generator_index(m)
+    g = index[(a, b)]
+    # e[c,a] -> e[c,b]: the derivative part trades one such letter
+    trade = {index[(c, a)]: index[(c, b)] for c in range(1, m + 1)}
+    terms: dict[tuple[int, ...], int] = {}
+    if shift and a == b:
+        terms = {w: -shift * coeff for w, coeff in f.items()}
+    for w, coeff in f.items():
+        key = _insert(w, g)
+        terms[key] = terms.get(key, 0) + coeff
+        previous = None
+        for i, v in enumerate(w):
+            if v != previous and v in trade:
+                key = _insert(w[:i] + w[i + 1 :], trade[v])
+                terms[key] = terms.get(key, 0) + w.count(v) * coeff
+            previous = v
+    return SymbolElement._raw((m,), {w: c for w, c in terms.items() if c})
+
+
+def _insert(word: tuple[int, ...], letter: int) -> tuple[int, ...]:
+    """The sorted word with one more letter."""
+    i = bisect(word, letter)
+    return word[:i] + (letter,) + word[i:]
+
+
 @lru_cache(maxsize=None)
 def _word_symbol(m: int, word: tuple[int, ...]) -> SymbolElement:
-    """The symbol of a PBW word, free of n: the symbol f of its prefix times
-    the last generator E[a,b] is f e[a,b] + sum_c e[c,b] df/de[c,a]. Every
-    coefficient is a positive int, so nothing cancels."""
+    """The symbol of a PBW word, free of n: its prefix's symbol times the
+    last generator (``_times_generator``)."""
     if not word:
         return SymbolElement.one(m)
-    order, index = generator_order(m), _generator_index(m)
-    g = word[-1]
-    a, b = order[g]
-    terms: dict[tuple[int, ...], int] = {}
-    for w, coeff in _word_symbol(m, word[:-1]).items():
-        key = tuple(sorted(w + (g,)))
-        terms[key] = terms.get(key, 0) + coeff
-        for v, run in groupby(w):
-            c, a_v = order[v]
-            if a_v == a:
-                i = w.index(v)
-                key = tuple(sorted(w[:i] + w[i + 1 :] + (index[(c, b)],)))
-                terms[key] = terms.get(key, 0) + len(list(run)) * coeff
-    return SymbolElement._raw((m,), terms)
+    return _times_generator(_word_symbol(m, word[:-1]), *generator_order(m)[word[-1]])
 
 
 def symbol(u: UglElement) -> SymbolElement:

@@ -17,10 +17,29 @@ Both sides are computed as normal-ordered symbols in C[e_ab], free of n
 is a polynomial in e[a,b] = sum_i x[a,i] xi[b,i]. The right side
 X^(x k) . (D')^(x k) is already normal ordered, and its entry (rows, cols)
 is the monomial prod_t e[rows_t, cols_t]: the k-fold ``tensor_product`` of
-the matrix [e_ab]. The left side is built over U(gl(m)), where products are
-straightening-memo lookups, and mapped entrywise by ``symbol``. Both are
+the matrix [e_ab]. The left side is built straight in C[e_ab], one factor
+at a time, by the right action of E[a,b] - c delta_ab on the symbol of
+each prefix (``enveloping._times_generator``, the rule ``symbol`` uses per
+PBW word), so the theorem never straightens a PBW word. Both are
 multiplied by Psi over symbols, and the two symbol tensors are compared
 once.
+
+The comparison is made on a column basis of P, the int place operator of
+D Psi(T,T') (D below). Column new of L . P is L times column new of P, and
+``_certified_basis`` picks output columns J whose columns of P are a basis
+of P's column space, by exact elimination over Q (``_column_basis``).
+Every other column is a rational combination of those, and both sides are
+a tensor times the same P, so they agree everywhere exactly when they agree
+on J, and so do their ev_n images, since ev_n is linear entrywise. |J| is
+certified against the rank of P, the trace of the idempotent
+(dim mu / k!) Psi(T,T), (dim mu / k!) sum_s c_s m^#cycles(s); a mismatch
+raises ``ArithmeticError``. Only the left side is formed on J alone (P's
+rows cut to J once, in ``right_mul_group_algebra``); the right side is
+formed whole, since its entries of [e_ab]^(x k) are single monomials and
+it gives the term counts and the ev_n images for n < m. A pair whose left
+side equals the right side on J takes the whole right side for both; one
+that differs there has its whole left side formed, so a failing report is
+that of the whole products.
 
 The left side is built only on the keys whose cols lie in the column
 support of Psi(T,T), the cols of ``trace_support(psi(T, T), k, m)``, once
@@ -74,7 +93,7 @@ is the entrywise image of the U(gl(m)) one. A left symbol equal to the
 right one takes the right side's image.
 
 Every report whose verdict is lhs == rhs is built by ``_report``; a failing
-one names what ``describe(lhs - rhs)`` returns.
+one names what ``describe(lhs, rhs)`` returns.
 """
 
 from __future__ import annotations
@@ -83,7 +102,6 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache, partial
-from itertools import product
 from math import factorial, lcm
 
 from .enveloping import (
@@ -92,6 +110,7 @@ from .enveloping import (
     SymbolElement,
     UglElement,
     _evaluator,
+    _times_generator,
     ev_n,
     symbol,
 )
@@ -107,6 +126,7 @@ from .tableaux import (
 )
 from .tensors import (
     TensorElement,
+    _column_basis,
     full_trace,
     right_mul_group_algebra,
     tensor_matmul,
@@ -170,13 +190,6 @@ def build_D(m: int, n: int) -> TensorElement:
     )
 
 
-def _symbol_image(u: TensorElement) -> TensorElement:
-    """A tensor over U(gl(m)) mapped entrywise to symbols in C[e_ab]; the
-    symbol map is injective, so no entry vanishes and u's keys serve."""
-    terms = {key: symbol(c) for key, c in u.items()}
-    return TensorElement._raw((SymbolAlgebra(u.algebra.m), u.k, u.p, u.q), terms)
-
-
 def _weyl_image(u: TensorElement, n: int, ev=None) -> TensorElement:
     """A symbol tensor mapped entrywise into the m x n Weyl algebra by ev_n
     (``ev``, or a fresh ``_evaluator``); entries whose image is 0 are
@@ -211,12 +224,30 @@ def _shifted_product(T: StandardTableau, m: int) -> TensorElement:
     """The symbol tensor of (E - c_T(1)) (x) ... (x) (E - c_T(k)), cached
     per tableau and free of n, on the keys whose cols lie in the column
     support of Psi(T,T) only: every Psi(T,T') reads no other column (see the
-    module docstring). Every entry is built over U(gl(m)), where products
-    are lookups in the straightening memo, and mapped to its symbol."""
-    k = T.size
+    module docstring). Built straight in C[e_ab], one factor at a time: an
+    entry's symbol times E[a,b] - c delta_ab is ``_times_generator``, and
+    level t keeps only the cols that start a support column."""
+    k, span = T.size, range(1, m + 1)
     support = {cols for _, cols in trace_support(psi(T, T), k, m)}
-    keys = [(rows, cols) for rows in product(range(1, m + 1), repeat=k) for cols in support]
-    return _symbol_image(tensor_product(_shifted_factors(m, _contents(T)), keys))
+    level = {((), ()): SymbolElement.one(m)}
+    for t, c in enumerate(_contents(T), 1):
+        prefixes = {cols[:t] for cols in support}
+        level = {
+            (rows + (a,), cols + (b,)): entry
+            for (rows, cols), f in level.items()
+            for b in span
+            if cols + (b,) in prefixes
+            for a in span
+            if (entry := _times_generator(f, a, b, c))
+        }
+    # each entry was built with its own word tuples; the cached tensor
+    # keeps one tuple per distinct word
+    words: dict[tuple[int, ...], tuple[int, ...]] = {}
+    level = {
+        key: SymbolElement._raw((m,), {words.setdefault(w, w): c for w, c in f.items()})
+        for key, f in level.items()
+    }
+    return TensorElement._raw((SymbolAlgebra(m), k, m, m), level)
 
 
 @lru_cache(maxsize=None)
@@ -251,14 +282,55 @@ def _contents(T: StandardTableau) -> tuple[int, ...]:
     return tuple(T.content(r) for r in range(1, T.size + 1))
 
 
-def _lhs_symbols(T: StandardTableau, g: GroupAlgebraElement, m: int) -> TensorElement:
-    """The symbols of the left side times g, a multiple of some Psi(T,T')."""
-    return right_mul_group_algebra(_shifted_product(T, m), g)
+def _lhs_symbols(
+    T: StandardTableau, g: GroupAlgebraElement, m: int, columns=None
+) -> TensorElement:
+    """The symbols of the left side times g, a multiple of some Psi(T,T'),
+    at the output cols in ``columns`` only if it is given."""
+    return right_mul_group_algebra(_shifted_product(T, m), g, columns=columns)
 
 
 def _rhs_symbols(g: GroupAlgebraElement, m: int) -> TensorElement:
     """The symbols of the right side times g."""
     return right_mul_group_algebra(_xd_product(g.degree, m), g)
+
+
+def _cycle_count(images: tuple[int, ...]) -> int:
+    """The number of cycles, fixed points included, of a permutation given
+    by its images."""
+    seen, count = set(), 0
+    for start in images:
+        if start not in seen:
+            count += 1
+            while start not in seen:
+                seen.add(start)
+                start = images[start - 1]
+    return count
+
+
+def _certified_basis(T: StandardTableau, g: GroupAlgebraElement, m: int) -> set:
+    """The output cols of a column basis of the place operator P of g, a
+    nonzero multiple of Psi(T,T'), certified against P's rank. A matrix
+    unit has the rank of the diagonal one, and the rank of the idempotent
+    (dim mu / k!) Psi(T,T) is its trace on the m^k columns,
+    (dim mu / k!) sum_s c_s m^#cycles(s) over the coefficients c_s of
+    Psi(T,T), since a place permutation s fixes m^#cycles(s) columns. That
+    rank is dim V_mu(gl(m)) (Schur-Weyl duality)."""
+    k, terms = T.size, list(psi(T, T).items())
+    # the trace in ints: every c_s cleared by the lcm of the denominators
+    denom = lcm(*(c.denominator for _, c in terms))
+    trace = sum(
+        c.numerator * (denom // c.denominator) * m ** _cycle_count(s.images)
+        for s, c in terms
+    )
+    rank = Fraction(dimension(T.shape) * trace, factorial(k) * denom)
+    basis = _column_basis(g, k, m)
+    if len(basis) != rank:
+        raise ArithmeticError(
+            f"column basis for T={T} at m={m} has {len(basis)} columns, "
+            f"but the place operator has rank {rank}"
+        )
+    return set(basis)
 
 
 def lhs_theorem(
@@ -279,35 +351,37 @@ def _first_monomial(delta: WeylElement) -> str:
     return delta._format_key(delta.support()[0]) or "1"
 
 
-def _first_entry(n: int, delta: TensorElement) -> str:
-    """The theorem's ``describe``: the first key, in sorted order, of a
-    tensor difference and the leading Weyl monomial of its entry there; a
-    symbol entry is mapped by ev_n first."""
-    key = delta.support()[0]
-    entry = delta.coefficient(*key)
+def _first_entry(n: int, lhs: TensorElement, rhs: TensorElement) -> str:
+    """The theorem's ``describe``: the first key, in sorted order, where two
+    tensors differ and the leading Weyl monomial of the difference of their
+    entries there; a symbol entry is mapped by ev_n first. Only that one
+    entry's difference is formed, not the whole tensor difference."""
+    a, b, zero = lhs._terms, rhs._terms, lhs.algebra.zero()
+    key = min(key for key in a.keys() | b.keys() if a.get(key, zero) != b.get(key, zero))
+    entry = a.get(key, zero) - b.get(key, zero)
     if isinstance(entry, SymbolElement):
         entry = ev_n(entry, n)
     return f"at {key}: lhs != rhs first monomial {_first_monomial(entry)}"
 
 
-def _trace_differs(delta: WeylElement) -> str:
-    return f"trace differs, first monomial {_first_monomial(delta)}"
+def _trace_differs(lhs: WeylElement, rhs: WeylElement) -> str:
+    return f"trace differs, first monomial {_first_monomial(lhs - rhs)}"
 
 
-def _first_term(delta: GroupAlgebraElement) -> str:
-    return f"first term {delta.support()[0]}"
+def _first_term(lhs: GroupAlgebraElement, rhs: GroupAlgebraElement) -> str:
+    return f"first term {(lhs - rhs).support()[0]}"
 
 
 def _report(case: str, lhs, rhs, start: float, describe) -> VerificationReport:
     """The report of the check lhs == rhs, timed from ``start``; a failure
-    is described by ``describe(lhs - rhs)``."""
+    is described by ``describe(lhs, rhs)``."""
     outcome = lhs == rhs
     return VerificationReport(
         case=case,
         outcome=outcome,
         lhs_terms=len(lhs),
         rhs_terms=len(rhs),
-        first_diff=None if outcome else describe(lhs - rhs),
+        first_diff=None if outcome else describe(lhs, rhs),
         millis=(time.perf_counter() - start) * 1000.0,
     )
 
@@ -341,11 +415,22 @@ def _theorem_reports(
     reports = {n: [] for n in ns}
     for T, T2 in pairs:
         start = time.perf_counter()
+        # built before the pair's place operator, which its trace support
+        # would otherwise evict from the one-entry memo
+        _shifted_product(T, m)
         # D Psi, D the lcm of Psi's denominators, has int coefficients
         g = psi(T, T2)
         g = lcm(*(c.denominator for _, c in g.items())) * g
-        lhs, rhs = _lhs_symbols(T, g, m), _rhs_symbols(g, m)
-        same = lhs == rhs
+        rhs = _rhs_symbols(g, m)
+        # both sides are tensors times the same P, so they agree exactly
+        # when they agree on a column basis J of P; a failing pair gets
+        # the whole left side, for the same counts and first_diff
+        basis = _certified_basis(T, g, m)
+        lhs = _lhs_symbols(T, g, m, basis)
+        same = lhs == TensorElement._raw(
+            rhs._space, {key: c for key, c in rhs.items() if key[1] in basis}
+        )
+        lhs = rhs if same else _lhs_symbols(T, g, m)
         for n in ns:
             case = f"theorem shape={shape} T={T} T'={T2} m={m} n={n}"
             ev = evaluator(m, n)

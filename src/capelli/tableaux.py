@@ -100,16 +100,17 @@ class Partition:
 def all_partitions(k: int) -> list[Partition]:
     """All partitions of k in descending lexicographic order."""
     out: list[Partition] = []
-
-    def build(remaining: int, bound: int, prefix: list[int]) -> None:
-        if remaining == 0:
-            out.append(Partition(prefix))
-            return
-        for part in range(min(remaining, bound), 0, -1):
-            build(remaining - part, part, prefix + [part])
-
-    build(k, k, [])
+    _build_partitions(k, k, [], out)
     return out
+
+
+def _build_partitions(remaining: int, bound: int, prefix: list[int], out: list) -> None:
+    # the state is passed down, not closed over, so no reference cycle is left
+    if remaining == 0:
+        out.append(Partition(prefix))
+        return
+    for part in range(min(remaining, bound), 0, -1):
+        _build_partitions(remaining - part, part, prefix + [part], out)
 
 
 class StandardTableau:
@@ -199,24 +200,23 @@ def content(tableau: StandardTableau, r: int) -> int:
 
 @lru_cache(maxsize=None)
 def _enumerate_cached(parts: tuple[int, ...]) -> tuple[StandardTableau, ...]:
-    # depth first, entry by entry; each row has at most one addable cell, so
-    # trying rows top to bottom visits the position sequences in order
-    k = sum(parts)
-    rows = [[] for _ in parts]
-    out = []
-
-    def place(entry: int) -> None:
-        if entry > k:
-            out.append(StandardTableau(rows))
-            return
-        for i, row in enumerate(rows):
-            if len(row) < parts[i] and (i == 0 or len(row) < len(rows[i - 1])):
-                row.append(entry)
-                place(entry + 1)
-                row.pop()
-
-    place(1)
+    out: list[StandardTableau] = []
+    _place(parts, [[] for _ in parts], 1, out)
     return tuple(out)
+
+
+def _place(parts: tuple[int, ...], rows: list[list[int]], entry: int, out: list) -> None:
+    # depth first, entry by entry; each row has at most one addable cell, so
+    # trying rows top to bottom visits the position sequences in order. The
+    # state is passed down, not closed over, so no reference cycle is left
+    if entry > sum(parts):
+        out.append(StandardTableau(rows))
+        return
+    for i, row in enumerate(rows):
+        if len(row) < parts[i] and (i == 0 or len(row) < len(rows[i - 1])):
+            row.append(entry)
+            _place(parts, rows, entry + 1, out)
+            row.pop()
 
 
 def enumerate_standard_tableaux(shape: Partition) -> list[StandardTableau]:

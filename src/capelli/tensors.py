@@ -21,7 +21,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 from operator import itemgetter
 from typing import Iterable, Sequence
 
@@ -256,10 +256,11 @@ def right_mul_group_algebra(
     u: TensorElement,
     g: GroupAlgebraElement,
     keys: set[tuple[MultiIndex, MultiIndex]] | None = None,
+    columns: set[MultiIndex] | None = None,
 ) -> TensorElement:
     """u times the place-permutation image of a group algebra element, or,
-    given a set ``keys`` of output keys (rows, cols), only its entries at
-    those keys.
+    given a set ``keys`` of output keys (rows, cols) or a set ``columns`` of
+    output cols, only its entries at those.
 
     Computed as (1/D) (u . P) with D and P from ``_place_operator``.
     Cancellation happens in P before any coefficient of u is touched; only
@@ -269,11 +270,18 @@ def right_mul_group_algebra(
     division by D touches only the kept outputs. Given ``keys``, no output
     outside them is formed, summed or divided; a trace passes the diagonal
     keys (rows, rows), and each trace-support entry of u then forms one
-    scaled pair.
+    scaled pair. Given ``columns``, the rows of P keep only those output
+    columns, once, before the loop; the theorem passes a column basis of P
+    (``_column_basis``).
     """
     if u.p != u.q:
         raise ValueError("factors must be square to act by place permutations")
     denom, nonzero = _place_operator(g, u.k, u.p)
+    if columns is not None:
+        nonzero = {
+            cols: [(new, scale) for new, scale in row if new in columns]
+            for cols, row in nonzero.items()
+        }
     buckets: dict[tuple[MultiIndex, MultiIndex], list] = {}
     for (rows, cols), coeff in u.items():
         for new, scale in nonzero[cols]:
@@ -286,6 +294,49 @@ def right_mul_group_algebra(
         if total:
             terms[key] = total if denom == 1 else inverse * total
     return TensorElement._raw(u._space, terms)
+
+
+def _column_basis(g: GroupAlgebraElement, k: int, m: int) -> list[MultiIndex]:
+    """Output columns ``new`` whose columns P[.][new] of the place operator
+    P of g (from ``_place_operator``) form a basis of P's column space, by
+    exact elimination over Q in ints.
+
+    The columns are taken in sorted order. Each is reduced against the
+    basis found so far, which is kept in echelon form on its least key: a
+    column whose least key is no basis vector's pivot is independent of
+    them and joins the basis with that pivot; otherwise that key is
+    eliminated, which leaves only larger keys, and the reduction goes on.
+    Every column is reduced, so a dependent column is never taken.
+    """
+    _, nonzero = _place_operator(g, k, m)
+    columns: dict[MultiIndex, dict[MultiIndex, int]] = {}
+    for cols, row in nonzero.items():
+        for new, scale in row:
+            columns.setdefault(new, {})[cols] = scale
+    pivots: dict[MultiIndex, dict[MultiIndex, int]] = {}
+    basis = []
+    for new in sorted(columns):
+        v = columns[new]
+        while v:
+            pivot = min(v)
+            b = pivots.get(pivot)
+            if b is None:
+                pivots[pivot] = v
+                basis.append(new)
+                break
+            # b[pivot] v - v[pivot] b vanishes at the pivot
+            bp, vp = b[pivot], v[pivot]
+            v = {key: bp * c for key, c in v.items()}
+            for key, c in b.items():
+                c = v.get(key, 0) - vp * c
+                if c:
+                    v[key] = c
+                else:
+                    del v[key]
+            if v:
+                divisor = gcd(*v.values())
+                v = {key: c // divisor for key, c in v.items()}
+    return basis
 
 
 def trace_support(

@@ -9,7 +9,9 @@ PBW bookkeeping, a ratio of determinants instead of a trace over U(gl(m)),
 Weyl products of the x and D entries instead of the image of a U(gl(m))
 product or of a normal-ordered symbol, the trace of the whole tensor with
 every output of the product formed instead of its trace support and its
-diagonal outputs.
+diagonal outputs, whole products compared instead of their columns on a
+basis of the place operator, PBW straightening and the symbol map instead
+of the right action of each factor on symbols.
 """
 
 from __future__ import annotations
@@ -18,7 +20,14 @@ import itertools
 import math
 from fractions import Fraction
 
-from capelli.enveloping import EnvelopingAlgebra, SymbolAlgebra, SymbolElement, UglElement
+import capelli.identities as identities
+from capelli.enveloping import (
+    EnvelopingAlgebra,
+    SymbolAlgebra,
+    SymbolElement,
+    UglElement,
+    symbol,
+)
 from capelli.permutations import Permutation
 from capelli.tableaux import (
     Partition,
@@ -33,6 +42,7 @@ from capelli.tensors import (
     right_mul_group_algebra,
     tensor_matmul,
     tensor_product,
+    trace_support,
 )
 from capelli.weyl import WeylAlgebra, WeylElement, WeylMonomial
 
@@ -168,6 +178,48 @@ def xd_weyl(k: int, m: int, n: int) -> TensorElement:
     X = TensorElement.matrix(w, [[w.x(a, i) for i in range(1, n + 1)] for a in range(1, m + 1)])
     Dt = TensorElement.matrix(w, [[w.d(b, i) for b in range(1, m + 1)] for i in range(1, n + 1)])
     return tensor_matmul(tensor_product([X] * k), tensor_product([Dt] * k))
+
+
+def symbol_image(u: TensorElement) -> TensorElement:
+    """A tensor over U(gl(m)) mapped entrywise to symbols in C[e_ab]."""
+    terms = {key: symbol(c) for key, c in u.items()}
+    return TensorElement._raw((SymbolAlgebra(u.algebra.m), u.k, u.p, u.q), terms)
+
+
+def ugl_shifted_symbols(T, m: int) -> TensorElement:
+    """The symbols of (E - c_T(1)) (x) ... (x) (E - c_T(k)) on the keys that
+    ``_shifted_product`` keeps (cols in the column support of Psi(T,T)),
+    built over U(gl(m)) with ``tensor_product``, whose products straighten
+    PBW words, and mapped entry by entry with ``symbol``, not built in
+    C[e_ab] by the right action of each factor."""
+    k = T.size
+    contents = tuple(T.content(r) for r in range(1, k + 1))
+    support = {cols for _, cols in trace_support(psi(T, T), k, m)}
+    keys = [
+        (rows, cols) for rows in itertools.product(range(1, m + 1), repeat=k) for cols in support
+    ]
+    return symbol_image(tensor_product(identities._shifted_factors(m, contents), keys))
+
+
+def whole_theorem_reports(shape: Partition, m: int, ns, evaluator) -> dict:
+    """The theorem's reports for every ordered tableau pair of the shape and
+    each n of ``ns``, from the whole products: both sides times D Psi(T,T'),
+    D the lcm of Psi's denominators, formed on every column by ``_lhs_symbols`` and
+    ``_rhs_symbols`` (looked up at call time, so a patched side is used),
+    compared whole, and reported by ``_theorem_report``; no column basis."""
+    tableaux = enumerate_standard_tableaux(shape)
+    reports = {n: [] for n in ns}
+    for T in tableaux:
+        for T2 in tableaux:
+            g = psi(T, T2)
+            g = math.lcm(*(c.denominator for _, c in g.items())) * g
+            lhs, rhs = identities._lhs_symbols(T, g, m), identities._rhs_symbols(g, m)
+            same = lhs == rhs
+            for n in ns:
+                case = f"theorem shape={shape} T={T} T'={T2} m={m} n={n}"
+                report = identities._theorem_report(case, lhs, rhs, same, n, evaluator(m, n), 0.0)
+                reports[n].append(report)
+    return reports
 
 
 def traced_immanant(shape: Partition, T, m: int) -> UglElement:

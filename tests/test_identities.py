@@ -1,6 +1,6 @@
 import itertools
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from math import factorial
 
 import pytest
@@ -13,6 +13,7 @@ from capelli.enveloping import (
     ugl_to_weyl,
 )
 from capelli.identities import (
+    _certified_basis,
     _first_entry,
     _lhs_symbols,
     _report,
@@ -20,6 +21,7 @@ from capelli.identities import (
     _shifted_product,
     _symbol_matrix,
     _theorem_report,
+    _theorem_reports,
     _traced,
     _weyl_image,
     build_D,
@@ -51,7 +53,18 @@ from capelli.tensors import (
     tensor_product,
 )
 from capelli.weyl import WeylAlgebra, WeylElement
-from oracles import cdet, exact_rank, shifted_weyl, traced_immanant, traced_xd, xd_weyl
+from oracles import (
+    cdet,
+    exact_rank,
+    gl_dimension,
+    shifted_weyl,
+    traced_immanant,
+    traced_xd,
+    ugl_shifted_symbols,
+    whole_theorem_reports,
+    xd_weyl,
+)
+from test_tensors import operator_columns
 
 
 def part(text):
@@ -410,8 +423,11 @@ def test_theorem_builds_no_left_side_for_a_shape_with_more_rows_than_m():
     reports = verify_theorem(shape, 2, 2)
     assert len(reports) == 9
     assert all(r.outcome and (r.lhs_terms, r.rhs_terms) == (0, 0) for r in reports)
-    for T in enumerate_standard_tableaux(shape):
+    tableaux = enumerate_standard_tableaux(shape)
+    for T in tableaux:
         assert not _shifted_product(T, 2)
+        # the rank certificate is 0, so the column basis J is empty
+        assert all(_certified_basis(T, psi(T, T2), 2) == set() for T2 in tableaux)
 
 
 def test_left_side_is_built_on_the_columns_of_the_diagonal_psi():
@@ -466,6 +482,21 @@ def _without_millis(reports):
     return [{k: v for k, v in r.to_dict().items() if k != "millis"} for r in reports]
 
 
+def _break_rhs_symbols(monkeypatch):
+    # the antipode s -> s^-1 sends Psi(T,T2) to a nonzero multiple of
+    # Psi(T2,T): the theorem's right side then fails off the diagonal
+    import capelli.identities as identities
+
+    rhs_symbols = identities._rhs_symbols
+    monkeypatch.setattr(
+        identities,
+        "_rhs_symbols",
+        lambda g, m: rhs_symbols(
+            GroupAlgebraElement(g.degree, {s.inverse(): c for s, c in g.items()}), m
+        ),
+    )
+
+
 @pytest.mark.parametrize("broken", [False, True], ids=["passing", "failing"])
 def test_sweep_equals_the_per_case_checks(broken, monkeypatch):
     # the sweep builds the symbols of each (shape, m) once for every n and
@@ -475,15 +506,8 @@ def test_sweep_equals_the_per_case_checks(broken, monkeypatch):
     import capelli.identities as identities
 
     if broken:
-        rhs_symbols, immanant = identities._rhs_symbols, identities.quantum_immanant
-        # the antipode s -> s^-1 sends Psi(T,T2) to a nonzero multiple of Psi(T2,T)
-        monkeypatch.setattr(
-            identities,
-            "_rhs_symbols",
-            lambda g, m: rhs_symbols(
-                GroupAlgebraElement(g.degree, {s.inverse(): c for s, c in g.items()}), m
-            ),
-        )
+        _break_rhs_symbols(monkeypatch)
+        immanant = identities.quantum_immanant
         monkeypatch.setattr(
             identities,
             "quantum_immanant",
@@ -500,6 +524,78 @@ def test_sweep_equals_the_per_case_checks(broken, monkeypatch):
     assert len(expected) == 214
     assert any(not r.outcome for r in expected) == broken
     assert _without_millis(sweep(3, 3, 3)) == _without_millis(expected)
+
+
+@pytest.mark.parametrize("broken", [False, True], ids=["passing", "failing"])
+def test_theorem_reports_on_a_column_basis_equal_the_whole_products(broken, monkeypatch):
+    # the verifier compares the two sides on a column basis J of the place
+    # operator and forms the whole left side only when they differ there;
+    # the oracle forms both sides whole and compares them whole. n = 1..m+1
+    # covers n < m, n = m and n > m, except at k = 4, m = 3, where the ev_n
+    # images at n < m would take most of a minute: there n >= m, where the
+    # n-free symbols alone decide, as they pick the n < m route. Broken,
+    # every pair off the diagonal fails, so the fallback runs as well
+    if broken:
+        _break_rhs_symbols(monkeypatch)
+    evaluator = cache(_evaluator)
+    outcomes = set()
+    for k in (1, 2, 3, 4):
+        for shape in all_partitions(k):
+            for m in (1, 2, 3):
+                ns = range(m if (k, m) == (4, 3) else 1, m + 2)
+                got = _theorem_reports(shape, m, ns, evaluator)
+                expected = whole_theorem_reports(shape, m, ns, evaluator)
+                for n in ns:
+                    assert _without_millis(got[n]) == _without_millis(expected[n]), (shape, m, n)
+                    outcomes |= {r.outcome for r in got[n]}
+    assert outcomes == ({True, False} if broken else {True})
+
+
+def test_shifted_product_built_in_symbols_equals_the_ugl_route():
+    # the right action of each factor E - c on symbols against the product
+    # over U(gl(m)), straightened, then mapped by ``symbol``
+    for k in (1, 2, 3, 4):
+        for shape in all_partitions(k):
+            for T in enumerate_standard_tableaux(shape):
+                for m in (1, 2, 3):
+                    assert _shifted_product(T, m) == ugl_shifted_symbols(T, m), (T, m)
+
+
+@pytest.mark.parametrize("k,ms", [(1, (1, 2, 3)), (2, (1, 2, 3)), (3, (1, 2, 3)), (4, (1, 2, 3)), (5, (2,))])
+def test_column_basis_has_the_dimension_of_the_gl_module(k, ms):
+    # |J| is the rank of the place operator of Psi(T,T'), which is
+    # dim V_mu(gl(m)) by Schur-Weyl duality: the hook-content formula is the
+    # oracle, and a dense Fraction elimination shows the J columns independent
+    for shape in all_partitions(k):
+        tableaux = enumerate_standard_tableaux(shape)
+        for m in ms:
+            dim = gl_dimension(shape.parts, m)
+            for T in tableaux:
+                for T2 in tableaux:
+                    g = psi(T, T2)
+                    basis = _certified_basis(T, g, m)
+                    assert len(basis) == dim, (T, T2, m)
+                    assert exact_rank(operator_columns(g, k, m, basis)) == dim, (T, T2, m)
+
+
+@pytest.mark.parametrize("change", ["short", "long"])
+def test_a_column_basis_of_the_wrong_size_raises(change, monkeypatch):
+    # an elimination that drops a basis column, or takes a dependent one,
+    # must fail the rank certificate instead of passing a weaker check
+    import capelli.identities as identities
+
+    column_basis = identities._column_basis
+
+    def wrong(g, k, m):
+        basis = column_basis(g, k, m)
+        if change == "short":
+            return basis[:-1]
+        columns = itertools.product(range(1, m + 1), repeat=k)
+        return basis + [next(cols for cols in columns if cols not in basis)]
+
+    monkeypatch.setattr(identities, "_column_basis", wrong)
+    with pytest.raises(ArithmeticError, match="rank 2"):
+        verify_theorem(part("2,1"), 2, 2)
 
 
 def test_report_serialization():

@@ -1,3 +1,4 @@
+import gc
 import random
 from fractions import Fraction
 from math import factorial, lcm
@@ -10,6 +11,7 @@ from capelli.tableaux import (
     Partition,
     RepMatrix,
     StandardTableau,
+    _enumerate_cached,
     adjacent_word,
     all_partitions,
     character_element,
@@ -87,6 +89,27 @@ def test_enumerate_examples():
     two = enumerate_standard_tableaux(part("2,1"))
     assert [str(t) for t in two] == ["[[1,2],[3]]", "[[1,3],[2]]"]
     assert len(enumerate_standard_tableaux(part("2,2"))) == 2
+
+
+def test_first_enumeration_leaves_no_reference_cycle():
+    # a shape's first enumeration, and every listing of partitions, must be
+    # freed by reference counting alone, without the cyclic collector; the
+    # memo's wrapped function enumerates afresh on every call
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        tableaux = _enumerate_cached.__wrapped__((3, 2, 1))
+        assert len(tableaux) == 16
+        del tableaux
+        assert gc.collect() == 0
+        shapes = all_partitions(6)
+        assert len(shapes) == 11
+        del shapes
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 @given(shape=partition_strategy())

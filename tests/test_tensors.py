@@ -24,6 +24,7 @@ from capelli.tableaux import (
 from capelli.tensors import (
     RationalAlgebra,
     TensorElement,
+    _column_basis,
     _place_operator,
     full_trace,
     perm_tensor,
@@ -33,7 +34,7 @@ from capelli.tensors import (
     trace_support,
 )
 from capelli.weyl import WeylAlgebra
-from oracles import gl_dimension, hook_count
+from oracles import exact_rank, gl_dimension, hook_count
 from test_exact import assert_canonical
 
 Q = RationalAlgebra()
@@ -330,6 +331,42 @@ def test_right_mul_on_keys_is_the_product_restricted_to_them(kind, keyset, data)
     kept = {key: c for key, c in full.items() if key in keys}
     assert result == TensorElement(u.algebra, u.k, u.p, u.q, kept)
     assert_canonical(result)
+
+
+@pytest.mark.parametrize("kind", sorted(ALGEBRAS))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_right_mul_on_columns_is_the_product_restricted_to_them(kind, data):
+    u, g = data.draw(right_mul_cases(kind))
+    indices = list(itertools.product(range(1, u.p + 1), repeat=u.k))
+    columns = data.draw(st.sets(st.sampled_from(indices)))
+    full = right_mul_group_algebra(u, g)
+    result = right_mul_group_algebra(u, g, columns=columns)
+    kept = {key: c for key, c in full.items() if key[1] in columns}
+    assert result == TensorElement(u.algebra, u.k, u.p, u.q, kept)
+    assert_canonical(result)
+
+
+def operator_columns(g, k, m, news):
+    # the columns P[.][new] of the place operator, as dense int vectors
+    _, place = _place_operator(g, k, m)
+    return [[dict(place[cols]).get(new, 0) for cols in sorted(place)] for new in news]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_column_basis_is_a_basis_of_the_column_space(data):
+    # the oracle is a dense Fraction elimination over every column: the
+    # chosen columns are independent and as many as the rank, so they span
+    k, m = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    g = _group_element(data.draw, k)
+    basis = _column_basis(g, k, m)
+    columns = list(itertools.product(range(1, m + 1), repeat=k))
+    rank = exact_rank(operator_columns(g, k, m, columns))
+    assert len(basis) == rank
+    assert len(set(basis)) == rank and set(basis) <= set(columns)
+    if basis:
+        assert exact_rank(operator_columns(g, k, m, basis)) == rank
 
 
 @pytest.mark.parametrize("kind", sorted(ALGEBRAS))
