@@ -204,9 +204,10 @@ def ugl_shifted_symbols(T, m: int) -> TensorElement:
 def whole_theorem_reports(shape: Partition, m: int, ns, evaluator) -> dict:
     """The theorem's reports for every ordered tableau pair of the shape and
     each n of ``ns``, from the whole products: both sides times D Psi(T,T'),
-    D the lcm of Psi's denominators, formed on every column by ``_lhs_symbols`` and
-    ``_rhs_symbols`` (looked up at call time, so a patched side is used),
-    compared whole, and reported by ``_theorem_report``; no column basis."""
+    D the lcm of Psi's denominators, formed on every column by
+    ``_lhs_symbols`` and ``_rhs_symbols`` (looked up at call time, so a
+    patched side is used), compared whole, and reported by
+    ``_theorem_report``; no column basis."""
     tableaux = enumerate_standard_tableaux(shape)
     reports = {n: [] for n in ns}
     for T in tableaux:

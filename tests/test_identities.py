@@ -561,7 +561,7 @@ def test_shifted_product_built_in_symbols_equals_the_ugl_route():
                     assert _shifted_product(T, m) == ugl_shifted_symbols(T, m), (T, m)
 
 
-@pytest.mark.parametrize("k,ms", [(1, (1, 2, 3)), (2, (1, 2, 3)), (3, (1, 2, 3)), (4, (1, 2, 3)), (5, (2,))])
+@pytest.mark.parametrize("k,ms", [(k, (1, 2, 3)) for k in (1, 2, 3, 4)] + [(5, (2,))])
 def test_column_basis_has_the_dimension_of_the_gl_module(k, ms):
     # |J| is the rank of the place operator of Psi(T,T'), which is
     # dim V_mu(gl(m)) by Schur-Weyl duality: the hook-content formula is the

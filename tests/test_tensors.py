@@ -306,7 +306,7 @@ def test_right_mul_is_a_right_action(data):
     )
 
 
-@pytest.mark.parametrize("keyset", ["subset", "diagonal", "empty", "unreached"])
+@pytest.mark.parametrize("keyset", ["subset", "diagonal", "empty", "unreached", "columns"])
 @pytest.mark.parametrize("kind", sorted(ALGEBRAS))
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
@@ -325,24 +325,17 @@ def test_right_mul_on_keys_is_the_product_restricted_to_them(kind, keyset, data)
         keys = {(rows, rows) for rows in indices}
     elif keyset == "empty":
         keys = set()
-    else:
+    elif keyset == "unreached":
         keys = set(every) - set(full.support())
-    result = right_mul_group_algebra(u, g, keys)
+    else:
+        # output columns instead of keys: every key whose cols are drawn
+        columns = data.draw(st.sets(st.sampled_from(indices)))
+        keys = {(rows, cols) for rows in indices for cols in columns}
+    if keyset == "columns":
+        result = right_mul_group_algebra(u, g, columns=columns)
+    else:
+        result = right_mul_group_algebra(u, g, keys)
     kept = {key: c for key, c in full.items() if key in keys}
-    assert result == TensorElement(u.algebra, u.k, u.p, u.q, kept)
-    assert_canonical(result)
-
-
-@pytest.mark.parametrize("kind", sorted(ALGEBRAS))
-@settings(max_examples=25, deadline=None)
-@given(data=st.data())
-def test_right_mul_on_columns_is_the_product_restricted_to_them(kind, data):
-    u, g = data.draw(right_mul_cases(kind))
-    indices = list(itertools.product(range(1, u.p + 1), repeat=u.k))
-    columns = data.draw(st.sets(st.sampled_from(indices)))
-    full = right_mul_group_algebra(u, g)
-    result = right_mul_group_algebra(u, g, columns=columns)
-    kept = {key: c for key, c in full.items() if key[1] in columns}
     assert result == TensorElement(u.algebra, u.k, u.p, u.q, kept)
     assert_canonical(result)
 
