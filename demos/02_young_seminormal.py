@@ -4,7 +4,6 @@ from capelli import (
     Partition,
     Permutation,
     character_element,
-    content,
     dimension,
     enumerate_standard_tableaux,
     psi,
@@ -15,7 +14,7 @@ shape = Partition.parse("2,1")
 tableaux = enumerate_standard_tableaux(shape)
 print(f"shape {shape}: dim = {dimension(shape)}")
 for T in tableaux:
-    contents = [content(T, r) for r in range(1, 4)]
+    contents = [T.content(r) for r in range(1, 4)]
     print(" ", T, "contents:", contents)
 
 # The seminormal representation is exact: every entry is a rational number.

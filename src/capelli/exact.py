@@ -1,6 +1,7 @@
 """Exact rational coefficients, stored as plain int whenever integral, the
 sparse linear combination that every element type of the library is built
-on, and the handle that makes one such algebra a coefficient algebra.
+on, and the handle that makes one such algebra a coefficient algebra, the
+one kind of coefficient a library ``TensorElement`` holds.
 
 Python promotes mixed int/Fraction arithmetic to Fraction and compares the
 two representations equal, so keeping integers unwrapped costs nothing in
@@ -205,9 +206,7 @@ class CoefficientAlgebra:
     of its class attribute ``element``; it adds only its generators.
     ``TensorElement`` and its functions use ``zero``, ``one``, ``sum``
     (of a nonempty list of values) and ``scaled_sum`` (of a nonempty list
-    of (nonzero rational, value) pairs); ``scalar`` is a constant.
-    ``capelli.tensors.RationalAlgebra`` offers the same five methods over
-    plain rationals.
+    of (nonzero rational, value) pairs); a constant c is ``c * one()``.
     """
 
     element: type[SparseElement]
@@ -220,9 +219,6 @@ class CoefficientAlgebra:
 
     def one(self):
         return self.element.one(*self._space())
-
-    def scalar(self, value):
-        return as_exact(value) * self.one()
 
     def sum(self, values):
         return self.element._sum(values)

@@ -415,9 +415,6 @@ def _theorem_reports(
     reports = {n: [] for n in ns}
     for T, T2 in pairs:
         start = time.perf_counter()
-        # built before the pair's place operator, which its trace support
-        # would otherwise evict from the one-entry memo
-        _shifted_product(T, m)
         # D Psi, D the lcm of Psi's denominators, has int coefficients
         g = psi(T, T2)
         g = lcm(*(c.denominator for _, c in g.items())) * g

@@ -146,9 +146,6 @@ class Permutation:
         fixed = self.degree - sum(lengths)
         return tuple(sorted(lengths + [1] * fixed, reverse=True))
 
-    def to_oneline(self) -> str:
-        return "[" + ",".join(str(v) for v in self.images) + "]"
-
     def to_cycles(self) -> str:
         cycles = self.cycles()
         if not cycles:

@@ -36,7 +36,6 @@ __all__ = [
     "all_partitions",
     "enumerate_standard_tableaux",
     "dimension",
-    "content",
     "seminormal_matrix",
     "psi",
     "character_element",
@@ -161,11 +160,9 @@ class StandardTableau:
         raise ValueError(f"entry {r} not in tableau of size {self.size}")
 
     def content(self, r: int) -> int:
+        """Column minus row of the cell holding r."""
         i, j = self.position(r)
         return j - i
-
-    def position_sequence(self) -> tuple[tuple[int, int], ...]:
-        return tuple(self.position(r) for r in range(1, self.size + 1))
 
     def remove_largest(self) -> StandardTableau:
         k = self.size
@@ -189,13 +186,6 @@ class StandardTableau:
 
     def __repr__(self) -> str:
         return f"StandardTableau({[list(r) for r in self.rows]})"
-
-
-def content(tableau: StandardTableau, r: int) -> int:
-    """Column minus row of the cell holding r."""
-    if not 1 <= r <= tableau.size:
-        raise ValueError(f"r={r} out of range 1..{tableau.size}")
-    return tableau.content(r)
 
 
 @lru_cache(maxsize=None)
@@ -293,26 +283,6 @@ class RepMatrix:
             " ".join(str(v) for v in row) for row in self.entries
         )
         return f"<RepMatrix {self.shape} [{rows}]>"
-
-
-def adjacent_word(p: Permutation) -> list[int]:
-    """Factor p into adjacent transpositions: p = s_w[0] . s_w[1] . ...
-
-    Bubble sort of the one-line notation; right-multiplying by each swap
-    reaches the identity, so the reversed swap list is a factorization.
-    """
-    a = list(p.images)
-    swaps: list[int] = []
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(a) - 1):
-            if a[i] > a[i + 1]:
-                a[i], a[i + 1] = a[i + 1], a[i]
-                swaps.append(i + 1)
-                changed = True
-    swaps.reverse()
-    return swaps
 
 
 @lru_cache(maxsize=None)

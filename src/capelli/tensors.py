@@ -3,63 +3,41 @@
 A coefficient algebra is a ``capelli.exact.CoefficientAlgebra`` handle
 (``WeylAlgebra``, ``EnvelopingAlgebra`` or the commutative
 ``SymbolAlgebra``), whose ``zero``, ``one``, ``sum`` and ``scaled_sum``
-come from its element class, or ``RationalAlgebra``, which offers the same
-methods over plain rationals. Elements support +, -, * and == on canonical
+come from its element class. Elements support +, -, * and == on canonical
 forms.
 
 A k-fold tensor product of p x q matrices is stored sparsely as a map from
 multi-index pairs ((a1..ak), (b1..bk)) to coefficients, standing for
 coeff (x) e[a1,b1] (x) ... (x) e[ak,bk]. A matrix is the case k = 1
-(``TensorElement.matrix``), so matrices add, scale, multiply (``@``) and
-transpose as tensors do. Coefficient products are always taken left factor
-first; nothing here assumes commutativity.
+(``TensorElement.matrix``), so matrices add, scale, multiply
+(``tensor_matmul``) and transpose as tensors do. Coefficient products are
+always taken left factor first; nothing here assumes commutativity. A
+group algebra element acts on the right through its int place operator
+(``_place_operator``), the one place-permutation operator of the library.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 from operator import itemgetter
 from typing import Iterable, Sequence
 
-from .exact import SparseElement, as_exact
+from .exact import SparseElement
 from .permutations import GroupAlgebraElement, Permutation
 
 __all__ = [
-    "RationalAlgebra",
     "TensorElement",
     "tensor_product",
     "tensor_matmul",
-    "perm_tensor",
     "right_mul_group_algebra",
     "trace_support",
     "full_trace",
 ]
 
 MultiIndex = tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class RationalAlgebra:
-    """The exact rationals as a coefficient algebra."""
-
-    def zero(self):
-        return 0
-
-    def one(self):
-        return 1
-
-    def scalar(self, value):
-        return as_exact(value)
-
-    def sum(self, values):
-        return as_exact(sum(values))
-
-    def scaled_sum(self, pairs):
-        return as_exact(sum(c * v for c, v in pairs))
 
 
 class TensorElement(SparseElement):
@@ -126,9 +104,6 @@ class TensorElement(SparseElement):
         algebra, k, p, q = self._space
         terms = {(cols, rows): c for (rows, cols), c in self._terms.items()}
         return self._raw((algebra, k, q, p), terms)
-
-    def __matmul__(self, other: TensorElement) -> TensorElement:
-        return tensor_matmul(self, other)
 
     def __str__(self) -> str:
         if not self._terms:
@@ -206,18 +181,6 @@ def tensor_matmul(u: TensorElement, v: TensorElement) -> TensorElement:
     return TensorElement._raw((u.algebra, u.k, u.p, v.q), terms)
 
 
-def perm_tensor(s: Permutation, m: int, algebra=RationalAlgebra()) -> TensorElement:
-    """The place-permutation operator: position t receives factor s^-1(t),
-    so the entry at ((a),(b)) is 1 exactly when b_j = a_s(j) for all j."""
-    k = s.degree
-    one = algebra.one()
-    terms = {}
-    for rows in itertools.product(range(1, m + 1), repeat=k):
-        cols = tuple(rows[s(j) - 1] for j in range(1, k + 1))
-        terms[(rows, cols)] = one
-    return TensorElement(algebra, k, m, m, terms)
-
-
 def _place_operator(
     g: GroupAlgebraElement, k: int, m: int
 ) -> tuple[int, dict[MultiIndex, list[tuple[MultiIndex, int]]]]:
@@ -225,14 +188,16 @@ def _place_operator(
     int place operator of D g on every column multi-index in 1..m, where
     P[cols][cols o s] is the sum of the int scales D c_s. Each row of P keeps
     only its nonzero entries, so cancellation happens here, in int
-    arithmetic. The last operator built is kept, so the trace support and
-    the products by one g share it."""
+    arithmetic. The last two operators built are kept: the trace support
+    and the products by one g share one, and a theorem pair's operator of
+    D Psi(T,T') outlives its tableau's left side reading the trace support
+    of Psi(T,T)."""
     if g.degree != k:
         raise ValueError(f"degree mismatch: {g.degree} vs k={k}")
     return _place_operator_of(k, m, tuple(g.items()))
 
 
-@lru_cache(maxsize=1)
+@lru_cache(maxsize=2)
 def _place_operator_of(k: int, m: int, terms: tuple[tuple[Permutation, Fraction], ...]):
     denom = lcm(*(c.denominator for _, c in terms))
     place: dict[MultiIndex, dict[MultiIndex, int]] = {

@@ -11,13 +11,18 @@ product or of a normal-ordered symbol, the trace of the whole tensor with
 every output of the product formed instead of its trace support and its
 diagonal outputs, whole products compared instead of their columns on a
 basis of the place operator, PBW straightening and the symbol map instead
-of the right action of each factor on symbols.
+of the right action of each factor on symbols, sums of explicit
+place-permutation tensors instead of the int place operator, plain
+rationals instead of a coefficient algebra of sparse elements, and a
+bubble-sort word in adjacent transpositions instead of the descent
+recursion.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import capelli.identities as identities
@@ -28,10 +33,10 @@ from capelli.enveloping import (
     UglElement,
     symbol,
 )
+from capelli.exact import as_exact
 from capelli.permutations import Permutation
 from capelli.tableaux import (
     Partition,
-    adjacent_word,
     character_element,
     enumerate_standard_tableaux,
     psi,
@@ -150,6 +155,35 @@ def naive_weyl_product(u: WeylElement, v: WeylElement) -> WeylElement:
     return WeylElement(m, n, terms)
 
 
+@dataclass(frozen=True)
+class RationalAlgebra:
+    """The exact rationals as a coefficient algebra."""
+
+    def zero(self):
+        return 0
+
+    def one(self):
+        return 1
+
+    def sum(self, values):
+        return as_exact(sum(values))
+
+    def scaled_sum(self, pairs):
+        return as_exact(sum(c * v for c, v in pairs))
+
+
+def perm_tensor(s: Permutation, m: int, algebra=RationalAlgebra()) -> TensorElement:
+    """The place-permutation operator: position t receives factor s^-1(t),
+    so the entry at ((a),(b)) is 1 exactly when b_j = a_s(j) for all j."""
+    k = s.degree
+    one = algebra.one()
+    terms = {}
+    for rows in itertools.product(range(1, m + 1), repeat=k):
+        cols = tuple(rows[s(j) - 1] for j in range(1, k + 1))
+        terms[(rows, cols)] = one
+    return TensorElement(algebra, k, m, m, terms)
+
+
 def shifted_weyl(contents: tuple[int, ...], m: int, n: int) -> TensorElement:
     """(E - c_1) (x) ... (x) (E - c_k) built in the Weyl algebra itself: each
     entry E[a,b] = sum_i x[a,i] D[b,i] is multiplied out from the x and D
@@ -161,7 +195,7 @@ def shifted_weyl(contents: tuple[int, ...], m: int, n: int) -> TensorElement:
         rows = [
             [
                 w.sum([w.x(a, i) * w.d(b, i) for i in range(1, n + 1)])
-                - (w.scalar(c) if a == b else w.zero())
+                - (c * w.one() if a == b else w.zero())
                 for b in span
             ]
             for a in span
@@ -248,6 +282,26 @@ def traced_xd(shape: Partition, m: int) -> SymbolElement:
     return full_trace(right_mul_group_algebra(whole, character_element(shape)))
 
 
+def adjacent_word(p: Permutation) -> list[int]:
+    """Factor p into adjacent transpositions: p = s_w[0] . s_w[1] . ...
+
+    Bubble sort of the one-line notation; right-multiplying by each swap
+    reaches the identity, so the reversed swap list is a factorization.
+    """
+    a = list(p.images)
+    swaps: list[int] = []
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(a) - 1):
+            if a[i] > a[i + 1]:
+                a[i], a[i + 1] = a[i + 1], a[i]
+                swaps.append(i + 1)
+                changed = True
+    swaps.reverse()
+    return swaps
+
+
 def orthonormal_matrix(shape: Partition, s: Permutation) -> list[list[float]]:
     """Floating-point model of the orthonormal representation: generator
     cross coefficients are both sqrt(1 - 1/d^2)."""
@@ -298,7 +352,7 @@ def minor_determinant(m: int, n: int, r: int) -> WeylElement:
     algebra = WeylAlgebra(m, n)
     out = algebra.zero()
     for images in itertools.permutations(range(1, r + 1)):
-        term = algebra.scalar(Permutation(images).sign())
+        term = Permutation(images).sign() * algebra.one()
         for a, i in enumerate(images, start=1):
             term = term * algebra.x(a, i)
         out = out + term

@@ -1,7 +1,7 @@
 import itertools
 from fractions import Fraction
 from functools import cache, partial
-from math import factorial
+from math import factorial, lcm
 
 import pytest
 
@@ -47,6 +47,7 @@ from capelli.tableaux import (
 )
 from capelli.tensors import (
     TensorElement,
+    _place_operator_of,
     full_trace,
     right_mul_group_algebra,
     tensor_matmul,
@@ -84,7 +85,7 @@ def test_build_E_entries():
 
 @pytest.mark.parametrize("m,n", [(1, 1), (2, 1), (2, 2), (3, 2)])
 def test_build_E_is_X_times_D_transpose(m, n):
-    assert build_E(m, n) == build_X(m, n) @ build_D(m, n).transpose()
+    assert build_E(m, n) == tensor_matmul(build_X(m, n), build_D(m, n).transpose())
 
 
 def test_lhs_k1_is_E():
@@ -430,6 +431,22 @@ def test_theorem_builds_no_left_side_for_a_shape_with_more_rows_than_m():
         assert all(_certified_basis(T, psi(T, T2), 2) == set() for T2 in tableaux)
 
 
+def test_theorem_builds_each_place_operator_once():
+    # the memo keeps two operators, so a pair's D Psi(T,T') survives its
+    # tableau's left side reading the trace support of Psi(T,T)
+    shape, m = part("3,1"), 2
+    tableaux = enumerate_standard_tableaux(shape)
+    operators = {tuple(psi(T, T).items()) for T in tableaux}
+    for T in tableaux:
+        for T2 in tableaux:
+            g = psi(T, T2)
+            operators.add(tuple((lcm(*(c.denominator for _, c in g.items())) * g).items()))
+    _shifted_product.cache_clear()
+    _place_operator_of.cache_clear()
+    _theorem_reports(shape, m, (m,), cache(_evaluator))
+    assert _place_operator_of.cache_info().misses == len(operators)
+
+
 def test_left_side_is_built_on_the_columns_of_the_diagonal_psi():
     # at m = 3, Psi(T,T) of shape 2,2 keeps 54 and 36 of the 81 columns; the
     # right side is built on every column, so equal symbols show that the
@@ -549,6 +566,28 @@ def test_theorem_reports_on_a_column_basis_equal_the_whole_products(broken, monk
                     assert _without_millis(got[n]) == _without_millis(expected[n]), (shape, m, n)
                     outcomes |= {r.outcome for r in got[n]}
     assert outcomes == ({True, False} if broken else {True})
+
+
+@pytest.mark.parametrize("broken", [False, True], ids=["passing", "failing"])
+def test_theorem_reports_do_not_depend_on_n_from_m_on(broken, monkeypatch):
+    # the symbols are free of n and ev_n is injective for n >= m, so a report
+    # at n = m stands for every n >= m: outcome, both term counts and
+    # first_diff agree at n = m, m + 1, m + 2. Broken, the 6 + 2 pairs off
+    # the diagonal of 3,1 and 2,2 fail at m = 2, at every n
+    if broken:
+        _break_rhs_symbols(monkeypatch)
+    for m in (1, 2):
+        ns = (m, m + 1, m + 2)
+        failures = 0
+        for shape in all_partitions(4):
+            reports = _theorem_reports(shape, m, ns, cache(_evaluator))
+            fields = {
+                n: [(r.outcome, r.lhs_terms, r.rhs_terms, r.first_diff) for r in reports[n]]
+                for n in ns
+            }
+            assert fields[m] == fields[m + 1] == fields[m + 2], (shape, m)
+            failures += sum(not outcome for outcome, *_ in fields[m])
+        assert failures == (8 if broken and m == 2 else 0), m
 
 
 def test_shifted_product_built_in_symbols_equals_the_ugl_route():

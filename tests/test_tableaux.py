@@ -12,16 +12,14 @@ from capelli.tableaux import (
     RepMatrix,
     StandardTableau,
     _enumerate_cached,
-    adjacent_word,
     all_partitions,
     character_element,
-    content,
     dimension,
     enumerate_standard_tableaux,
     psi,
     seminormal_matrix,
 )
-from oracles import hook_count, mn_character, orthonormal_psi
+from oracles import adjacent_word, hook_count, mn_character, orthonormal_psi
 
 
 def part(text):
@@ -120,7 +118,7 @@ def test_enumeration_count_matches_hook_formula(shape):
 @given(shape=partition_strategy(max_size=5))
 def test_enumeration_is_sorted_and_standard(shape):
     tableaux = enumerate_standard_tableaux(shape)
-    seqs = [t.position_sequence() for t in tableaux]
+    seqs = [tuple(t.position(r) for r in range(1, t.size + 1)) for t in tableaux]
     assert seqs == sorted(seqs)
     assert len(set(tableaux)) == len(tableaux)
     for t in tableaux:
@@ -129,13 +127,13 @@ def test_enumeration_is_sorted_and_standard(shape):
 
 def test_content_examples():
     T = tab("[[1,2],[3]]")
-    assert content(T, 2) == 1
-    assert content(T, 3) == -1
+    assert T.content(2) == 1
+    assert T.content(3) == -1
     for shape in all_partitions(4):
         for other in enumerate_standard_tableaux(shape):
-            assert content(other, 1) == 0
+            assert other.content(1) == 0
     with pytest.raises(ValueError):
-        content(T, 4)
+        T.content(4)
 
 
 def test_remove_largest():
