@@ -27,13 +27,14 @@ once.
 The comparison is made on a column basis of P, the int place operator of
 D Psi(T,T') (D below). Column new of L . P is L times column new of P, and
 ``_certified_basis`` picks output columns J whose columns of P are a basis
-of P's column space, by exact elimination over Q (``_column_basis``).
-Every other column is a rational combination of those, and both sides are
-a tensor times the same P, so they agree everywhere exactly when they agree
-on J, and so do their ev_n images, since ev_n is linear entrywise. |J| is
-certified against the rank of P, the trace of the idempotent
-(dim mu / k!) Psi(T,T), (dim mu / k!) sum_s c_s m^#cycles(s); a mismatch
-raises ``ArithmeticError``. Only the left side is formed on J alone (P's
+of P's column space, by exact elimination of P's rows over Q
+(``_column_basis``). Every other column is a rational combination of
+those, and both sides are a tensor times the same P, so they agree
+everywhere exactly when they agree on J, and so do their ev_n images,
+since ev_n is linear entrywise. |J| is certified against the rank of P,
+dim V_mu(gl(m)) by Schur-Weyl duality, which the hook-content formula
+gives from (mu, m) alone (``tableaux._gl_dimension``); a mismatch raises
+``ArithmeticError``. Only the left side is formed on J alone (P's
 rows cut to J once, in ``right_mul_group_algebra``); the right side is
 formed whole, since its entries of [e_ab]^(x k) are single monomials and
 it gives the term counts and the ev_n images for n < m. A pair whose left
@@ -118,6 +119,7 @@ from .permutations import GroupAlgebraElement, embed, ga_multiply, jm_element
 from .tableaux import (
     Partition,
     StandardTableau,
+    _gl_dimension,
     all_partitions,
     character_element,
     dimension,
@@ -295,36 +297,14 @@ def _rhs_symbols(g: GroupAlgebraElement, m: int) -> TensorElement:
     return right_mul_group_algebra(_xd_product(g.degree, m), g)
 
 
-def _cycle_count(images: tuple[int, ...]) -> int:
-    """The number of cycles, fixed points included, of a permutation given
-    by its images."""
-    seen, count = set(), 0
-    for start in images:
-        if start not in seen:
-            count += 1
-            while start not in seen:
-                seen.add(start)
-                start = images[start - 1]
-    return count
-
-
 def _certified_basis(T: StandardTableau, g: GroupAlgebraElement, m: int) -> set:
     """The output cols of a column basis of the place operator P of g, a
-    nonzero multiple of Psi(T,T'), certified against P's rank. A matrix
-    unit has the rank of the diagonal one, and the rank of the idempotent
-    (dim mu / k!) Psi(T,T) is its trace on the m^k columns,
-    (dim mu / k!) sum_s c_s m^#cycles(s) over the coefficients c_s of
-    Psi(T,T), since a place permutation s fixes m^#cycles(s) columns. That
-    rank is dim V_mu(gl(m)) (Schur-Weyl duality)."""
-    k, terms = T.size, list(psi(T, T).items())
-    # the trace in ints: every c_s cleared by the lcm of the denominators
-    denom = lcm(*(c.denominator for _, c in terms))
-    trace = sum(
-        c.numerator * (denom // c.denominator) * m ** _cycle_count(s.images)
-        for s, c in terms
-    )
-    rank = Fraction(dimension(T.shape) * trace, factorial(k) * denom)
-    basis = _column_basis(g, k, m)
+    nonzero multiple of Psi(T,T'), certified against P's rank. By Schur-Weyl
+    duality every Psi(T,T') of shape mu acts on (C^m)^(x k) with rank
+    dim V_mu(gl(m)), so the certificate depends on (mu, m) alone; an
+    operator of another rank raises."""
+    rank = _gl_dimension(T.shape, m)
+    basis = _column_basis(g, T.size, m)
     if len(basis) != rank:
         raise ArithmeticError(
             f"column basis for T={T} at m={m} has {len(basis)} columns, "

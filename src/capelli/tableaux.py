@@ -10,9 +10,10 @@ where cross(T) = 1 on the side with d > 0 and 1 - 1/d**2 on the other, so
 that the generator squares to the identity. When T' is not standard the
 cross term is absent and 1/d is +-1.
 
-Each builder is one forward recursion: tableaux fill addable cells top row
-first, which is already the order of their positions; rho(s) = rho(s . s_r)
-rho(s_r) at the first descent r; chi is the sum of the diagonal Psi(T, T).
+Each builder goes forward: tableaux fill addable cells level by level, top
+row first, which is already the order of their positions; rho(s) =
+rho(s . s_r) rho(s_r) at the first descent r; chi is the sum of the diagonal
+Psi(T, T).
 """
 
 from __future__ import annotations
@@ -190,23 +191,18 @@ class StandardTableau:
 
 @lru_cache(maxsize=None)
 def _enumerate_cached(parts: tuple[int, ...]) -> tuple[StandardTableau, ...]:
-    out: list[StandardTableau] = []
-    _place(parts, [[] for _ in parts], 1, out)
-    return tuple(out)
-
-
-def _place(parts: tuple[int, ...], rows: list[list[int]], entry: int, out: list) -> None:
-    # depth first, entry by entry; each row has at most one addable cell, so
-    # trying rows top to bottom visits the position sequences in order. The
-    # state is passed down, not closed over, so no reference cycle is left
-    if entry > sum(parts):
-        out.append(StandardTableau(rows))
-        return
-    for i, row in enumerate(rows):
-        if len(row) < parts[i] and (i == 0 or len(row) < len(rows[i - 1])):
-            row.append(entry)
-            _place(parts, rows, entry + 1, out)
-            row.pop()
+    # level by level, entry by entry, with no recursion: each row has at most
+    # one addable cell, so extending every filling in order by each such row,
+    # top row first, keeps the position sequences in order
+    level = [((),) * len(parts)]
+    for entry in range(1, sum(parts) + 1):
+        level = [
+            rows[:i] + (row + (entry,),) + rows[i + 1 :]
+            for rows in level
+            for i, row in enumerate(rows)
+            if len(row) < parts[i] and (i == 0 or len(row) < len(rows[i - 1]))
+        ]
+    return tuple(StandardTableau(rows) for rows in level)
 
 
 def enumerate_standard_tableaux(shape: Partition) -> list[StandardTableau]:
@@ -216,6 +212,19 @@ def enumerate_standard_tableaux(shape: Partition) -> list[StandardTableau]:
 
 def dimension(shape: Partition) -> int:
     return len(_enumerate_cached(shape.parts))
+
+
+def _gl_dimension(shape: Partition, m: int) -> int:
+    """dim V_mu(gl(m)) by the hook-content formula: the product over the
+    cells (i, j) of (m + j - i) / hook(i, j). It is 0 when mu has more than
+    m rows, since the cell (m + 1, 1) has content -m."""
+    parts = shape.parts
+    numerator = denominator = 1
+    for i, row in enumerate(parts):
+        for j in range(row):
+            numerator *= m + j - i
+            denominator *= row - j + sum(1 for below in parts[i + 1 :] if below > j)
+    return numerator // denominator
 
 
 class RepMatrix:

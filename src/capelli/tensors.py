@@ -230,14 +230,14 @@ def right_mul_group_algebra(
     Computed as (1/D) (u . P) with D and P from ``_place_operator``.
     Cancellation happens in P before any coefficient of u is touched; only
     the nonzero entries of P multiply u. (By Schur-Weyl duality the operator
-    of Psi(T,T') has rank dim V_mu(gl(m)), and is 0 when mu has more than m
-    rows.) The product is linear in g, so the result is exact, and the
-    division by D touches only the kept outputs. Given ``keys``, no output
-    outside them is formed, summed or divided; a trace passes the diagonal
-    keys (rows, rows), and each trace-support entry of u then forms one
-    scaled pair. Given ``columns``, the rows of P keep only those output
-    columns, once, before the loop; the theorem passes a column basis of P
-    (``_column_basis``).
+    of Psi(T,T') has rank dim V_mu(gl(m)), ``tableaux._gl_dimension``, and
+    is 0 when mu has more than m rows.) The product is linear in g, so the
+    result is exact, and the division by D touches only the kept outputs.
+    Given ``keys``, no output outside them is formed, summed or divided; a
+    trace passes the diagonal keys (rows, rows), and each trace-support
+    entry of u then forms one scaled pair. Given ``columns``, the rows of P
+    keep only those output columns, once, before the loop; the theorem
+    passes a column basis of P of that rank (``_column_basis``).
     """
     if u.p != u.q:
         raise ValueError("factors must be square to act by place permutations")
@@ -263,31 +263,26 @@ def right_mul_group_algebra(
 
 def _column_basis(g: GroupAlgebraElement, k: int, m: int) -> list[MultiIndex]:
     """Output columns ``new`` whose columns P[.][new] of the place operator
-    P of g (from ``_place_operator``) form a basis of P's column space, by
-    exact elimination over Q in ints.
+    P of g (from ``_place_operator``) form a basis of P's column space, in
+    sorted order, by exact elimination over Q in ints on P's rows.
 
-    The columns are taken in sorted order. Each is reduced against the
-    basis found so far, which is kept in echelon form on its least key: a
-    column whose least key is no basis vector's pivot is independent of
-    them and joins the basis with that pivot; otherwise that key is
-    eliminated, which leaves only larger keys, and the reduction goes on.
-    Every column is reduced, so a dependent column is never taken.
+    Each row, as stored, is reduced against the rows kept so far, each kept
+    with its pivot at its least output column: a row whose least column is
+    no pivot joins them with that pivot; otherwise that column is
+    eliminated, which leaves only larger ones, and the reduction goes on.
+    Every row is reduced, so the pivots are the least columns of P's row
+    space: the columns not in the span of the columns before them, which
+    is the greedy basis of the sorted columns.
     """
     _, nonzero = _place_operator(g, k, m)
-    columns: dict[MultiIndex, dict[MultiIndex, int]] = {}
-    for cols, row in nonzero.items():
-        for new, scale in row:
-            columns.setdefault(new, {})[cols] = scale
     pivots: dict[MultiIndex, dict[MultiIndex, int]] = {}
-    basis = []
-    for new in sorted(columns):
-        v = columns[new]
+    for row in nonzero.values():
+        v = dict(row)
         while v:
             pivot = min(v)
             b = pivots.get(pivot)
             if b is None:
                 pivots[pivot] = v
-                basis.append(new)
                 break
             # b[pivot] v - v[pivot] b vanishes at the pivot
             bp, vp = b[pivot], v[pivot]
@@ -301,7 +296,7 @@ def _column_basis(g: GroupAlgebraElement, k: int, m: int) -> list[MultiIndex]:
             if v:
                 divisor = gcd(*v.values())
                 v = {key: c // divisor for key, c in v.items()}
-    return basis
+    return sorted(pivots)
 
 
 def trace_support(

@@ -2,9 +2,10 @@
 
 Everything here recomputes expected values by a different route than the
 code under test: hook products instead of enumeration, hook-content
-products instead of place-operator traces, border-strip recursion instead
-of traces, one-step rewriting instead of the closed contraction formula,
-floating point instead of exact rationals, Leibniz determinants instead of
+products instead of place-operator traces, semistandard fillings counted
+one by one instead of the hook-content product, border-strip recursion
+instead of traces, one-step rewriting instead of the closed contraction
+formula, floating point instead of exact rationals, Leibniz determinants instead of
 PBW bookkeeping, a ratio of determinants instead of a trace over U(gl(m)),
 Weyl products of the x and D entries instead of the image of a U(gl(m))
 product or of a normal-ordered symbol, the trace of the whole tensor with
@@ -75,6 +76,20 @@ def gl_dimension(parts: tuple[int, ...], m: int) -> int:
             numerator *= m + j - i
             denominator *= (row - j) + (cols[j] - i) - 1
     return numerator // denominator
+
+
+def ssyt_count(parts: tuple[int, ...], m: int) -> int:
+    """Number of semistandard fillings of the shape with entries 1..m, rows
+    weakly and columns strictly increasing, by trying every filling."""
+    cells = [(i, j) for i, row in enumerate(parts) for j in range(row)]
+    count = 0
+    for values in itertools.product(range(1, m + 1), repeat=len(cells)):
+        filling = dict(zip(cells, values))
+        count += all(
+            (j == 0 or filling[i, j - 1] <= v) and (i == 0 or filling[i - 1, j] < v)
+            for (i, j), v in filling.items()
+        )
+    return count
 
 
 def mn_character(parts: tuple[int, ...], cycle_type: tuple[int, ...]) -> int:

@@ -147,6 +147,15 @@ def test_tableaux_json(capsys):
     assert payloads[0]["contents"] == [0, 1, -1]
 
 
+@pytest.mark.parametrize("shape", ["1200", ",".join(["1"] * 1200)], ids=["row", "column"])
+def test_tableaux_of_a_long_row_or_column(shape, capsys):
+    # the enumeration goes entry by entry without recursion, so a shape of
+    # more cells than the recursion limit has its one tableau listed
+    code, out = run(["tableaux", "--shape", shape, "--json"], capsys)
+    assert code == 0
+    assert len(out.splitlines()) == 1
+
+
 def test_bad_input_returns_error(capsys):
     code = cli.main(["verify", "theorem", "--shape", "1,2", "--m", "1", "--n", "1"])
     assert code == 2

@@ -637,6 +637,14 @@ def test_a_column_basis_of_the_wrong_size_raises(change, monkeypatch):
         verify_theorem(part("2,1"), 2, 2)
 
 
+def test_an_operator_of_the_wrong_rank_raises():
+    # the certificate is dim V_mu(gl(m)), read off the shape and m alone, so
+    # an operator that is no multiple of a Psi(T,T') of the shape fails it:
+    # the identity acts with rank 8 on (C^2)^(x 3), against 2 for shape 2,1
+    with pytest.raises(ArithmeticError, match="has 8 columns, but .* rank 2"):
+        _certified_basis(tab("[[1,2],[3]]"), GroupAlgebraElement.one(3), 2)
+
+
 def test_report_serialization():
     report = verify_theorem(part("2"), 1, 1)[0]
     payload = report.to_dict()

@@ -12,6 +12,7 @@ from capelli.tableaux import (
     RepMatrix,
     StandardTableau,
     _enumerate_cached,
+    _gl_dimension,
     all_partitions,
     character_element,
     dimension,
@@ -19,7 +20,7 @@ from capelli.tableaux import (
     psi,
     seminormal_matrix,
 )
-from oracles import adjacent_word, hook_count, mn_character, orthonormal_psi
+from oracles import adjacent_word, hook_count, mn_character, orthonormal_psi, ssyt_count
 
 
 def part(text):
@@ -113,6 +114,16 @@ def test_first_enumeration_leaves_no_reference_cycle():
 @given(shape=partition_strategy())
 def test_enumeration_count_matches_hook_formula(shape):
     assert dimension(shape) == hook_count(shape.parts)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_gl_dimension_counts_semistandard_fillings(m):
+    # dim V_mu(gl(m)) is the number of semistandard tableaux of shape mu with
+    # entries <= m, which is 0 when mu has more than m rows
+    for k in range(7):
+        for shape in all_partitions(k):
+            assert _gl_dimension(shape, m) == ssyt_count(shape.parts, m), (shape, m)
+            assert (_gl_dimension(shape, m) == 0) == (len(shape) > m), (shape, m)
 
 
 @given(shape=partition_strategy(max_size=5))

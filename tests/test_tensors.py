@@ -353,11 +353,16 @@ def test_column_basis_is_a_basis_of_the_column_space(data):
     g = _group_element(data.draw, k)
     basis = _column_basis(g, k, m)
     columns = list(itertools.product(range(1, m + 1), repeat=k))
-    rank = exact_rank(operator_columns(g, k, m, columns))
+    vectors = operator_columns(g, k, m, columns)
+    rank = exact_rank(vectors)
     assert len(basis) == rank
     assert len(set(basis)) == rank and set(basis) <= set(columns)
     if basis:
         assert exact_rank(operator_columns(g, k, m, basis)) == rank
+    # and it is the greedy basis of the sorted columns: a column is in it
+    # exactly when it raises the rank of the columns before it
+    ranks = [exact_rank(vectors[:t]) for t in range(len(columns) + 1)]
+    assert basis == [new for t, new in enumerate(columns) if ranks[t + 1] > ranks[t]]
 
 
 @pytest.mark.parametrize("kind", sorted(ALGEBRAS))
