@@ -86,6 +86,8 @@ def _cmd_immanant(args) -> int:
 
 
 def _weight(text: str) -> Fraction:
+    if "e" in text.lower():  # Fraction would build the integer 10**exponent
+        raise ValueError(f"weight {text!r}: use an integer, p/q or a decimal, no exponent")
     try:
         return Fraction(text)
     except ZeroDivisionError:
@@ -195,6 +197,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 2
 
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import fields
 from fractions import Fraction
-from math import lcm
 from typing import Iterator
 
 __all__ = ["as_exact", "as_int", "SparseElement", "CoefficientAlgebra"]
@@ -123,10 +122,11 @@ class SparseElement:
 
     def __add__(self, other):
         self._check(other)
-        return self._sum([self, other])
+        return self._scaled_sum([(1, self), (1, other)])
 
     def __sub__(self, other):
-        return self + (-other)
+        self._check(other)
+        return self._scaled_sum([(1, self), (-1, other)])
 
     def __neg__(self):
         return self._raw(self._space, {key: -c for key, c in self._terms.items()})
@@ -155,24 +155,16 @@ class SparseElement:
         return u._raw(u._space, terms)
 
     @classmethod
-    def _sum(cls, elements):
-        # sum of same-space elements
-        return cls._scaled_sum([(1, element) for element in elements])
-
-    @classmethod
     def _scaled_sum(cls, pairs):
-        # sum of scale * element over (nonzero scale, element) pairs, merged
-        # once in int arithmetic: at the first scale that is not an int, the
-        # scales are cleared to ints over the lcm D of their denominators and
-        # the sum is divided by D once, through __rmul__
+        # sum of scale * element over (nonzero rational scale, element)
+        # pairs, merged term by term in one pass; a coefficient is multiplied
+        # only when its scale is not 1, and _store unwraps every integral
+        # Fraction result
         terms = {}
         for scale, element in pairs:
-            if type(scale) is not int:
-                denom = lcm(*(s.denominator for s, _ in pairs))
-                cleared = [(s.numerator * (denom // s.denominator), e) for s, e in pairs]
-                return Fraction(1, denom) * cls._scaled_sum(cleared)
             for key, c in element._terms.items():
-                c = scale * c
+                if scale != 1:
+                    c = scale * c
                 if key in terms:
                     c = terms[key] + c
                     if not c:
@@ -204,9 +196,9 @@ class CoefficientAlgebra:
 
     A subclass is a frozen dataclass whose fields, in order, are the space
     of its class attribute ``element``; it adds only its generators.
-    ``TensorElement`` and its functions use ``zero``, ``one``, ``sum``
-    (of a nonempty list of values) and ``scaled_sum`` (of a nonempty list
-    of (nonzero rational, value) pairs); a constant c is ``c * one()``.
+    ``TensorElement`` and its functions use ``zero``, ``one`` and
+    ``scaled_sum`` (of a list of (nonzero rational, value) pairs, zero when
+    empty); a constant c is ``c * one()``.
     """
 
     element: type[SparseElement]
@@ -220,8 +212,5 @@ class CoefficientAlgebra:
     def one(self):
         return self.element.one(*self._space())
 
-    def sum(self, values):
-        return self.element._sum(values)
-
     def scaled_sum(self, pairs):
-        return self.element._scaled_sum(pairs)
+        return self.element._scaled_sum(pairs) if pairs else self.zero()

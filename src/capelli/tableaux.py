@@ -374,4 +374,4 @@ def character_element(shape: Partition) -> GroupAlgebraElement:
     # the coefficients of the diagonal Psi(T, T) at s^-1 add up to the trace
     # of rep(s), and a character takes the same value on s and s^-1
     tableaux = enumerate_standard_tableaux(shape)
-    return GroupAlgebraElement._sum([psi(T, T) for T in tableaux])
+    return GroupAlgebraElement._scaled_sum([(1, psi(T, T)) for T in tableaux])

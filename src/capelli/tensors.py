@@ -2,9 +2,8 @@
 
 A coefficient algebra is a ``capelli.exact.CoefficientAlgebra`` handle
 (``WeylAlgebra``, ``EnvelopingAlgebra`` or the commutative
-``SymbolAlgebra``), whose ``zero``, ``one``, ``sum`` and ``scaled_sum``
-come from its element class. Elements support +, -, * and == on canonical
-forms.
+``SymbolAlgebra``), whose ``zero``, ``one`` and ``scaled_sum`` come from
+its element class. Elements support +, -, * and == on canonical forms.
 
 A k-fold tensor product of p x q matrices is stored sparsely as a map from
 multi-index pairs ((a1..ak), (b1..bk)) to coefficients, standing for
@@ -172,10 +171,10 @@ def tensor_matmul(u: TensorElement, v: TensorElement) -> TensorElement:
         for cols, cv in by_row.get(mids, ()):
             prod = cu * cv
             if prod:
-                buckets.setdefault((rows, cols), []).append(prod)
+                buckets.setdefault((rows, cols), []).append((1, prod))
     terms = {}
-    for key, values in buckets.items():
-        total = u.algebra.sum(values)
+    for key, pairs in buckets.items():
+        total = u.algebra.scaled_sum(pairs)
         if total:
             terms[key] = total
     return TensorElement._raw((u.algebra, u.k, u.p, v.q), terms)
@@ -318,7 +317,4 @@ def full_trace(u: TensorElement):
     algebra."""
     if u.p != u.q:
         raise ValueError("trace needs square factors")
-    diagonal = [coeff for (rows, cols), coeff in u.items() if rows == cols]
-    if not diagonal:
-        return u.algebra.zero()
-    return u.algebra.sum(diagonal)
+    return u.algebra.scaled_sum([(1, c) for (rows, cols), c in u.items() if rows == cols])

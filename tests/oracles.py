@@ -180,9 +180,6 @@ class RationalAlgebra:
     def one(self):
         return 1
 
-    def sum(self, values):
-        return as_exact(sum(values))
-
     def scaled_sum(self, pairs):
         return as_exact(sum(c * v for c, v in pairs))
 
@@ -209,7 +206,7 @@ def shifted_weyl(contents: tuple[int, ...], m: int, n: int) -> TensorElement:
     for c in contents:
         rows = [
             [
-                w.sum([w.x(a, i) * w.d(b, i) for i in range(1, n + 1)])
+                w.scaled_sum([(1, w.x(a, i) * w.d(b, i)) for i in range(1, n + 1)])
                 - (c * w.one() if a == b else w.zero())
                 for b in span
             ]

@@ -1,8 +1,10 @@
 import json
 import os
 import re
+import resource
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -211,11 +213,40 @@ def test_tableau_shape_mismatch_returns_error(capsys):
         (["tableaux", "--shape", "2,1,"], "empty part in shape '2,1,'"),
         (["verify", "theorem", "--shape", ",2", "--m", "2", "--n", "2"],
          "empty part in shape ',2'"),
+        (["eigenvalue", "--shape", "2,1", "--m", "2", "--weights", "1e999999999,1"],
+         "weight '1e999999999': use an integer, p/q or a decimal, no exponent"),
     ],
 )
 def test_degenerate_input_returns_error(argv, message, capsys):
     assert cli.main(argv) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text, value",
+    [("3", Fraction(3)), ("-1", Fraction(-1)), ("1/2", Fraction(1, 2)), ("0.5", Fraction(1, 2))],
+)
+def test_weights_without_an_exponent_parse(text, value):
+    assert cli._weight(text) == value
+
+
+def test_running_out_of_memory_returns_error():
+    # Catalan(16) tableaux do not fit in a 200 MB address space
+    def cap():
+        limit = 200 * 1024 * 1024
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run(
+        [sys.executable, "-m", "capelli", "tableaux", "--shape", "16,16", "--json"],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        timeout=120,
+        preexec_fn=cap,
+    )
+    assert done.returncode == 2
+    assert done.stderr == "error: out of memory\n"
 
 
 def test_tableau2_without_tableau_returns_error(capsys):

@@ -132,7 +132,7 @@ def test_to_weyl_word_images_off_the_square_grid(m, n):
     alg, w = EnvelopingAlgebra(m), WeylAlgebra(m, n)
     pairs = generator_order(m)
     image = {
-        (a, b): w.sum([w.x(a, i) * w.d(b, i) for i in range(1, n + 1)])
+        (a, b): w.scaled_sum([(1, w.x(a, i) * w.d(b, i)) for i in range(1, n + 1)])
         for a, b in pairs
     }
     for length in (1, 2, 3):

@@ -69,10 +69,11 @@ def test_arithmetic_keeps_coefficients_canonical(kind, data, q):
     cls = type(u)
     pairs = [(q or 1, u), (Fraction(1, 2), v), (2, u)]
     scaled = cls._scaled_sum(pairs)
-    results = [u, u + v, u - v, -u, q * u, u * q, u * v, cls._sum([u, v, u]), scaled]
+    plain = cls._scaled_sum([(1, u), (1, v), (1, u)])
+    results = [u, u + v, u - v, -u, q * u, u * q, u * v, plain, scaled]
     for w in results:
         assert_canonical(w)
-    # the scales are cleared over their lcm inside; the value is the termwise sum
+    # the value is the termwise sum
     expected = {}
     for scale, element in pairs:
         for key, c in element.items():
@@ -133,7 +134,7 @@ def test_rational_trace_is_int_when_integral():
     u = TensorElement(RationalAlgebra(), 1, 2, 2, {((1,), (1,)): half, ((2,), (2,)): half})
     assert type(full_trace(u)) is int and full_trace(u) == 1
     algebra = RationalAlgebra()
-    assert type(algebra.sum([half, half])) is int
+    assert type(algebra.scaled_sum([(1, half), (1, half)])) is int
     assert type(algebra.scaled_sum([(half, 4), (3, Fraction(1, 3))])) is int
 
 
@@ -158,7 +159,7 @@ def test_coefficient_algebra_handle_protocol(kind):
     assert stored(two) == [2] and type(stored(two)[0]) is int
     assert 1 * algebra.one() == algebra.one()
     values = [algebra.one(), gen, Fraction(-2, 3) * algebra.one(), gen * gen, gen]
-    assert algebra.sum(values) == reduce(operator.add, values)
+    assert algebra.scaled_sum([(1, v) for v in values]) == reduce(operator.add, values)
     scales = [Fraction(1, 2), 3, Fraction(-5, 6), -1, Fraction(1, 2)]
     pairs = list(zip(scales, values))
     assert algebra.scaled_sum(pairs) == reduce(operator.add, (q * v for q, v in pairs))
@@ -166,6 +167,31 @@ def test_coefficient_algebra_handle_protocol(kind):
     assert len(eye) == 4
     assert all(c == algebra.one() for _, c in eye.items())
     assert eye.coefficient((1, 2), (2, 1)) == algebra.zero()
+
+
+@pytest.mark.parametrize("kind", sorted(HANDLES))
+def test_an_empty_scaled_sum_is_zero(kind):
+    algebra, _ = HANDLES[kind]
+    assert algebra.scaled_sum([]) == algebra.zero()
+
+
+def test_sum_and_difference_keep_the_coefficient_of_a_key_only_one_side_has():
+    w = WeylAlgebra(2, 2)
+    shared, only_u = ((1,), (1,)), ((1,), (2,))
+    u = TensorElement(w, 1, 2, 2, {shared: w.one(), only_u: w.x(1, 2) + w.d(2, 1)})
+    v = TensorElement(w, 1, 2, 2, {shared: w.x(1, 1)})
+    kept = u.coefficient(*only_u)
+    # a scale of 1 stores the (immutable) coefficient itself, not a copy
+    assert (u + v).coefficient(*only_u) is kept
+    assert (u - v).coefficient(*only_u) is kept
+    assert (u - v).coefficient(*shared) == w.one() - w.x(1, 1)
+    other = TensorElement(w, 2, 2, 2, {})
+    expected = TensorElement._MISMATCH.format(u._space, other._space)
+    with pytest.raises(ValueError) as plus:
+        u + other
+    with pytest.raises(ValueError) as minus:
+        u - other
+    assert str(plus.value) == str(minus.value) == expected
 
 
 def test_package_exports_the_union_of_the_module_lists():
