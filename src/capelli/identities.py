@@ -34,13 +34,12 @@ everywhere exactly when they agree on J, and so do their ev_n images,
 since ev_n is linear entrywise. |J| is certified against the rank of P,
 dim V_mu(gl(m)) by Schur-Weyl duality, which the hook-content formula
 gives from (mu, m) alone (``tableaux._gl_dimension``); a mismatch raises
-``ArithmeticError``. Only the left side is formed on J alone (P's
-rows cut to J once, in ``right_mul_group_algebra``); the right side is
-formed whole, since its entries of [e_ab]^(x k) are single monomials and
-it gives the term counts and the ev_n images for n < m. A pair whose left
-side equals the right side on J takes the whole right side for both; one
-that differs there has its whole left side formed, so a failing report is
-that of the whole products.
+``ArithmeticError``. Both sides are formed on J alone (P's rows cut to J
+once, in ``right_mul_group_algebra``). A pair whose sides agree on J is
+counted by ``_rhs_counts`` from one entry of the right side per pair of
+set partitions of 1..k, for n >= m and, through ev_n, for n < m, with no
+whole product formed; a pair that differs there has both whole products
+formed, so a failing report is that of the whole products.
 
 The left side is built only on the keys whose cols lie in the column
 support of Psi(T,T), the cols of ``trace_support(psi(T, T), k, m)``, once
@@ -62,10 +61,10 @@ operators at every n. For n >= m the evaluation ev_n into the Weyl algebra
 is injective, so that comparison is the verdict; the term counts are those
 of the Weyl images, and a failing report names a monomial of ev_n of the
 first differing entry. For n < m ev_n kills the (n+1)-minors: equal
-symbols have one side mapped by ev_n, whose count stands for both, and
-different ones have both Weyl images compared entry by entry, which is
-also exact; reducing modulo the minors is not done here. ``lhs_theorem``
-and ``rhs_theorem`` return the Weyl images.
+symbols have equal images, and a passing count is of the entries whose
+image is nonzero; different symbols have both whole Weyl images compared
+entry by entry, which is also exact; reducing modulo the minors is not
+done here. ``lhs_theorem`` and ``rhs_theorem`` return the Weyl images.
 
 ``_theorem_reports`` and ``_corollary_reports`` take a sequence of n:
 they build a (shape, m)'s n-free symbols once and report every n from
@@ -99,11 +98,12 @@ one names what ``describe(lhs, rhs)`` returns.
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache, partial
-from math import factorial, lcm
+from math import factorial, lcm, perm
 
 from .enveloping import (
     EnvelopingAlgebra,
@@ -292,9 +292,55 @@ def _lhs_symbols(
     return right_mul_group_algebra(_shifted_product(T, m), g, columns=columns)
 
 
-def _rhs_symbols(g: GroupAlgebraElement, m: int) -> TensorElement:
-    """The symbols of the right side times g."""
-    return right_mul_group_algebra(_xd_product(g.degree, m), g)
+def _rhs_symbols(g: GroupAlgebraElement, m: int, columns=None) -> TensorElement:
+    """The symbols of the right side times g, at the output cols in
+    ``columns`` only if it is given."""
+    return right_mul_group_algebra(_xd_product(g.degree, m), g, columns=columns)
+
+
+def _growth_strings(k: int, m: int) -> list[tuple[int, ...]]:
+    """One multi-index in 1..m per set partition of the positions 1..k into
+    at most m blocks, the positions where it repeats a value: the
+    restricted growth strings, whose values first occur in increasing
+    order."""
+    strings = [()]
+    for _ in range(k):
+        strings = [s + (b,) for s in strings for b in range(1, min(max(s, default=0) + 1, m) + 1)]
+    return strings
+
+
+def _rhs_counts(g: GroupAlgebraElement, m: int, ns, evaluator) -> dict[int, int]:
+    """The number of nonzero entries of the right side times g, R . P with
+    R = [e_ab]^(x k), at each n of ``ns``: as symbols for n >= m, as ev_n
+    images (``evaluator(m, n)``) for n < m. R . P is not formed whole.
+
+    Relabelling the values of rows by a permutation s of 1..m and those of
+    the output cols by t leaves P unchanged (P[t cols][t new] = P[cols][new])
+    and maps entry (rows, new) = sum_cols P[cols][new] prod_t e[rows_t, cols_t]
+    to its image under e_ab -> e_s(a)t(b), a renaming of the Weyl variables
+    too. So whether an entry is 0, before or after ev_n, depends only on
+    the set partitions of 1..k where rows and new repeat a value, and each
+    pair of them with b and b' blocks stands for (m)_b (m)_b' entries, the
+    falling factorials ``perm(m, b)``. One entry is formed per pair, at the
+    ``_growth_strings``, from P's columns at those outputs only."""
+    k = g.degree
+    xd, strings = _xd_product(k, m), _growth_strings(k, m)
+    # R at the representative rows only, on every column
+    terms = {
+        (rows, cols): xd._terms[rows, cols]
+        for rows in strings
+        for cols in itertools.product(range(1, m + 1), repeat=k)
+    }
+    u = TensorElement._raw(xd._space, terms)
+    entries = right_mul_group_algebra(u, g, columns=set(strings))
+    images = {n: evaluator(m, n) for n in ns if n < m}
+    counts = dict.fromkeys(ns, 0)
+    for (rows, new), f in entries.items():
+        weight = perm(m, max(rows)) * perm(m, max(new))
+        for n in ns:
+            if n >= m or images[n](f):
+                counts[n] += weight
+    return counts
 
 
 def _certified_basis(T: StandardTableau, g: GroupAlgebraElement, m: int) -> set:
@@ -367,26 +413,22 @@ def _report(case: str, lhs, rhs, start: float, describe) -> VerificationReport:
 
 
 def _theorem_report(
-    case: str, lhs: TensorElement, rhs: TensorElement, same: bool, n: int, ev, start: float
+    case: str, lhs: TensorElement, rhs: TensorElement, n: int, ev, start: float
 ) -> VerificationReport:
-    """The theorem's report at n for the symbol tensors of both sides;
-    ``same`` is their n-free comparison and ``ev`` is ev_n. For n >= m ev_n
-    is injective, so the symbols are reported as they are. For n < m equal
-    symbols have only one side mapped by ev_n, since their images agree;
-    different ones have both mapped, since ev_n may still identify them."""
-    if same:
-        rhs = lhs
+    """The theorem's report at n for the whole symbol tensors of both
+    sides, ``ev`` being ev_n. For n >= m ev_n is injective, so the symbols
+    are reported as they are; for n < m both are mapped by ev_n, which may
+    identify different symbols."""
     if n < lhs.algebra.m:
-        lhs = _weyl_image(lhs, n, ev)
-        rhs = lhs if same else _weyl_image(rhs, n, ev)
+        lhs, rhs = _weyl_image(lhs, n, ev), _weyl_image(rhs, n, ev)
     return _report(case, lhs, rhs, start, partial(_first_entry, n))
 
 
 def _theorem_reports(
     shape: Partition, m: int, ns, evaluator, pairs=None
 ) -> dict[int, list[VerificationReport]]:
-    """The theorem's reports for each n of ``ns``, from one n-free symbol
-    tensor per side and tableau pair (every ordered pair of the shape if
+    """The theorem's reports for each n of ``ns``, from one n-free
+    comparison per tableau pair (every ordered pair of the shape if
     ``pairs`` is None); ``evaluator(m, n)`` gives ev_n. A pair's symbol work
     is charged to its report at the first n."""
     if pairs is None:
@@ -398,20 +440,24 @@ def _theorem_reports(
         # D Psi, D the lcm of Psi's denominators, has int coefficients
         g = psi(T, T2)
         g = lcm(*(c.denominator for _, c in g.items())) * g
-        rhs = _rhs_symbols(g, m)
         # both sides are tensors times the same P, so they agree exactly
-        # when they agree on a column basis J of P; a failing pair gets
-        # the whole left side, for the same counts and first_diff
+        # when they agree on a column basis J of P; a passing pair is
+        # counted by ``_rhs_counts``, and a failing one gets both whole
+        # products, for the counts and first_diff of the whole comparison
         basis = _certified_basis(T, g, m)
-        lhs = _lhs_symbols(T, g, m, basis)
-        same = lhs == TensorElement._raw(
-            rhs._space, {key: c for key, c in rhs.items() if key[1] in basis}
-        )
-        lhs = rhs if same else _lhs_symbols(T, g, m)
+        counts = None
+        if _lhs_symbols(T, g, m, basis) == _rhs_symbols(g, m, basis):
+            counts = _rhs_counts(g, m, ns, evaluator)
+        else:
+            lhs, rhs = _lhs_symbols(T, g, m), _rhs_symbols(g, m)
         for n in ns:
             case = f"theorem shape={shape} T={T} T'={T2} m={m} n={n}"
-            ev = evaluator(m, n)
-            reports[n].append(_theorem_report(case, lhs, rhs, same, n, ev, start))
+            if counts is None:
+                report = _theorem_report(case, lhs, rhs, n, evaluator(m, n), start)
+            else:
+                millis = (time.perf_counter() - start) * 1000.0
+                report = VerificationReport(case, True, counts[n], counts[n], None, millis)
+            reports[n].append(report)
             start = time.perf_counter()
     return reports
 

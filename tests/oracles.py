@@ -261,10 +261,9 @@ def whole_theorem_reports(shape: Partition, m: int, ns, evaluator) -> dict:
             g = psi(T, T2)
             g = math.lcm(*(c.denominator for _, c in g.items())) * g
             lhs, rhs = identities._lhs_symbols(T, g, m), identities._rhs_symbols(g, m)
-            same = lhs == rhs
             for n in ns:
                 case = f"theorem shape={shape} T={T} T'={T2} m={m} n={n}"
-                report = identities._theorem_report(case, lhs, rhs, same, n, evaluator(m, n), 0.0)
+                report = identities._theorem_report(case, lhs, rhs, n, evaluator(m, n), 0.0)
                 reports[n].append(report)
     return reports
 

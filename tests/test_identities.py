@@ -1,9 +1,12 @@
 import itertools
+import json
 from fractions import Fraction
 from functools import cache, partial
 from math import factorial, lcm
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from capelli.enveloping import (
     EnvelopingAlgebra,
@@ -17,6 +20,7 @@ from capelli.identities import (
     _first_entry,
     _lhs_symbols,
     _report,
+    _rhs_counts,
     _rhs_symbols,
     _shifted_product,
     _symbol_matrix,
@@ -24,6 +28,7 @@ from capelli.identities import (
     _theorem_reports,
     _traced,
     _weyl_image,
+    _xd_product,
     build_D,
     build_E,
     build_X,
@@ -35,7 +40,7 @@ from capelli.identities import (
     verify_proof_steps,
     verify_theorem,
 )
-from capelli.permutations import GroupAlgebraElement, Permutation, ga_multiply
+from capelli.permutations import GroupAlgebraElement, Permutation, all_permutations, ga_multiply
 from capelli.tableaux import (
     Partition,
     StandardTableau,
@@ -393,7 +398,7 @@ def test_theorem_report_on_symbols_that_differ_by_a_minor(n):
     minor = e(1, 1) * e(2, 2) - e(1, 2) * e(2, 1)
     rhs = lhs + TensorElement(SymbolAlgebra(m), 3, m, m, {key: minor})
     assert lhs != rhs
-    report = _theorem_report("minor", lhs, rhs, False, n, _evaluator(m, n), 0.0)
+    report = _theorem_report("minor", lhs, rhs, n, _evaluator(m, n), 0.0)
     expected_lhs, _ = _weyl_oracle_sides(T, T2, m, n)
     minor_weyl = _minor_weyl(n)
     expected_rhs = expected_lhs + TensorElement(WeylAlgebra(m, n), 3, m, m, {key: minor_weyl})
@@ -407,14 +412,57 @@ def test_theorem_report_on_symbols_that_differ_by_a_minor(n):
         assert report.first_diff == f"at {key}: lhs != rhs first monomial {monomial}"
 
 
-def test_theorem_report_maps_one_side_when_symbols_agree_below_m():
+def test_passing_theorem_report_counts_the_weyl_images_below_m():
+    # a pair that agrees as symbols reports, for both sides, the number of
+    # nonzero ev_n images of the left side's entries
     T, T2 = tab("[[1,2],[3]]"), tab("[[1,3],[2]]")
     for m, n in ((2, 1), (3, 1), (3, 2)):
-        lhs = _lhs_symbols(T, psi(T, T2), m)
-        report = _theorem_report("same", lhs, lhs, True, n, _evaluator(m, n), 0.0)
-        count = len(_weyl_image(lhs, n))
+        [report] = _theorem_reports(part("2,1"), m, (n,), cache(_evaluator), [(T, T2)])[n]
+        count = len(_weyl_image(_lhs_symbols(T, psi(T, T2), m), n))
         assert (report.outcome, report.lhs_terms, report.rhs_terms) == (True, count, count)
         assert count == len(lhs_theorem(T, T2, m, n))
+
+
+@st.composite
+def int_group_algebra_elements(draw, k):
+    # no multiple of any Psi in general, and 0 for an empty draw
+    permutations = st.sampled_from(list(all_permutations(k)))
+    return GroupAlgebraElement(
+        k, draw(st.dictionaries(permutations, st.integers(-3, 3), max_size=4))
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), k=st.integers(1, 4), m=st.integers(1, 3))
+def test_right_side_counts_equal_the_formed_product(data, k, m):
+    # one entry per pair of set partitions, weighted by (m)_b (m)_b', counts
+    # the nonzero entries of the whole R . P, as symbols at n >= m and as
+    # ev_n images at each n < m
+    g = data.draw(int_group_algebra_elements(k))
+    ns = range(1, m + 2)
+    counts = _rhs_counts(g, m, ns, cache(_evaluator))
+    whole = right_mul_group_algebra(_xd_product(k, m), g)
+    assert counts == {n: len(whole) if n >= m else len(_weyl_image(whole, n)) for n in ns}
+
+
+def test_a_passing_pair_forms_no_whole_product(monkeypatch):
+    # every pair of the golden sweep passes on the column basis, so neither
+    # the whole right side nor any ev_n image of a tensor is formed
+    import capelli.identities as identities
+
+    def whole(*args):
+        raise AssertionError("formed whole")
+
+    rhs_symbols = identities._rhs_symbols
+    monkeypatch.setattr(identities, "_weyl_image", whole)
+    monkeypatch.setattr(
+        identities,
+        "_rhs_symbols",
+        lambda g, m, columns=None: whole() if columns is None else rhs_symbols(g, m, columns),
+    )
+    golden = Path(__file__).parent / "data" / "sweep_k3_m3_n3.jsonl"
+    expected = [json.loads(line) for line in golden.read_text().splitlines()]
+    assert _without_millis(sweep(3, 3, 3)) == expected
 
 
 def test_theorem_builds_no_left_side_for_a_shape_with_more_rows_than_m():
@@ -508,8 +556,8 @@ def _break_rhs_symbols(monkeypatch):
     monkeypatch.setattr(
         identities,
         "_rhs_symbols",
-        lambda g, m: rhs_symbols(
-            GroupAlgebraElement(g.degree, {s.inverse(): c for s, c in g.items()}), m
+        lambda g, m, columns=None: rhs_symbols(
+            GroupAlgebraElement(g.degree, {s.inverse(): c for s, c in g.items()}), m, columns
         ),
     )
 
@@ -546,12 +594,13 @@ def test_sweep_equals_the_per_case_checks(broken, monkeypatch):
 @pytest.mark.parametrize("broken", [False, True], ids=["passing", "failing"])
 def test_theorem_reports_on_a_column_basis_equal_the_whole_products(broken, monkeypatch):
     # the verifier compares the two sides on a column basis J of the place
-    # operator and forms the whole left side only when they differ there;
+    # operator and forms both whole sides only when they differ there;
     # the oracle forms both sides whole and compares them whole. n = 1..m+1
-    # covers n < m, n = m and n > m, except at k = 4, m = 3, where the ev_n
-    # images at n < m would take most of a minute: there n >= m, where the
-    # n-free symbols alone decide, as they pick the n < m route. Broken,
-    # every pair off the diagonal fails, so the fallback runs as well
+    # covers n < m, n = m and n > m, except at k = 4, m = 3, where the
+    # oracle's whole ev_n images of every shape at n < m would take most of
+    # a minute: there n >= m, where the n-free symbols alone decide, as they
+    # pick the n < m route, and n = 2 as well for shape 2,2. Broken, every
+    # pair off the diagonal fails, so the fallback runs as well
     if broken:
         _break_rhs_symbols(monkeypatch)
     evaluator = cache(_evaluator)
@@ -559,7 +608,9 @@ def test_theorem_reports_on_a_column_basis_equal_the_whole_products(broken, monk
     for k in (1, 2, 3, 4):
         for shape in all_partitions(k):
             for m in (1, 2, 3):
-                ns = range(m if (k, m) == (4, 3) else 1, m + 2)
+                ns = range(1, m + 2)
+                if (k, m) == (4, 3):
+                    ns = range(2 if shape == part("2,2") else m, m + 2)
                 got = _theorem_reports(shape, m, ns, evaluator)
                 expected = whole_theorem_reports(shape, m, ns, evaluator)
                 for n in ns:
