@@ -27,11 +27,18 @@ rule, right multiplication by a generator,
     f * E[a,b] = f e[a,b] + sum_c e[c,b] df/de[c,a],
 
 memoized per PBW word. The same rule (``_times_generator``) builds the
-theorem's left side, factor by factor, straight in C[e_ab], with no PBW
-straightening. ``ev_n`` maps a symbol to the Weyl operator at n by
-expanding each e[a,b] commutatively into normal-ordered monomials, and
-``ugl_to_weyl`` is ev_n after ``symbol``. ev_n is injective exactly when
-n >= m; for n < m its kernel is the ideal of (n+1)-minors of [e[a,b]].
+theorem's left side and the quantum immanant's symbol, factor by factor,
+straight in C[e_ab], with no PBW straightening. The symbol of a PBW word
+is that word plus terms of lower degree, so ``_pbw`` inverts ``symbol``
+one degree at a time; the quantum immanant is read back that way.
+``ev_n`` maps a symbol to the Weyl operator at n by expanding each e[a,b]
+commutatively into normal-ordered monomials, and ``ugl_to_weyl`` is ev_n
+after ``symbol``. ev_n is injective exactly when n >= m; for n < m its
+kernel is the ideal of (n+1)-minors of [e[a,b]].
+
+``is_central`` stays in U(gl(m)): it straightens the commutators of u with
+the 2(m-1) Chevalley generators E[a,a+1], E[a+1,a], which generate sl(m),
+and gl(m) is sl(m) plus a central element.
 """
 
 from __future__ import annotations
@@ -272,6 +279,22 @@ def symbol(u: UglElement) -> SymbolElement:
     return SymbolElement._scaled_sum([(c, _word_symbol(u.m, word)) for word, c in u.items()])
 
 
+def _pbw(f: SymbolElement) -> UglElement:
+    """The element of U(gl(m)) whose symbol is f: ``symbol`` inverted, one
+    degree at a time. The symbol of a PBW word is that word as a monomial
+    plus terms of lower degree (each ``_times_generator`` adds one letter,
+    and its derivative part trades one), so the top-degree words of f are
+    PBW words with f's coefficients, and f less their symbols has a lower
+    degree."""
+    m, terms = f.m, {}
+    while f:
+        top = max(map(len, f._terms))
+        lead = [(c, word) for word, c in f.items() if len(word) == top]
+        terms.update((word, c) for c, word in lead)
+        f = SymbolElement._scaled_sum([(1, f)] + [(-c, _word_symbol(m, w)) for c, w in lead])
+    return UglElement._raw((m,), terms)
+
+
 def _evaluator(m: int, n: int):
     """ev_n for one (m, n), with a memo of the images of the prefixes of
     the sorted words it has expanded (see ``_word_image``)."""
@@ -335,14 +358,25 @@ class Centrality:
 
 
 def is_central(u: UglElement) -> Centrality:
-    """Check that u commutes with every generator of gl(m). A passing
-    verdict is recorded on u, so ``hc_eigenvalue`` does not repeat it."""
-    algebra = EnvelopingAlgebra(u.m)
-    for a, b in generator_order(u.m):
+    """Check that u commutes with every generator of gl(m), from the
+    2(m-1) Chevalley generators E[a,a+1], E[a+1,a]: ad u is a derivation,
+    so u commutes with the Lie algebra they generate, sl(m), and gl(m) is
+    sl(m) plus the central E[1,1] + ... + E[m,m]. If one of them fails,
+    every generator is tried in ``generator_order``, and the first that
+    does not commute is returned with its commutator. A passing verdict is
+    recorded on u, so ``hc_eigenvalue`` does not repeat it."""
+    m, algebra = u.m, EnvelopingAlgebra(u.m)
+
+    def commutator(a: int, b: int) -> UglElement:
         g = algebra.gen(a, b)
-        delta = ugl_multiply(u, g) - ugl_multiply(g, u)
-        if delta:
-            return Centrality(False, (a, b), delta)
+        return ugl_multiply(u, g) - ugl_multiply(g, u)
+
+    chevalley = [pair for a in range(1, m) for pair in ((a, a + 1), (a + 1, a))]
+    if any(commutator(a, b) for a, b in chevalley):
+        for a, b in generator_order(m):
+            delta = commutator(a, b)
+            if delta:
+                return Centrality(False, (a, b), delta)
     object.__setattr__(u, "_central", True)
     return Centrality(True)
 

@@ -77,20 +77,24 @@ by a Fraction (the division by the common denominator of Psi in
 goes through ``SparseElement.__rmul__``, and an integral result is stored
 as an int by ``SparseElement._store``.
 
-A trace multiplies only the entries that reach it and forms only the
-outputs it keeps: trace(u . g) needs u only at the keys of
+A trace multiplies only the entries that reach it, one per S_m-orbit, and
+forms only the outputs it keeps: trace(u . g) needs u only at the keys of
 ``trace_support(g, k, m)``, read off the int place operator of g, and the
-product only at the diagonal keys (rows, rows). Both traces go through
-``_traced``, which builds ``tensor_product(factors, keys)`` on just those
-keys and passes the diagonal to ``right_mul_group_algebra``, so each
-support entry forms one scaled pair and only the diagonal outputs are
-summed and divided by D: the quantum immanant from the factors E - c_t
-over U(gl(m)), and the corollary's right side from k copies of [e_ab],
-traced over symbols and mapped by ev_n at each n.
-The corollary's left side is ev_n of the quantum immanant's symbol: the
-map, the product by Psi and the trace are all linear, and the Weyl tensor
-is the entrywise image of the U(gl(m)) one. A left symbol equal to the
-right one takes the right side's image.
+product only at the diagonal keys (rows, rows). A relabelling of the
+values 1..m maps each entry of both traced tensors to its relabelled
+symbol and leaves the place operator unchanged, so ``_traced`` builds, in
+C[e_ab], one key per orbit (``_orbit_keys`` kept where the place operator
+is nonzero), weighted by the orbit's size, passes the diagonal to
+``right_mul_group_algebra`` and sums the trace over the relabellings,
+each monomial over the injections of its own values (``_symmetrized``).
+Both traces go through it: the quantum immanant's symbol
+from the right action of the factors E - c_t (``_immanant_symbol``),
+read back into U(gl(m)) by ``enveloping._pbw``, and the corollary's right
+side from k copies of [e_ab], mapped by ev_n at each n. The corollary's
+left side is ev_n of the quantum immanant's symbol, with no PBW form in
+between: the map, the product by Psi and the trace are all linear, and
+the Weyl tensor is the entrywise image of the symbol one. A left symbol
+equal to the right one takes the right side's image.
 
 Every report whose verdict is lhs == rhs is built by ``_report``; a failing
 one names what ``describe(lhs, rhs)`` returns.
@@ -106,14 +110,15 @@ from functools import cache, lru_cache, partial
 from math import factorial, lcm, perm
 
 from .enveloping import (
-    EnvelopingAlgebra,
     SymbolAlgebra,
     SymbolElement,
     UglElement,
     _evaluator,
+    _generator_index,
+    _pbw,
     _times_generator,
     ev_n,
-    symbol,
+    generator_order,
 )
 from .permutations import GroupAlgebraElement, embed, ga_multiply, jm_element
 from .tableaux import (
@@ -129,6 +134,7 @@ from .tableaux import (
 from .tensors import (
     TensorElement,
     _column_basis,
+    _place_operator,
     full_trace,
     right_mul_group_algebra,
     tensor_matmul,
@@ -206,15 +212,6 @@ def build_E(m: int, n: int) -> TensorElement:
     return tensor_matmul(build_X(m, n), build_D(m, n).transpose())
 
 
-def _shifted_factors(m: int, contents: tuple[int, ...]) -> list[TensorElement]:
-    """The factors E - c_t of (E - c_1) (x) ... (x) (E - c_k), E the m x m
-    matrix of generators E[a,b] of U(gl(m))."""
-    algebra, span = EnvelopingAlgebra(m), range(1, m + 1)
-    E = TensorElement.matrix(algebra, [[algebra.gen(a, b) for b in span] for a in span])
-    eye = TensorElement.identity(algebra, 1, m)
-    return [E - c * eye for c in contents]
-
-
 def _symbol_matrix(m: int) -> TensorElement:
     """The m x m matrix [e_ab] of the variables of C[e_ab]."""
     algebra, span = SymbolAlgebra(m), range(1, m + 1)
@@ -260,14 +257,101 @@ def _xd_product(k: int, m: int) -> TensorElement:
     return tensor_product([_symbol_matrix(m)] * k)
 
 
-def _traced(factors: list[TensorElement], g: GroupAlgebraElement):
-    """trace((F_1 (x) ... (x) F_k) . g) for m x m matrices F_t, building
-    only the entries of the tensor product that reach the trace, the keys
-    of ``trace_support``, and only the diagonal outputs of the product."""
-    support = trace_support(g, len(factors), factors[0].p)
-    diagonal = {(rows, rows) for rows, _ in support}
-    u = tensor_product(factors, support)
-    return full_trace(right_mul_group_algebra(u, g, diagonal))
+def _traced(g: GroupAlgebraElement, m: int, steps) -> SymbolElement:
+    """trace((F_1 (x) ... (x) F_k) . g) in C[e_ab], for m x m matrices F_t of
+    symbols whose entry (a, b) acts on the right of an entry symbol f as
+    ``steps[t-1](f, a, b)``, on one key per S_m-orbit of the trace support.
+
+    A relabelling s of the values 1..m maps entry (rows, cols) of the
+    tensor to its image under e_ab -> e_s(a)s(b), since the steps (the
+    right action of E[a,b] - c delta_ab, or the product by e_ab) commute
+    with s, and leaves the place operator P of g unchanged:
+    P[s cols][s rows] = P[cols][rows]. So the trace is (1/m!) sum_s s(Y)
+    (``_symmetrized``), Y the trace over the representative keys
+    (``_representatives``), each weighted by its orbit size (m)_d, d its
+    number of distinct values, which is its largest value. A prefix of a
+    representative is one, so the tensor is built level by level on
+    representative prefixes only, one step per prefix. The product by g
+    forms the diagonal outputs only."""
+    k = len(steps)
+    reps = _representatives(g, k, m)
+    level = {((), ()): SymbolElement.one(m)}
+    for t, step in enumerate(steps, 1):
+        level = {
+            (rows, cols): entry
+            for rows, cols in {(r[:t], c[:t]) for r, c in reps}
+            if (f := level.get((rows[:-1], cols[:-1])))
+            and (entry := step(f, rows[-1], cols[-1]))
+        }
+    weighted = {key: perm(m, max(key[0] + key[1])) * f for key, f in level.items()}
+    u = TensorElement._raw((SymbolAlgebra(m), k, m, m), weighted)
+    diagonal = {(rows, rows) for rows, _ in reps}
+    return _symmetrized(full_trace(right_mul_group_algebra(u, g, diagonal)))
+
+
+def _representatives(g: GroupAlgebraElement, k: int, m: int) -> list:
+    """The keys of ``trace_support(g, k, m)`` that represent their S_m-orbit
+    (see ``_orbit_keys``); P is read only at their cols."""
+    _, place = _place_operator(g, k, m)
+    reached: dict[tuple[int, ...], set] = {}
+    reps = []
+    for rows, cols in _orbit_keys(k, m):
+        if cols not in reached:
+            reached[cols] = {new for new, _ in place[cols]}
+        if rows in reached[cols]:
+            reps.append((rows, cols))
+    return reps
+
+
+@cache
+def _orbit_keys(k: int, m: int) -> list:
+    """One key (rows, cols) per S_m-orbit of the keys whose rows rearrange
+    their cols, the only keys a place operator reaches: those whose
+    interleaved values rows_1, cols_1, rows_2, cols_2, ... form a
+    restricted growth string (their first occurrences are 1, 2, 3, ...)."""
+    strings = _growth_strings(2 * k, m)
+    return [(s[0::2], s[1::2]) for s in strings if sorted(s[0::2]) == sorted(s[1::2])]
+
+
+def _symmetrized(f: SymbolElement) -> SymbolElement:
+    """(1/m!) sum over s in S_m of f relabelled by e_ab -> e_s(a)s(b), each
+    monomial over its own values: if w uses v of the values 1..m, sum_s s(w)
+    is (m - v)! times the sum of its images under the (m)_v injections of
+    those values into 1..m. The monomials are first relabelled onto 0..v-1
+    in order, which leaves that sum unchanged, and grouped by v."""
+    m, order, index = f.m, generator_order(f.m), _generator_index(f.m)
+    groups: dict[int, dict[tuple[int, ...], int | Fraction]] = {}
+    for word, c in f.items():
+        pairs = [order[g] for g in word]
+        values = sorted({v for pair in pairs for v in pair})
+        v, rank = len(values), {value: i for i, value in enumerate(values)}
+        # letter (a, b) on the values 0..v-1 as a * v + b
+        canonical = tuple(sorted(rank[a] * v + rank[b] for a, b in pairs))
+        group = groups.setdefault(v, {})
+        group[canonical] = group.get(canonical, 0) + c * factorial(m - v)
+    terms: dict[tuple[int, ...], int | Fraction] = {}
+    for v, group in groups.items():
+        for image in itertools.permutations(range(1, m + 1), v):
+            letter = [index[a, b] for a in image for b in image]
+            for canonical, c in group.items():
+                key = tuple(sorted([letter[x] for x in canonical]))
+                terms[key] = terms.get(key, 0) + c
+    total = SymbolElement._raw((m,), {word: c for word, c in terms.items() if c})
+    return Fraction(1, factorial(m)) * total
+
+
+def _times_variable(f: SymbolElement, a: int, b: int) -> SymbolElement:
+    """f e_ab: the step of [e_ab], whose k-fold tensor power has the entry
+    prod_t e[rows_t, cols_t]."""
+    return f * SymbolAlgebra(f.m).var(a, b)
+
+
+def _immanant_symbol(T: StandardTableau, m: int) -> SymbolElement:
+    """The symbol of the quantum immanant: the trace of
+    (E - c_T(1)) (x) ... (x) (E - c_T(k)) . Psi(T,T), each factor entry
+    acting on symbols by ``_times_generator``."""
+    steps = [partial(_times_generator, shift=c) for c in _contents(T)]
+    return _traced(psi(T, T), m, steps)
 
 
 def _check_case(shape: Partition, m: int, n: int | None = None) -> None:
@@ -496,13 +580,13 @@ def _corollary_reports(
     each immanant to its tableau's report there."""
     tableaux = enumerate_standard_tableaux(shape)
     start = time.perf_counter()
-    traced = _traced([_symbol_matrix(m)] * shape.size, character_element(shape))
+    traced = _traced(character_element(shape), m, [_times_variable] * shape.size)
     rhs = Fraction(1, dimension(shape)) * traced
     rhs_images = {}
     reports = {n: [] for n in ns}
     traces = {n: [] for n in ns}
     for T in tableaux:
-        lhs = symbol(quantum_immanant(shape, T, m))
+        lhs = _immanant_symbol(T, m)
         same = lhs == rhs
         for n in ns:
             ev = evaluator(m, n)
@@ -593,4 +677,4 @@ def quantum_immanant(shape: Partition, T: StandardTableau, m: int) -> UglElement
     _check_case(shape, m)
     if T.shape != shape:
         raise ValueError(f"tableau shape {T.shape} != {shape}")
-    return _traced(_shifted_factors(m, _contents(T)), psi(T, T))
+    return _pbw(_immanant_symbol(T, m))

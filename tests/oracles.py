@@ -12,7 +12,11 @@ product or of a normal-ordered symbol, the trace of the whole tensor with
 every output of the product formed instead of its trace support and its
 diagonal outputs, whole products compared instead of their columns on a
 basis of the place operator, PBW straightening and the symbol map instead
-of the right action of each factor on symbols, sums of explicit
+of the right action of each factor on symbols, a trace over every key of
+U(gl(m)) tensors instead of one key per S_m-orbit of symbols, a sum over
+all of S_m instead of over the injections of each monomial's values, all m^2
+generators of gl(m) tried for centrality instead of the 2(m-1) Chevalley
+generators, sums of explicit
 place-permutation tensors instead of the int place operator, plain
 rationals instead of a coefficient algebra of sparse elements, and a
 bubble-sort word in adjacent transpositions instead of the descent
@@ -32,6 +36,7 @@ from capelli.enveloping import (
     SymbolAlgebra,
     SymbolElement,
     UglElement,
+    generator_order,
     symbol,
 )
 from capelli.exact import as_exact
@@ -232,6 +237,15 @@ def symbol_image(u: TensorElement) -> TensorElement:
     return TensorElement._raw((SymbolAlgebra(u.algebra.m), u.k, u.p, u.q), terms)
 
 
+def shifted_factors(m: int, contents: tuple[int, ...]) -> list[TensorElement]:
+    """The factors E - c_t of (E - c_1) (x) ... (x) (E - c_k), E the m x m
+    matrix of generators E[a,b] of U(gl(m))."""
+    algebra, span = EnvelopingAlgebra(m), range(1, m + 1)
+    E = TensorElement.matrix(algebra, [[algebra.gen(a, b) for b in span] for a in span])
+    eye = TensorElement.identity(algebra, 1, m)
+    return [E - c * eye for c in contents]
+
+
 def ugl_shifted_symbols(T, m: int) -> TensorElement:
     """The symbols of (E - c_T(1)) (x) ... (x) (E - c_T(k)) on the keys that
     ``_shifted_product`` keeps (cols in the column support of Psi(T,T)),
@@ -244,7 +258,7 @@ def ugl_shifted_symbols(T, m: int) -> TensorElement:
     keys = [
         (rows, cols) for rows in itertools.product(range(1, m + 1), repeat=k) for cols in support
     ]
-    return symbol_image(tensor_product(identities._shifted_factors(m, contents), keys))
+    return symbol_image(tensor_product(shifted_factors(m, contents), keys))
 
 
 def whole_theorem_reports(shape: Partition, m: int, ns, evaluator) -> dict:
@@ -271,13 +285,10 @@ def whole_theorem_reports(shape: Partition, m: int, ns, evaluator) -> dict:
 def traced_immanant(shape: Partition, T, m: int) -> UglElement:
     """The quantum immanant traced from the whole tensor: every entry of
     (E - c_1) (x) ... (x) (E - c_k) over U(gl(m)) is built with
-    ``tensor_product``, multiplied by Psi(T,T), and then traced."""
-    algebra = EnvelopingAlgebra(m)
-    span = range(1, m + 1)
-    E = TensorElement.matrix(algebra, [[algebra.gen(a, b) for b in span] for a in span])
-    eye = TensorElement.identity(algebra, 1, m)
-    contents = [T.content(r) for r in range(1, shape.size + 1)]
-    shifted = tensor_product([E - c * eye for c in contents])
+    ``tensor_product``, whose products straighten PBW words, multiplied by
+    Psi(T,T), and then traced, with no symbol and no relabelling of 1..m."""
+    contents = tuple(T.content(r) for r in range(1, shape.size + 1))
+    shifted = tensor_product(shifted_factors(m, contents))
     return full_trace(right_mul_group_algebra(shifted, psi(T, T)))
 
 
@@ -291,6 +302,34 @@ def traced_xd(shape: Partition, m: int) -> SymbolElement:
     e = TensorElement.matrix(algebra, [[algebra.var(a, b) for b in span] for a in span])
     whole = tensor_product([e] * shape.size)
     return full_trace(right_mul_group_algebra(whole, character_element(shape)))
+
+
+def relabelling_average(f: SymbolElement) -> SymbolElement:
+    """(1/m!) sum over every s in S_m of f relabelled by e_ab -> e_s(a)s(b),
+    each relabelled monomial formed as a product of variables."""
+    m, algebra = f.m, SymbolAlgebra(f.m)
+    order, total = generator_order(m), algebra.zero()
+    for s in itertools.permutations(range(1, m + 1)):
+        for word, c in f.items():
+            term = algebra.one()
+            for g in word:
+                a, b = order[g]
+                term = term * algebra.var(s[a - 1], s[b - 1])
+            total = total + c * term
+    return Fraction(1, math.factorial(m)) * total
+
+
+def full_scan_centrality(u: UglElement) -> tuple:
+    """The first generator E[a,b] of ``generator_order`` that u does not
+    commute with, and the commutator u E[a,b] - E[a,b] u, trying all m^2
+    generators; (None, None) when u is central."""
+    algebra = EnvelopingAlgebra(u.m)
+    for a, b in generator_order(u.m):
+        g = algebra.gen(a, b)
+        delta = u * g - g * u
+        if delta:
+            return (a, b), delta
+    return None, None
 
 
 def adjacent_word(p: Permutation) -> list[int]:

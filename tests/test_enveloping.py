@@ -13,6 +13,7 @@ from capelli.enveloping import (
     SymbolElement,
     UglElement,
     _evaluator,
+    _pbw,
     ev_n,
     generator_order,
     hc_eigenvalue,
@@ -24,7 +25,7 @@ from capelli.enveloping import (
 from capelli.identities import quantum_immanant
 from capelli.tableaux import Partition, all_partitions, enumerate_standard_tableaux
 from capelli.weyl import weyl_apply, weyl_multiply
-from oracles import highest_weight_polynomial, hook_count, shifted_schur
+from oracles import full_scan_centrality, highest_weight_polynomial, hook_count, shifted_schur
 
 
 def random_element(rng, m, max_degree=2, max_terms=3):
@@ -363,6 +364,49 @@ def test_symbol_vanishes_exactly_when_weyl_image_does_for_n_at_least_m(data, m):
     n = data.draw(st.integers(m, 3))
     u = data.draw(ugl_elements(m, max_degree=3))
     assert (not symbol(u)) == (not ugl_to_weyl(u, n)) == (not u)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), m=st.integers(1, 3))
+def test_pbw_inverts_symbol(data, m):
+    # the quantum immanant is read back from its symbol, one degree at a time
+    u = data.draw(ugl_elements(m, max_degree=4, max_terms=4))
+    assert _pbw(symbol(u)) == u
+
+
+@st.composite
+def central_or_not(draw, m):
+    """A polynomial in E[1,1] + ... + E[m,m] and the Casimir
+    sum_ab E[a,b] E[b,a], both central, plus an element that may not be:
+    a random one, or a power of E[1,m] or of E[m,1], which commute with
+    every raising, respectively lowering, generator but not with all."""
+    alg = EnvelopingAlgebra(m)
+    unit = alg.gen(1, 1)
+    for a in range(2, m + 1):
+        unit = unit + alg.gen(a, a)
+    casimir = alg.zero()
+    for a, b in generator_order(m):
+        casimir = casimir + alg.gen(a, b) * alg.gen(b, a)
+    scales = st.fractions(min_value=-2, max_value=2, max_denominator=2)
+    central = draw(scales) * unit + draw(scales) * casimir + draw(scales) * (unit * casimir)
+    corner = draw(st.sampled_from([alg.gen(1, m), alg.gen(m, 1)]))
+    power = alg.one()
+    for _ in range(draw(st.integers(1, 2))):
+        power = power * corner
+    noise = draw(st.sampled_from([alg.zero(), power]) | ugl_elements(m, max_degree=3))
+    return central + noise
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), m=st.integers(1, 3))
+def test_is_central_against_the_full_scan(data, m):
+    # the 2(m-1) Chevalley generators decide, and a failing element still
+    # names the first generator of the order that fails, with its commutator
+    u = data.draw(central_or_not(m))
+    result = is_central(u)
+    generator, commutator = full_scan_centrality(u)
+    assert bool(result) == (generator is None)
+    assert (result.generator, result.commutator) == (generator, commutator)
 
 
 def test_ev_n_kernel_below_m():

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from capelli.enveloping import (
     EnvelopingAlgebra,
     SymbolAlgebra,
+    SymbolElement,
     _evaluator,
     is_central,
     ugl_to_weyl,
@@ -19,13 +20,15 @@ from capelli.identities import (
     _certified_basis,
     _first_entry,
     _lhs_symbols,
+    _orbit_keys,
     _report,
     _rhs_counts,
     _rhs_symbols,
     _shifted_product,
-    _symbol_matrix,
+    _symmetrized,
     _theorem_report,
     _theorem_reports,
+    _times_variable,
     _traced,
     _weyl_image,
     _xd_product,
@@ -63,6 +66,7 @@ from oracles import (
     cdet,
     exact_rank,
     gl_dimension,
+    relabelling_average,
     shifted_weyl,
     traced_immanant,
     traced_xd,
@@ -287,10 +291,17 @@ def test_immanant_consistent_with_traced_weyl_side(ks, m, n):
                 assert ugl_to_weyl(u, n) == full_trace(lhs_theorem(T, T, m, n))
 
 
-@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 8, 12])
 def test_quantum_immanant_against_whole_traced_tensor(m):
-    # only the trace-support entries are built; the oracle builds and traces all
-    for k in (1, 2, 3):
+    # one trace-support key per S_m-orbit is built, as a symbol; the oracle
+    # builds and traces all over U(gl(m)). At m = 4 a key with d <= 2
+    # distinct values has a stabilizer of order (4 - d)! >= 2. At m = 8, 12
+    # (small k, large m) the orbit keys have stopped growing, and each
+    # monomial is summed over the injections of its own values, never over
+    # all m! relabellings
+    for k in (1, 2, 3) if m <= 4 else (1, 2):
+        if m >= 2 * k:
+            assert _orbit_keys(k, m) == _orbit_keys(k, 2 * k)
         for shape in all_partitions(k):
             for T in enumerate_standard_tableaux(shape):
                 assert quantum_immanant(shape, T, m) == traced_immanant(shape, T, m), T
@@ -305,15 +316,26 @@ def test_quantum_immanant_k4_m3_against_whole_traced_tensor():
         assert quantum_immanant(shape, T, 3) == expected, shape
 
 
-@pytest.mark.parametrize("m", [1, 2, 3])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), m=st.integers(1, 4))
+def test_symmetrized_against_every_relabelling(data, m):
+    words = st.lists(st.integers(0, m * m - 1), max_size=4).map(lambda w: tuple(sorted(w)))
+    coefficients = st.fractions(min_value=-3, max_value=3, max_denominator=2).filter(bool)
+    f = SymbolElement(m, data.draw(st.dictionaries(words, coefficients, max_size=4)))
+    assert _symmetrized(f) == relabelling_average(f)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_traced_right_side_against_whole_traced_tensor(m):
-    # the corollary's right side builds the trace-support entries and forms
-    # the diagonal outputs only; the oracle builds, multiplies and traces all
-    for k in (1, 2, 3, 4):
+    # the corollary's right side builds one trace-support entry per
+    # S_m-orbit and forms the diagonal outputs only; the oracle builds,
+    # multiplies and traces all
+    for k in (1, 2, 3) if m == 4 else (1, 2, 3, 4):
         for shape in all_partitions(k):
             expected = traced_xd(shape, m)
             assert (not expected) == (len(shape.parts) > m), shape
-            assert _traced([_symbol_matrix(m)] * k, character_element(shape)) == expected, shape
+            traced = _traced(character_element(shape), m, [_times_variable] * k)
+            assert traced == expected, shape
 
 
 def _weyl_oracle_sides(T, T2, m, n):
@@ -572,12 +594,12 @@ def test_sweep_equals_the_per_case_checks(broken, monkeypatch):
 
     if broken:
         _break_rhs_symbols(monkeypatch)
-        immanant = identities.quantum_immanant
+        immanant_symbol = identities._immanant_symbol
+        # e[1,1] is the symbol of E[1,1]
         monkeypatch.setattr(
             identities,
-            "quantum_immanant",
-            lambda shape, T, m: immanant(shape, T, m)
-            + T.content(T.size) * EnvelopingAlgebra(m).gen(1, 1),
+            "_immanant_symbol",
+            lambda T, m: immanant_symbol(T, m) + T.content(T.size) * SymbolAlgebra(m).var(1, 1),
         )
     expected = []
     for k in (1, 2, 3):
@@ -715,7 +737,7 @@ def test_failing_proof_step_and_corollary_reports(monkeypatch):
     # the pinned fields are what the CLI prints for a failure
     import capelli.identities as identities
 
-    ga, immanant = identities.ga_multiply, identities.quantum_immanant
+    ga, immanant_symbol = identities.ga_multiply, identities._immanant_symbol
 
     def off_by_transposition(u, v):
         swap = Permutation.transposition(1, v.degree, v.degree)
@@ -737,12 +759,12 @@ def test_failing_proof_step_and_corollary_reports(monkeypatch):
         ("jm-annihilation", False, 1, 0, "first term (1 3)"),
     ]
 
-    def tableau_dependent(shape, T, m):
-        # +E[1,1] for [[1,2],[3]], -E[1,1] for [[1,3],[2]]
-        return immanant(shape, T, m) + T.content(2) * EnvelopingAlgebra(m).gen(1, 1)
+    def tableau_dependent(T, m):
+        # +e[1,1] for [[1,2],[3]], -e[1,1] for [[1,3],[2]]: the symbol of +-E[1,1]
+        return immanant_symbol(T, m) + T.content(2) * SymbolAlgebra(m).var(1, 1)
 
     monkeypatch.setattr(identities, "ga_multiply", ga)
-    monkeypatch.setattr(identities, "quantum_immanant", tableau_dependent)
+    monkeypatch.setattr(identities, "_immanant_symbol", tableau_dependent)
     fields = [
         (r.case.split()[0], r.outcome, r.lhs_terms, r.rhs_terms, r.first_diff)
         for r in verify_corollary(part("2,1"), 2, 2)
