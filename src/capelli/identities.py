@@ -19,10 +19,10 @@ X^(x k) . (D')^(x k) is already normal ordered, and its entry (rows, cols)
 is the monomial prod_t e[rows_t, cols_t]: the k-fold ``tensor_product`` of
 the matrix [e_ab]. The left side is built straight in C[e_ab], one factor
 at a time, by the right action of E[a,b] - c delta_ab on the symbol of
-each prefix (``enveloping._times_generator``, the rule ``symbol`` uses per
-PBW word), so the theorem never straightens a PBW word. Both are
-multiplied by Psi over symbols, and the two symbol tensors are compared
-once.
+each prefix (``_built``, stepping by ``enveloping._times_generator``, the
+rule ``symbol`` uses per PBW word), so the theorem never straightens a PBW
+word. Both are multiplied by Psi over symbols, and the two symbol tensors
+are compared once.
 
 The comparison is made on a column basis of P, the int place operator of
 D Psi(T,T') (D below). Column new of L . P is L times column new of P, and
@@ -42,13 +42,14 @@ whole product formed; a pair that differs there has both whole products
 formed, so a failing report is that of the whole products.
 
 The left side is built only on the keys whose cols lie in the column
-support of Psi(T,T), the cols of ``trace_support(psi(T, T), k, m)``, once
-per tableau T for every T'. The reason is the matrix units: Psi(T,T')
-= (dim mu / k!) Psi(T,T) Psi(T,T'), and right multiplication is a right
-action, so the place operator of Psi(T,T') is that of Psi(T,T) times
-another and its row at a column that Psi(T,T) kills is 0. For a shape of
-more than m rows Psi(T,T) kills every column (Schur-Weyl), and nothing is
-built. The right side is the shared, unrestricted [e_ab]^(x k), so a wrong
+support of Psi(T,T), the cols at which its int place operator
+(``tensors._place_operator``) has a nonzero row, once per tableau T for
+every T'. The reason is the matrix units: Psi(T,T') = (dim mu / k!)
+Psi(T,T) Psi(T,T'), and right multiplication is a right action, so the
+place operator of Psi(T,T') is that of Psi(T,T) times another and its row
+at a column that Psi(T,T) kills is 0. For a shape of more than m rows
+Psi(T,T) kills every column (Schur-Weyl), and nothing is built. The
+right side is the shared, unrestricted [e_ab]^(x k), so a wrong
 support would show as a failing report. Both sides are linear in Psi, so
 the verify path multiplies both by the least integral multiple D Psi(T,T'),
 D the lcm of Psi's denominators: the product never divides, and symbols,
@@ -78,15 +79,16 @@ goes through ``SparseElement.__rmul__``, and an integral result is stored
 as an int by ``SparseElement._store``.
 
 A trace multiplies only the entries that reach it, one per S_m-orbit, and
-forms only the outputs it keeps: trace(u . g) needs u only at the keys of
-``trace_support(g, k, m)``, read off the int place operator of g, and the
-product only at the diagonal keys (rows, rows). A relabelling of the
+forms only the outputs it keeps: trace(u . g) needs u only at the keys
+(rows, cols) with P[cols][rows] != 0, P the int place operator of g, and
+the product only at the diagonal keys (rows, rows). A relabelling of the
 values 1..m maps each entry of both traced tensors to its relabelled
 symbol and leaves the place operator unchanged, so ``_traced`` builds, in
-C[e_ab], one key per orbit (``_orbit_keys`` kept where the place operator
-is nonzero), weighted by the orbit's size, passes the diagonal to
-``right_mul_group_algebra`` and sums the trace over the relabellings,
-each monomial over the injections of its own values (``_symmetrized``).
+C[e_ab] with the left side's prefix builder ``_built``, one key per orbit
+(``_orbit_keys`` kept where the place operator is nonzero), weighted by
+the orbit's size, passes the diagonal to ``right_mul_group_algebra`` and
+sums the trace over the relabellings, each monomial over the injections
+of its own values (``_symmetrized``).
 Both traces go through it: the quantum immanant's symbol
 from the right action of the factors E - c_t (``_immanant_symbol``),
 read back into U(gl(m)) by ``enveloping._pbw``, and the corollary's right
@@ -139,7 +141,6 @@ from .tensors import (
     right_mul_group_algebra,
     tensor_matmul,
     tensor_product,
-    trace_support,
 )
 from .weyl import WeylAlgebra, WeylElement
 
@@ -222,31 +223,24 @@ def _symbol_matrix(m: int) -> TensorElement:
 def _shifted_product(T: StandardTableau, m: int) -> TensorElement:
     """The symbol tensor of (E - c_T(1)) (x) ... (x) (E - c_T(k)), cached
     per tableau and free of n, on the keys whose cols lie in the column
-    support of Psi(T,T) only: every Psi(T,T') reads no other column (see the
-    module docstring). Built straight in C[e_ab], one factor at a time: an
-    entry's symbol times E[a,b] - c delta_ab is ``_times_generator``, and
-    level t keeps only the cols that start a support column."""
+    support of Psi(T,T) only, the cols at which its place operator has a
+    nonzero row: every Psi(T,T') reads no other column (see the module
+    docstring). Built straight in C[e_ab] by ``_built``: an entry's symbol
+    times E[a,b] - c delta_ab is ``_times_generator``."""
     k, span = T.size, range(1, m + 1)
-    support = {cols for _, cols in trace_support(psi(T, T), k, m)}
-    level = {((), ()): SymbolElement.one(m)}
-    for t, c in enumerate(_contents(T), 1):
-        prefixes = {cols[:t] for cols in support}
-        level = {
-            (rows + (a,), cols + (b,)): entry
-            for (rows, cols), f in level.items()
-            for b in span
-            if cols + (b,) in prefixes
-            for a in span
-            if (entry := _times_generator(f, a, b, c))
-        }
+    _, place = _place_operator(psi(T, T), k, m)
+    every = list(itertools.product(span, repeat=k))
+    keys = [(rows, cols) for cols, row in place.items() if row for rows in every]
+    steps = [partial(_times_generator, shift=c) for c in _contents(T)]
+    u = _built(m, steps, keys)
     # each entry was built with its own word tuples; the cached tensor
     # keeps one tuple per distinct word
     words: dict[tuple[int, ...], tuple[int, ...]] = {}
-    level = {
+    terms = {
         key: SymbolElement._raw((m,), {words.setdefault(w, w): c for w, c in f.items()})
-        for key, f in level.items()
+        for key, f in u.items()
     }
-    return TensorElement._raw((SymbolAlgebra(m), k, m, m), level)
+    return TensorElement._raw(u._space, terms)
 
 
 @lru_cache(maxsize=None)
@@ -257,41 +251,57 @@ def _xd_product(k: int, m: int) -> TensorElement:
     return tensor_product([_symbol_matrix(m)] * k)
 
 
+def _built(m: int, steps, keys) -> TensorElement:
+    """The entries at ``keys`` of F_1 (x) ... (x) F_k over C[e_ab], for m x m
+    matrices F_t of symbols whose entry (a, b) acts on the right of an
+    entry symbol f as ``steps[t-1](f, a, b)``; entries that are 0 are left
+    out. Built level by level on the prefixes of the keys only: level t
+    maps each prefix (rows[:t], cols[:t]) to its nonzero symbol, one step
+    from its parent, so a prefix shared by many keys is stepped once. Each
+    level's prefixes are cut from the next level's, so each key is cut
+    once."""
+    prefixes = [keys]
+    for _ in steps[1:]:
+        prefixes.append({(rows[:-1], cols[:-1]) for rows, cols in prefixes[-1]})
+    level = {((), ()): SymbolElement.one(m)}
+    for step, wanted in zip(steps, reversed(prefixes)):
+        level = {
+            (rows, cols): entry
+            for rows, cols in wanted
+            if (f := level.get((rows[:-1], cols[:-1])))
+            and (entry := step(f, rows[-1], cols[-1]))
+        }
+    return TensorElement._raw((SymbolAlgebra(m), len(steps), m, m), level)
+
+
 def _traced(g: GroupAlgebraElement, m: int, steps) -> SymbolElement:
     """trace((F_1 (x) ... (x) F_k) . g) in C[e_ab], for m x m matrices F_t of
     symbols whose entry (a, b) acts on the right of an entry symbol f as
-    ``steps[t-1](f, a, b)``, on one key per S_m-orbit of the trace support.
+    ``steps[t-1](f, a, b)``, on one key per S_m-orbit of the keys where the
+    place operator P of g is nonzero.
 
     A relabelling s of the values 1..m maps entry (rows, cols) of the
     tensor to its image under e_ab -> e_s(a)s(b), since the steps (the
     right action of E[a,b] - c delta_ab, or the product by e_ab) commute
-    with s, and leaves the place operator P of g unchanged:
-    P[s cols][s rows] = P[cols][rows]. So the trace is (1/m!) sum_s s(Y)
-    (``_symmetrized``), Y the trace over the representative keys
-    (``_representatives``), each weighted by its orbit size (m)_d, d its
-    number of distinct values, which is its largest value. A prefix of a
-    representative is one, so the tensor is built level by level on
-    representative prefixes only, one step per prefix. The product by g
-    forms the diagonal outputs only."""
-    k = len(steps)
-    reps = _representatives(g, k, m)
-    level = {((), ()): SymbolElement.one(m)}
-    for t, step in enumerate(steps, 1):
-        level = {
-            (rows, cols): entry
-            for rows, cols in {(r[:t], c[:t]) for r, c in reps}
-            if (f := level.get((rows[:-1], cols[:-1])))
-            and (entry := step(f, rows[-1], cols[-1]))
-        }
-    weighted = {key: perm(m, max(key[0] + key[1])) * f for key, f in level.items()}
-    u = TensorElement._raw((SymbolAlgebra(m), k, m, m), weighted)
+    with s, and leaves P unchanged: P[s cols][s rows] = P[cols][rows]. So
+    the trace is (1/m!) sum_s s(Y) (``_symmetrized``), Y the trace over the
+    representative keys (``_representatives``), each weighted by its orbit
+    size (m)_d, d its number of distinct values, which is its largest
+    value. A prefix of a
+    representative is one, so ``_built`` builds the tensor on
+    representative prefixes only. The product by g forms the diagonal
+    outputs only."""
+    reps = _representatives(g, len(steps), m)
+    u = _built(m, steps, reps)
+    u = u._raw(u._space, {key: perm(m, max(key[0] + key[1])) * f for key, f in u.items()})
     diagonal = {(rows, rows) for rows, _ in reps}
     return _symmetrized(full_trace(right_mul_group_algebra(u, g, diagonal)))
 
 
 def _representatives(g: GroupAlgebraElement, k: int, m: int) -> list:
-    """The keys of ``trace_support(g, k, m)`` that represent their S_m-orbit
-    (see ``_orbit_keys``); P is read only at their cols."""
+    """The keys (rows, cols) with P[cols][rows] != 0, P the place operator
+    of g, that represent their S_m-orbit (see ``_orbit_keys``); P is read
+    only at their cols."""
     _, place = _place_operator(g, k, m)
     reached: dict[tuple[int, ...], set] = {}
     reps = []

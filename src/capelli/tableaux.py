@@ -139,7 +139,10 @@ class StandardTableau:
 
     @classmethod
     def parse(cls, text: str) -> StandardTableau:
-        rows = json.loads(text)
+        try:
+            rows = json.loads(text)
+        except RecursionError:
+            raise ValueError("tableau nested too deeply for a JSON list of lists") from None
         if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
             raise ValueError(f"tableau must be a JSON list of lists: {text}")
         return cls(rows)

@@ -13,6 +13,9 @@ coeff (x) e[a1,b1] (x) ... (x) e[ak,bk]. A matrix is the case k = 1
 always taken left factor first; nothing here assumes commutativity. A
 group algebra element acts on the right through its int place operator
 (``_place_operator``), the one place-permutation operator of the library.
+``tensor_product`` builds every nonzero entry; a symbol tensor needed only
+at the keys read off a place operator is built on those keys alone by
+``identities._built``.
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ __all__ = [
     "tensor_product",
     "tensor_matmul",
     "right_mul_group_algebra",
-    "trace_support",
     "full_trace",
 ]
 
@@ -115,10 +117,7 @@ class TensorElement(SparseElement):
         return f"<TensorElement k={self.k} {self.p}x{self.q} terms={len(self._terms)}>"
 
 
-def tensor_product(
-    factors: Sequence[TensorElement],
-    keys: Iterable[tuple[MultiIndex, MultiIndex]] | None = None,
-) -> TensorElement:
+def tensor_product(factors: Sequence[TensorElement]) -> TensorElement:
     """The ordered tensor product; entry ((a),(i)) is the left-to-right
     product of the factor entries A[a1,i1] B[a2,i2] ... C[ak,ik]. The k of
     the result is the sum of the factors' k.
@@ -126,10 +125,7 @@ def tensor_product(
     Built one factor at a time: level t maps each prefix (rows, cols) of the
     first t factors to its nonzero product, and the next level extends every
     prefix by one term of the next factor, on the right. A prefix shared by
-    many multi-indices is multiplied once. Given ``keys``, a level keeps
-    only the prefixes of those keys, so just those entries are built (the
-    ones whose product is 0 are left out, as always); a trace needs only
-    the keys of ``trace_support``.
+    many multi-indices is multiplied once.
     """
     if not factors:
         raise ValueError("need at least one factor")
@@ -137,19 +133,14 @@ def tensor_product(
     for factor in factors:
         if factor.algebra != algebra or (factor.p, factor.q) != (p, q):
             raise ValueError("all factors must share dimensions and algebra")
-    # the prefixes of the wanted keys at each level, or None for every key
-    keys = None if keys is None else list(keys)
-    ends = itertools.accumulate(f.k for f in factors)
-    wanted = [None if keys is None else {(r[:e], c[:e]) for r, c in keys} for e in ends]
-    allowed = wanted[0]
-    level = {key: c for key, c in factors[0].items() if allowed is None or key in allowed}
-    for factor, allowed in zip(factors[1:], wanted[1:]):
+    level = dict(factors[0]._terms)
+    for factor in factors[1:]:
         entries = factor._terms.items()
         level = {
             (rows + a, cols + i): prod
             for (rows, cols), coeff in level.items()
             for (a, i), entry in entries
-            if (allowed is None or (rows + a, cols + i) in allowed) and (prod := coeff * entry)
+            if (prod := coeff * entry)
         }
     return TensorElement._raw((algebra, sum(f.k for f in factors), p, q), level)
 
@@ -187,10 +178,10 @@ def _place_operator(
     int place operator of D g on every column multi-index in 1..m, where
     P[cols][cols o s] is the sum of the int scales D c_s. Each row of P keeps
     only its nonzero entries, so cancellation happens here, in int
-    arithmetic. The last two operators built are kept: the trace support
-    and the products by one g share one, and a theorem pair's operator of
-    D Psi(T,T') outlives its tableau's left side reading the trace support
-    of Psi(T,T)."""
+    arithmetic. The last two operators built are kept: a trace's
+    representative keys and its product by one g share one, and a theorem
+    pair's operator of D Psi(T,T') outlives its tableau's left side reading
+    the column support of Psi(T,T)."""
     if g.degree != k:
         raise ValueError(f"degree mismatch: {g.degree} vs k={k}")
     return _place_operator_of(k, m, tuple(g.items()))
@@ -233,10 +224,10 @@ def right_mul_group_algebra(
     is 0 when mu has more than m rows.) The product is linear in g, so the
     result is exact, and the division by D touches only the kept outputs.
     Given ``keys``, no output outside them is formed, summed or divided; a
-    trace passes the diagonal keys (rows, rows), and each trace-support
-    entry of u then forms one scaled pair. Given ``columns``, the rows of P
-    keep only those output columns, once, before the loop; the theorem
-    passes a column basis of P of that rank (``_column_basis``).
+    trace passes the diagonal keys (rows, rows), and each entry of u with
+    P[cols][rows] != 0 then forms one scaled pair. Given ``columns``, the
+    rows of P keep only those output columns, once, before the loop; the
+    theorem passes a column basis of P of that rank (``_column_basis``).
     """
     if u.p != u.q:
         raise ValueError("factors must be square to act by place permutations")
@@ -296,20 +287,6 @@ def _column_basis(g: GroupAlgebraElement, k: int, m: int) -> list[MultiIndex]:
                 divisor = gcd(*v.values())
                 v = {key: c // divisor for key, c in v.items()}
     return sorted(pivots)
-
-
-def trace_support(
-    g: GroupAlgebraElement, k: int, m: int
-) -> set[tuple[MultiIndex, MultiIndex]]:
-    """The keys (rows, cols) of a k-fold tensor u over m x m matrices whose
-    entry reaches full_trace(right_mul_group_algebra(u, g)).
-
-    That trace is (1/D) sum u[rows, cols] P[cols][rows] over every key, with
-    D and P from ``_place_operator``, so exactly the keys with
-    P[cols][rows] != 0 contribute; they are read off P in int arithmetic.
-    """
-    _, nonzero = _place_operator(g, k, m)
-    return {(new, cols) for cols, row in nonzero.items() for new, _ in row}
 
 
 def full_trace(u: TensorElement):

@@ -49,11 +49,11 @@ from capelli.tableaux import (
 )
 from capelli.tensors import (
     TensorElement,
+    _place_operator,
     full_trace,
     right_mul_group_algebra,
     tensor_matmul,
     tensor_product,
-    trace_support,
 )
 from capelli.weyl import WeylAlgebra, WeylElement, WeylMonomial
 
@@ -248,17 +248,17 @@ def shifted_factors(m: int, contents: tuple[int, ...]) -> list[TensorElement]:
 
 def ugl_shifted_symbols(T, m: int) -> TensorElement:
     """The symbols of (E - c_T(1)) (x) ... (x) (E - c_T(k)) on the keys that
-    ``_shifted_product`` keeps (cols in the column support of Psi(T,T)),
-    built over U(gl(m)) with ``tensor_product``, whose products straighten
-    PBW words, and mapped entry by entry with ``symbol``, not built in
+    ``_shifted_product`` keeps (cols at which the place operator of
+    Psi(T,T) has a nonzero row): the whole product built over U(gl(m)) with
+    ``tensor_product``, whose products straighten PBW words, restricted to
+    those keys and mapped entry by entry with ``symbol``, not built in
     C[e_ab] by the right action of each factor."""
     k = T.size
     contents = tuple(T.content(r) for r in range(1, k + 1))
-    support = {cols for _, cols in trace_support(psi(T, T), k, m)}
-    keys = [
-        (rows, cols) for rows in itertools.product(range(1, m + 1), repeat=k) for cols in support
-    ]
-    return symbol_image(tensor_product(shifted_factors(m, contents), keys))
+    _, place = _place_operator(psi(T, T), k, m)
+    whole = tensor_product(shifted_factors(m, contents))
+    restricted = {(rows, cols): c for (rows, cols), c in whole.items() if place[cols]}
+    return symbol_image(TensorElement._raw(whole._space, restricted))
 
 
 def whole_theorem_reports(shape: Partition, m: int, ns, evaluator) -> dict:

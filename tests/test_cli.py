@@ -215,6 +215,8 @@ def test_tableau_shape_mismatch_returns_error(capsys):
          "empty part in shape ',2'"),
         (["eigenvalue", "--shape", "2,1", "--m", "2", "--weights", "1e999999999,1"],
          "weight '1e999999999': use an integer, p/q or a decimal, no exponent"),
+        (["verify", "theorem", "--shape", "1", "--m", "1", "--n", "1",
+          "--tableau", "[" * 5000 + "]" * 5000], "tableau nested too deeply"),
     ],
 )
 def test_degenerate_input_returns_error(argv, message, capsys):

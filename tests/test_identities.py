@@ -1,5 +1,6 @@
 import itertools
 import json
+import random
 from fractions import Fraction
 from functools import cache, partial
 from math import factorial, lcm
@@ -17,6 +18,7 @@ from capelli.enveloping import (
     ugl_to_weyl,
 )
 from capelli.identities import (
+    _built,
     _certified_basis,
     _first_entry,
     _lhs_symbols,
@@ -336,6 +338,36 @@ def test_traced_right_side_against_whole_traced_tensor(m):
             assert (not expected) == (len(shape.parts) > m), shape
             traced = _traced(character_element(shape), m, [_times_variable] * k)
             assert traced == expected, shape
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_built_on_a_key_subset_is_the_tensor_product_restricted(k):
+    # the prefix builder on a random subset of the keys, some of whose
+    # products are 0, is the whole tensor_product restricted to them
+    m, rng = 3, random.Random(k)
+    algebra, span = SymbolAlgebra(m), range(1, m + 1)
+    keys = list(itertools.product(itertools.product(span, repeat=k), repeat=2))
+    e = TensorElement.matrix(algebra, [[algebra.var(a, b) for b in span] for a in span])
+    # the same matrix with some entries 0, (1, 1) among them
+    masked = TensorElement.matrix(
+        algebra,
+        [
+            [algebra.zero() if (a, b) == (1, 1) or rng.random() < 0.3 else algebra.var(a, b)
+             for b in span]
+            for a in span
+        ],
+    )
+
+    def times_masked(f, a, b):
+        return f * masked.coefficient((a,), (b,))
+
+    for matrix, step in [(e, _times_variable), (masked, times_masked)]:
+        whole = dict(tensor_product([matrix] * k).items())
+        zeros = [key for key in keys if key not in whole]
+        subset = set(rng.sample(keys, len(keys) // 3) + rng.sample(zeros, min(3, len(zeros))))
+        restricted = {key: c for key, c in whole.items() if key in subset}
+        assert _built(m, [step] * k, subset) == TensorElement(algebra, k, m, m, restricted)
+    assert zeros
 
 
 def _weyl_oracle_sides(T, T2, m, n):

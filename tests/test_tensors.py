@@ -29,7 +29,6 @@ from capelli.tensors import (
     right_mul_group_algebra,
     tensor_matmul,
     tensor_product,
-    trace_support,
 )
 from capelli.weyl import WeylAlgebra
 from oracles import RationalAlgebra, exact_rank, gl_dimension, hook_count, perm_tensor
@@ -98,12 +97,6 @@ def test_tensor_product_entrywise_with_zero_entries(k):
             expected[(rows, cols)] = value
     assert product == TensorElement(W, k, 2, 3, expected)
     assert_canonical(product)
-    # built on a random subset of the keys, some of whose products are 0, it
-    # is the full product restricted to them
-    zeros = [key for key in keys if key not in expected]
-    subset = set(rng.sample(keys, len(keys) // 3) + rng.sample(zeros, min(3, len(zeros))))
-    restricted = {key: c for key, c in expected.items() if key in subset}
-    assert tensor_product(factors, subset) == TensorElement(W, k, 2, 3, restricted)
 
 
 def test_tensor_product_dimension_mismatch():
@@ -434,11 +427,13 @@ def _antisymmetrizer(k):
 
 @pytest.mark.parametrize("k,m", [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (3, 2), (2, 3)])
 def test_trace_support_is_exact(k, m):
-    # a key is in the support exactly when the unit tensor there has a
-    # nonzero traced product with g
+    # the keys that reach a trace are read off the place operator: P[cols][rows]
+    # != 0 exactly when the unit tensor at (rows, cols) has a nonzero traced
+    # product with g
     antisymmetrizer = GroupAlgebraElement(k, {s: s.sign() for s in all_permutations(k)})
     # it acts as 0 on (C^m)^(x k) exactly when k > m
-    assert (not trace_support(antisymmetrizer, k, m)) == (k > m)
+    _, place = _place_operator(antisymmetrizer, k, m)
+    assert (not any(place.values())) == (k > m)
     elements = [antisymmetrizer]
     for shape in all_partitions(k):
         elements.append(character_element(shape))
@@ -446,17 +441,18 @@ def test_trace_support_is_exact(k, m):
         elements.extend(psi(T, T2) for T in tableaux for T2 in tableaux)
     indices = list(itertools.product(range(1, m + 1), repeat=k))
     for g in elements:
-        support = trace_support(g, k, m)
-        for key in itertools.product(indices, repeat=2):
-            unit = TensorElement(Q, k, m, m, {key: 1})
+        _, place = _place_operator(g, k, m)
+        assert set(place) == set(indices)
+        assert all(new in place for row in place.values() for new, _ in row)
+        for rows, cols in itertools.product(indices, repeat=2):
+            unit = TensorElement(Q, k, m, m, {(rows, cols): 1})
             traced = full_trace(right_mul_group_algebra(unit, g))
-            assert (key in support) == (traced != 0), (g, key)
-        assert support <= set(itertools.product(indices, repeat=2))
+            assert (rows in dict(place[cols])) == (traced != 0), (g, rows, cols)
 
 
 def test_trace_support_degree_mismatch():
     with pytest.raises(ValueError):
-        trace_support(GroupAlgebraElement.one(2), 3, 2)
+        _place_operator(GroupAlgebraElement.one(2), 3, 2)
 
 
 def test_full_trace_examples():
