@@ -42,20 +42,21 @@ whole product formed; a pair that differs there has both whole products
 formed, so a failing report is that of the whole products.
 
 The left side is built only on the keys whose cols lie in the column
-support of Psi(T,T), the cols at which its int place operator
-(``tensors._place_operator``) has a nonzero row, once per tableau T for
-every T'. The reason is the matrix units: Psi(T,T') = (dim mu / k!)
-Psi(T,T) Psi(T,T'), and right multiplication is a right action, so the
-place operator of Psi(T,T') is that of Psi(T,T) times another and its row
-at a column that Psi(T,T) kills is 0. For a shape of more than m rows
-Psi(T,T) kills every column (Schur-Weyl), and nothing is built. The
-right side is the shared, unrestricted [e_ab]^(x k), so a wrong
-support would show as a failing report. Both sides are linear in Psi, so
-the verify path multiplies both by the least integral multiple D Psi(T,T'),
-D the lcm of Psi's denominators: the product never divides, and symbols,
-comparisons and ev_n images stay in ints. D != 0 changes no verdict, no
-term count and no ``first_diff``, which names a key and a monomial, not a
-coefficient. ``lhs_theorem`` and ``rhs_theorem`` multiply by Psi itself.
+support of the pair's own operator, the cols at which P
+(``tensors._place_operator``) has a nonzero row: an entry at any other col
+meets a zero row of P and adds nothing, so this is exact for any group
+algebra element. That support keys the ``_shifted_product`` memo, and the
+matrix units make it one entry per tableau T for every T': Psi(T,T') =
+(dim mu / k!) Psi(T,T) Psi(T,T') and Psi(T,T) = (dim mu / k!) Psi(T,T')
+Psi(T',T), and right multiplication is a right action, so each place
+operator is the other times another and both have the same nonzero rows.
+For a shape of more than m rows every operator is 0 (Schur-Weyl), and
+nothing is built. Both sides are linear in Psi, so the verify path
+multiplies both by the least integral multiple D Psi(T,T'), D the lcm of
+Psi's denominators: the product never divides, and symbols, comparisons and
+ev_n images stay in ints. D != 0 changes no verdict, no term count and no
+``first_diff``, which names a key and a monomial, not a coefficient.
+``lhs_theorem`` and ``rhs_theorem`` multiply by Psi itself.
 
 Every operator is ev_n of its symbol, so equal symbols give equal
 operators at every n. For n >= m the evaluation ev_n into the Weyl algebra
@@ -220,17 +221,14 @@ def _symbol_matrix(m: int) -> TensorElement:
 
 
 @lru_cache(maxsize=None)
-def _shifted_product(T: StandardTableau, m: int) -> TensorElement:
+def _shifted_product(T: StandardTableau, m: int, support: frozenset) -> TensorElement:
     """The symbol tensor of (E - c_T(1)) (x) ... (x) (E - c_T(k)), cached
-    per tableau and free of n, on the keys whose cols lie in the column
-    support of Psi(T,T) only, the cols at which its place operator has a
-    nonzero row: every Psi(T,T') reads no other column (see the module
-    docstring). Built straight in C[e_ab] by ``_built``: an entry's symbol
-    times E[a,b] - c delta_ab is ``_times_generator``."""
-    k, span = T.size, range(1, m + 1)
-    _, place = _place_operator(psi(T, T), k, m)
-    every = list(itertools.product(span, repeat=k))
-    keys = [(rows, cols) for cols, row in place.items() if row for rows in every]
+    per tableau and column support and free of n, on the keys whose cols
+    lie in ``support`` only (see the module docstring). Built straight in
+    C[e_ab] by ``_built``: an entry's symbol times E[a,b] - c delta_ab is
+    ``_times_generator``."""
+    every = list(itertools.product(range(1, m + 1), repeat=T.size))
+    keys = [(rows, cols) for cols in sorted(support) for rows in every]
     steps = [partial(_times_generator, shift=c) for c in _contents(T)]
     u = _built(m, steps, keys)
     # each entry was built with its own word tuples; the cached tensor
@@ -381,9 +379,13 @@ def _contents(T: StandardTableau) -> tuple[int, ...]:
 def _lhs_symbols(
     T: StandardTableau, g: GroupAlgebraElement, m: int, columns=None
 ) -> TensorElement:
-    """The symbols of the left side times g, a multiple of some Psi(T,T'),
-    at the output cols in ``columns`` only if it is given."""
-    return right_mul_group_algebra(_shifted_product(T, m), g, columns=columns)
+    """The symbols of the left side times g, at the output cols in
+    ``columns`` only if it is given. The left side is built only at the
+    cols where the place operator of g has a nonzero row, the only ones the
+    product reads."""
+    _, place = _place_operator(g, T.size, m)
+    support = frozenset(cols for cols, row in place.items() if row)
+    return right_mul_group_algebra(_shifted_product(T, m, support), g, columns=columns)
 
 
 def _rhs_symbols(g: GroupAlgebraElement, m: int, columns=None) -> TensorElement:

@@ -178,16 +178,13 @@ def _place_operator(
     int place operator of D g on every column multi-index in 1..m, where
     P[cols][cols o s] is the sum of the int scales D c_s. Each row of P keeps
     only its nonzero entries, so cancellation happens here, in int
-    arithmetic. The last two operators built are kept: a trace's
-    representative keys and its product by one g share one, and a theorem
-    pair's operator of D Psi(T,T') outlives its tableau's left side reading
-    the column support of Psi(T,T)."""
+    arithmetic. The last operator built is kept."""
     if g.degree != k:
         raise ValueError(f"degree mismatch: {g.degree} vs k={k}")
     return _place_operator_of(k, m, tuple(g.items()))
 
 
-@lru_cache(maxsize=2)
+@lru_cache(maxsize=1)
 def _place_operator_of(k: int, m: int, terms: tuple[tuple[Permutation, Fraction], ...]):
     denom = lcm(*(c.denominator for _, c in terms))
     place: dict[MultiIndex, dict[MultiIndex, int]] = {

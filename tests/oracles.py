@@ -247,12 +247,14 @@ def shifted_factors(m: int, contents: tuple[int, ...]) -> list[TensorElement]:
 
 
 def ugl_shifted_symbols(T, m: int) -> TensorElement:
-    """The symbols of (E - c_T(1)) (x) ... (x) (E - c_T(k)) on the keys that
-    ``_shifted_product`` keeps (cols at which the place operator of
-    Psi(T,T) has a nonzero row): the whole product built over U(gl(m)) with
+    """The symbols of (E - c_T(1)) (x) ... (x) (E - c_T(k)) on the keys
+    whose cols are those at which the place operator of Psi(T,T) has a
+    nonzero row: the whole product built over U(gl(m)) with
     ``tensor_product``, whose products straighten PBW words, restricted to
     those keys and mapped entry by entry with ``symbol``, not built in
-    C[e_ab] by the right action of each factor."""
+    C[e_ab] by the right action of each factor. The theorem reads its keys
+    off each pair's own operator instead; by the matrix units both supports
+    are equal, which the comparison with ``_shifted_product`` checks."""
     k = T.size
     contents = tuple(T.content(r) for r in range(1, k + 1))
     _, place = _place_operator(psi(T, T), k, m)

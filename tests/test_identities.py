@@ -7,19 +7,21 @@ from math import factorial, lcm
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from capelli.enveloping import (
     EnvelopingAlgebra,
     SymbolAlgebra,
     SymbolElement,
     _evaluator,
+    _times_generator,
     is_central,
     ugl_to_weyl,
 )
 from capelli.identities import (
     _built,
     _certified_basis,
+    _contents,
     _first_entry,
     _lhs_symbols,
     _orbit_keys,
@@ -76,7 +78,7 @@ from oracles import (
     whole_theorem_reports,
     xd_weyl,
 )
-from test_tensors import operator_columns
+from test_tensors import _nonzero_rows, operator_columns
 
 
 def part(text):
@@ -85,6 +87,11 @@ def part(text):
 
 def tab(text):
     return StandardTableau.parse(text)
+
+
+def support(g, m):
+    # the cols at which the place operator of g has a nonzero row
+    return frozenset(_nonzero_rows(g, g.degree, m))
 
 
 def test_build_E_entries():
@@ -523,39 +530,98 @@ def test_theorem_builds_no_left_side_for_a_shape_with_more_rows_than_m():
     # Psi(T,T) acts as 0 on (C^2)^(x 4) for a shape of three rows
     # (Schur-Weyl), so no column of the left side is built and both sides are 0
     shape = part("2,1,1")
+    _shifted_product.cache_clear()
     reports = verify_theorem(shape, 2, 2)
     assert len(reports) == 9
     assert all(r.outcome and (r.lhs_terms, r.rhs_terms) == (0, 0) for r in reports)
     tableaux = enumerate_standard_tableaux(shape)
+    assert _shifted_product.cache_info().currsize == len(tableaux)
     for T in tableaux:
-        assert not _shifted_product(T, 2)
+        # every pair's operator is 0, so the one memo entry of T is the
+        # empty one on the empty support
+        assert all(support(psi(T, T2), 2) == frozenset() for T2 in tableaux)
+        hits = _shifted_product.cache_info().hits
+        assert not _shifted_product(T, 2, frozenset())
+        assert _shifted_product.cache_info().hits == hits + 1
         # the rank certificate is 0, so the column basis J is empty
         assert all(_certified_basis(T, psi(T, T2), 2) == set() for T2 in tableaux)
 
 
 def test_theorem_builds_each_place_operator_once():
-    # the memo keeps two operators, so a pair's D Psi(T,T') survives its
-    # tableau's left side reading the trace support of Psi(T,T)
+    # the memo keeps one operator, and every reader of a pair reads that of
+    # the D Psi(T,T') it multiplies by, the left side's support too: no
+    # operator of an unscaled Psi(T,T) is built
     shape, m = part("3,1"), 2
     tableaux = enumerate_standard_tableaux(shape)
-    operators = {tuple(psi(T, T).items()) for T in tableaux}
+    operators = set()
     for T in tableaux:
         for T2 in tableaux:
             g = psi(T, T2)
             operators.add(tuple((lcm(*(c.denominator for _, c in g.items())) * g).items()))
+    assert not operators & {tuple(psi(T, T).items()) for T in tableaux}
     _shifted_product.cache_clear()
     _place_operator_of.cache_clear()
     _theorem_reports(shape, m, (m,), cache(_evaluator))
     assert _place_operator_of.cache_info().misses == len(operators)
 
 
+@pytest.mark.parametrize("shape,m", [("3,1", 2), ("2,1,1", 2), ("2,2", 3), ("3,2", 2)])
+def test_theorem_builds_one_left_side_per_tableau(shape, m):
+    # the left side is keyed by the support of each pair's own operator;
+    # by the matrix units every Psi(T,T') has the support of Psi(T,T), so
+    # every T' hits the one memo entry of T
+    shape = part(shape)
+    _shifted_product.cache_clear()
+    reports = _theorem_reports(shape, m, (m,), cache(_evaluator))[m]
+    tableaux = enumerate_standard_tableaux(shape)
+    assert len(reports) == len(tableaux) ** 2 and all(r.outcome for r in reports)
+    assert _shifted_product.cache_info().currsize == len(tableaux)
+
+
+def _is_multiple(g, h):
+    # g = c h for some c, 0 included
+    ratios = {dict(g.items()).get(s, 0) / c for s, c in h.items()}
+    return set(g.support()) <= set(h.support()) and len(ratios) == 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), k=st.integers(2, 3), m=st.integers(1, 3))
+def test_left_side_times_any_g_is_the_whole_product(data, k, m):
+    # the left side is built at the cols where the operator of g has a
+    # nonzero row, which is exact for any g, not only a multiple of some
+    # Psi: here a sum of Psi(S,S') of several shapes, some of more rows
+    # than m, plus a few permutations
+    matrix_units = [
+        psi(S, S2)
+        for shape in all_partitions(k)
+        for S in enumerate_standard_tableaux(shape)
+        for S2 in enumerate_standard_tableaux(shape)
+    ]
+    units = data.draw(st.lists(st.sampled_from(matrix_units), max_size=4))
+    g = data.draw(int_group_algebra_elements(k))
+    for h in units:
+        g = g + data.draw(st.integers(-2, 2).filter(bool)) * h
+    assume(not any(_is_multiple(g, h) for h in matrix_units))
+    tableaux = [T for shape in all_partitions(k) for T in enumerate_standard_tableaux(shape)]
+    T = data.draw(st.sampled_from(tableaux))
+    steps = [partial(_times_generator, shift=c) for c in _contents(T)]
+    every = list(itertools.product(itertools.product(range(1, m + 1), repeat=k), repeat=2))
+    assert _lhs_symbols(T, g, m) == right_mul_group_algebra(_built(m, steps, every), g)
+
+
 def test_left_side_is_built_on_the_columns_of_the_diagonal_psi():
     # at m = 3, Psi(T,T) of shape 2,2 keeps 54 and 36 of the 81 columns; the
     # right side is built on every column, so equal symbols show that the
     # left side lost nothing that a Psi(T,T') reads
-    m = 3
-    tableaux = enumerate_standard_tableaux(part("2,2"))
-    columns = [{cols for (_, cols), _ in _shifted_product(T, m).items()} for T in tableaux]
+    m, shape = 3, part("2,2")
+    tableaux = enumerate_standard_tableaux(shape)
+    _shifted_product.cache_clear()
+    _theorem_reports(shape, m, (m,), cache(_evaluator))
+    # read from the memo the whole-shape run left, one entry per tableau
+    misses = _shifted_product.cache_info().misses
+    left = [_shifted_product(T, m, support(psi(T, T), m)) for T in tableaux]
+    assert _shifted_product.cache_info().misses == misses == len(tableaux)
+    columns = [{cols for (_, cols), _ in u.items()} for u in left]
     assert [len(c) for c in columns] == [54, 36]
     for T in tableaux:
         for T2 in tableaux:
@@ -702,7 +768,12 @@ def test_shifted_product_built_in_symbols_equals_the_ugl_route():
         for shape in all_partitions(k):
             for T in enumerate_standard_tableaux(shape):
                 for m in (1, 2, 3):
-                    assert _shifted_product(T, m) == ugl_shifted_symbols(T, m), (T, m)
+                    # the oracle's keys are read off Psi(T,T), the memo's
+                    # off each Psi(T,T'): the matrix units make them equal
+                    expected = ugl_shifted_symbols(T, m)
+                    for T2 in enumerate_standard_tableaux(shape):
+                        u = _shifted_product(T, m, support(psi(T, T2), m))
+                        assert u == expected, (T, T2, m)
 
 
 @pytest.mark.parametrize("k,ms", [(k, (1, 2, 3)) for k in (1, 2, 3, 4)] + [(5, (2,))])

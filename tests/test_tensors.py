@@ -411,14 +411,16 @@ def _nonzero_rows(g, k, m):
 def test_place_operator_rows_of_psi_lie_in_those_of_the_diagonal_psi(k, m):
     # Psi(T,T') = (dim mu / k!) Psi(T,T) Psi(T,T') and right multiplication
     # is a right action, so a column that Psi(T,T) kills, every Psi(T,T')
-    # kills: the theorem's left side is built on Psi(T,T)'s columns only
+    # kills, and by Psi(T,T) = (dim mu / k!) Psi(T,T') Psi(T',T) the
+    # converse: the theorem's left side, built on the columns of each
+    # pair's own operator, is one tensor per tableau
     for shape in all_partitions(k):
         tableaux = enumerate_standard_tableaux(shape)
         for T in tableaux:
             rows = _nonzero_rows(psi(T, T), k, m)
             assert (not rows) == (len(shape.parts) > m), (T, m)
             for T2 in tableaux:
-                assert _nonzero_rows(psi(T, T2), k, m) <= rows, (T, T2, m)
+                assert _nonzero_rows(psi(T, T2), k, m) == rows, (T, T2, m)
 
 
 def _antisymmetrizer(k):
