@@ -36,10 +36,9 @@ dim V_mu(gl(m)) by Schur-Weyl duality, which the hook-content formula
 gives from (mu, m) alone (``tableaux._gl_dimension``); a mismatch raises
 ``ArithmeticError``. Both sides are formed on J alone (P's rows cut to J
 once, in ``right_mul_group_algebra``). A pair whose sides agree on J is
-counted by ``_rhs_counts`` from one entry of the right side per pair of
-set partitions of 1..k, for n >= m and, through ev_n, for n < m, with no
-whole product formed; a pair that differs there has both whole products
-formed, so a failing report is that of the whole products.
+counted by ``_pair_counts`` from P alone, at every n, with no product and
+no ev_n formed; a pair that differs there has both whole products formed,
+so a failing report is that of the whole products.
 
 The left side is built only on the keys whose cols lie in the column
 support of the pair's own operator, the cols at which P
@@ -321,6 +320,17 @@ def _orbit_keys(k: int, m: int) -> list:
     return [(s[0::2], s[1::2]) for s in strings if sorted(s[0::2]) == sorted(s[1::2])]
 
 
+def _growth_strings(k: int, m: int) -> list[tuple[int, ...]]:
+    """One multi-index in 1..m per set partition of the positions 1..k into
+    at most m blocks, the positions where it repeats a value: the
+    restricted growth strings, whose values first occur in increasing
+    order."""
+    strings = [()]
+    for _ in range(k):
+        strings = [s + (b,) for s in strings for b in range(1, min(max(s, default=0) + 1, m) + 1)]
+    return strings
+
+
 def _symmetrized(f: SymbolElement) -> SymbolElement:
     """(1/m!) sum over s in S_m of f relabelled by e_ab -> e_s(a)s(b), each
     monomial over its own values: if w uses v of the values 1..m, sum_s s(w)
@@ -394,49 +404,27 @@ def _rhs_symbols(g: GroupAlgebraElement, m: int, columns=None) -> TensorElement:
     return right_mul_group_algebra(_xd_product(g.degree, m), g, columns=columns)
 
 
-def _growth_strings(k: int, m: int) -> list[tuple[int, ...]]:
-    """One multi-index in 1..m per set partition of the positions 1..k into
-    at most m blocks, the positions where it repeats a value: the
-    restricted growth strings, whose values first occur in increasing
-    order."""
-    strings = [()]
-    for _ in range(k):
-        strings = [s + (b,) for s in strings for b in range(1, min(max(s, default=0) + 1, m) + 1)]
-    return strings
-
-
-def _rhs_counts(g: GroupAlgebraElement, m: int, ns, evaluator) -> dict[int, int]:
+def _pair_counts(g: GroupAlgebraElement, m: int, ns, length: int) -> dict[int, int]:
     """The number of nonzero entries of the right side times g, R . P with
-    R = [e_ab]^(x k), at each n of ``ns``: as symbols for n >= m, as ev_n
-    images (``evaluator(m, n)``) for n < m. R . P is not formed whole.
+    R = [e_ab]^(x k), at each n of ``ns``, for g a nonzero multiple of some
+    Psi(T,T') of a shape of ``length`` rows: (nonzero rows of P) x (nonzero
+    columns of P) for n >= length, 0 below. Read off P alone.
 
-    Relabelling the values of rows by a permutation s of 1..m and those of
-    the output cols by t leaves P unchanged (P[t cols][t new] = P[cols][new])
-    and maps entry (rows, new) = sum_cols P[cols][new] prod_t e[rows_t, cols_t]
-    to its image under e_ab -> e_s(a)t(b), a renaming of the Weyl variables
-    too. So whether an entry is 0, before or after ev_n, depends only on
-    the set partitions of 1..k where rows and new repeat a value, and each
-    pair of them with b and b' blocks stands for (m)_b (m)_b' entries, the
-    falling factorials ``perm(m, b)``. One entry is formed per pair, at the
-    ``_growth_strings``, from P's columns at those outputs only."""
-    k = g.degree
-    xd, strings = _xd_product(k, m), _growth_strings(k, m)
-    # R at the representative rows only, on every column
-    terms = {
-        (rows, cols): xd._terms[rows, cols]
-        for rows in strings
-        for cols in itertools.product(range(1, m + 1), repeat=k)
-    }
-    u = TensorElement._raw(xd._space, terms)
-    entries = right_mul_group_algebra(u, g, columns=set(strings))
-    images = {n: evaluator(m, n) for n in ns if n < m}
-    counts = dict.fromkeys(ns, 0)
-    for (rows, new), f in entries.items():
-        weight = perm(m, max(rows)) * perm(m, max(new))
-        for n in ns:
-            if n >= m or images[n](f):
-                counts[n] += weight
-    return counts
+    Entry (rows, new) of R . P is sum_cols P[cols][new] prod_t e[rows_t,
+    cols_t], the image of e_rows (x) P e_new in the symmetric power
+    C[e_ab]_k = ((C^m)^(x k) (x) (C^m)^(x k))_{S_k}, which is the sum of
+    the irreducible S_lambda(C^m) (x) S_lambda(C^m) over lambda with at most m
+    rows (Howe). The mu-block of C[S_k] is End(S^mu), and Psi(T,T') is rank
+    one in it, so the entry lies in the component of mu and is a (x) b, where
+    a != 0 exactly when row ``rows`` of P is nonzero and b != 0 exactly when
+    column ``new`` is. ev_n is GL(m) x GL(m)-equivariant and its kernel is
+    the sum of the components with more than n rows, the ideal of the
+    (n+1)-minors (De Concini-Eisenbud-Procesi), so on that component it is
+    injective for n >= length and 0 below."""
+    _, place = _place_operator(g, g.degree, m)
+    rows = [row for row in place.values() if row]
+    count = len(rows) * len({new for row in rows for new, _ in row})
+    return {n: count if n >= length else 0 for n in ns}
 
 
 def _certified_basis(T: StandardTableau, g: GroupAlgebraElement, m: int) -> set:
@@ -525,8 +513,9 @@ def _theorem_reports(
 ) -> dict[int, list[VerificationReport]]:
     """The theorem's reports for each n of ``ns``, from one n-free
     comparison per tableau pair (every ordered pair of the shape if
-    ``pairs`` is None); ``evaluator(m, n)`` gives ev_n. A pair's symbol work
-    is charged to its report at the first n."""
+    ``pairs`` is None); ``evaluator(m, n)`` gives ev_n, which only a failing
+    pair asks for. A pair's symbol work is charged to its report at the
+    first n."""
     if pairs is None:
         tableaux = enumerate_standard_tableaux(shape)
         pairs = [(T, T2) for T in tableaux for T2 in tableaux]
@@ -538,12 +527,13 @@ def _theorem_reports(
         g = lcm(*(c.denominator for _, c in g.items())) * g
         # both sides are tensors times the same P, so they agree exactly
         # when they agree on a column basis J of P; a passing pair is
-        # counted by ``_rhs_counts``, and a failing one gets both whole
-        # products, for the counts and first_diff of the whole comparison
+        # counted from P by ``_pair_counts``, and a failing one gets both
+        # whole products, for the counts and first_diff of the whole
+        # comparison
         basis = _certified_basis(T, g, m)
         counts = None
         if _lhs_symbols(T, g, m, basis) == _rhs_symbols(g, m, basis):
-            counts = _rhs_counts(g, m, ns, evaluator)
+            counts = _pair_counts(g, m, ns, len(shape))
         else:
             lhs, rhs = _lhs_symbols(T, g, m), _rhs_symbols(g, m)
         for n in ns:

@@ -26,7 +26,6 @@ from capelli.identities import (
     _lhs_symbols,
     _orbit_keys,
     _report,
-    _rhs_counts,
     _rhs_symbols,
     _shifted_product,
     _symmetrized,
@@ -35,7 +34,6 @@ from capelli.identities import (
     _times_variable,
     _traced,
     _weyl_image,
-    _xd_product,
     build_D,
     build_E,
     build_X,
@@ -493,19 +491,6 @@ def int_group_algebra_elements(draw, k):
     )
 
 
-@settings(max_examples=40, deadline=None)
-@given(data=st.data(), k=st.integers(1, 4), m=st.integers(1, 3))
-def test_right_side_counts_equal_the_formed_product(data, k, m):
-    # one entry per pair of set partitions, weighted by (m)_b (m)_b', counts
-    # the nonzero entries of the whole R . P, as symbols at n >= m and as
-    # ev_n images at each n < m
-    g = data.draw(int_group_algebra_elements(k))
-    ns = range(1, m + 2)
-    counts = _rhs_counts(g, m, ns, cache(_evaluator))
-    whole = right_mul_group_algebra(_xd_product(k, m), g)
-    assert counts == {n: len(whole) if n >= m else len(_weyl_image(whole, n)) for n in ns}
-
-
 def test_a_passing_pair_forms_no_whole_product(monkeypatch):
     # every pair of the golden sweep passes on the column basis, so neither
     # the whole right side nor any ev_n image of a tensor is formed
@@ -524,6 +509,19 @@ def test_a_passing_pair_forms_no_whole_product(monkeypatch):
     golden = Path(__file__).parent / "data" / "sweep_k3_m3_n3.jsonl"
     expected = [json.loads(line) for line in golden.read_text().splitlines()]
     assert _without_millis(sweep(3, 3, 3)) == expected
+
+
+def test_a_passing_pair_builds_no_ev_n():
+    # a passing pair is counted from its place operator alone, at n < m as
+    # well, so no ev_n is asked for
+    def evaluator(m, n):
+        raise AssertionError(f"ev_{n} built at m={m}")
+
+    for k in (1, 2, 3, 4):
+        for shape in all_partitions(k):
+            for m in (1, 2, 3):
+                reports = _theorem_reports(shape, m, range(1, m + 2), evaluator)
+                assert all(r.outcome for n in reports for r in reports[n]), (shape, m)
 
 
 def test_theorem_builds_no_left_side_for_a_shape_with_more_rows_than_m():
@@ -719,23 +717,28 @@ def test_theorem_reports_on_a_column_basis_equal_the_whole_products(broken, monk
     # covers n < m, n = m and n > m, except at k = 4, m = 3, where the
     # oracle's whole ev_n images of every shape at n < m would take most of
     # a minute: there n >= m, where the n-free symbols alone decide, as they
-    # pick the n < m route, and n = 2 as well for shape 2,2. Broken, every
-    # pair off the diagonal fails, so the fallback runs as well
+    # pick the n < m route, and n = 2 as well for shape 2,2. Every shape of
+    # k = 5 is run at m = 2, and 2,1,1 at m = 3 with n = 1, 2, where P != 0
+    # but the shape has more than n rows. Broken, every pair off the
+    # diagonal fails, so the fallback runs as well
     if broken:
         _break_rhs_symbols(monkeypatch)
-    evaluator = cache(_evaluator)
-    outcomes = set()
-    for k in (1, 2, 3, 4):
+    cases = [(part("2,1,1"), 3, range(1, 3))]
+    for k in (1, 2, 3, 4, 5):
         for shape in all_partitions(k):
-            for m in (1, 2, 3):
+            for m in (1, 2, 3) if k < 5 else (2,):
                 ns = range(1, m + 2)
                 if (k, m) == (4, 3):
                     ns = range(2 if shape == part("2,2") else m, m + 2)
-                got = _theorem_reports(shape, m, ns, evaluator)
-                expected = whole_theorem_reports(shape, m, ns, evaluator)
-                for n in ns:
-                    assert _without_millis(got[n]) == _without_millis(expected[n]), (shape, m, n)
-                    outcomes |= {r.outcome for r in got[n]}
+                cases.append((shape, m, ns))
+    evaluator = cache(_evaluator)
+    outcomes = set()
+    for shape, m, ns in cases:
+        got = _theorem_reports(shape, m, ns, evaluator)
+        expected = whole_theorem_reports(shape, m, ns, evaluator)
+        for n in ns:
+            assert _without_millis(got[n]) == _without_millis(expected[n]), (shape, m, n)
+            outcomes |= {r.outcome for r in got[n]}
     assert outcomes == ({True, False} if broken else {True})
 
 
