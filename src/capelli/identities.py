@@ -24,33 +24,47 @@ rule ``symbol`` uses per PBW word), so the theorem never straightens a PBW
 word. Both are multiplied by Psi over symbols, and the two symbol tensors
 are compared once.
 
-The comparison is made on a column basis of P, the int place operator of
-D Psi(T,T') (D below). Column new of L . P is L times column new of P, and
-``_certified_basis`` picks output columns J whose columns of P are a basis
-of P's column space, by exact elimination of P's rows over Q
-(``_column_basis``). Every other column is a rational combination of
-those, and both sides are a tensor times the same P, so they agree
-everywhere exactly when they agree on J, and so do their ev_n images,
-since ev_n is linear entrywise. |J| is certified against the rank of P,
-dim V_mu(gl(m)) by Schur-Weyl duality, which the hook-content formula
-gives from (mu, m) alone (``tableaux._gl_dimension``); a mismatch raises
-``ArithmeticError``. Both sides are formed on J alone (P's rows cut to J
-once, in ``right_mul_group_algebra``). A pair whose sides agree on J is
-counted by ``_pair_counts`` from P alone, at every n, with no product and
-no ev_n formed; a pair that differs there has both whole products formed,
-so a failing report is that of the whole products.
+The comparison is made at one output column of P, the int place operator
+of D Psi(T,T') (D below). Write Delta = (L - R) . P, L and R the two
+sides. Both are GL(m)-invariant: E = sum E_ab (x) e_ab is, each factor of
+L acts by it, and the normal-ordered symbol of R commutes with a linear
+change of the x's and the dual change of the xi's; P commutes with GL(m)
+(Schur-Weyl duality). So Delta(h v) = h Delta(v) for h in GL(m), with h
+acting on C[e_ab] too. Delta kills ker P, and im P is V_mu(gl(m)),
+irreducible: if Delta also kills one e_new with P e_new != 0, the module
+GL(m) e_new spans is mapped by P onto im P, so Delta = 0. The mu-weight
+space of V_mu is not 0 and P keeps weights, so such a new exists among
+the weight-mu cols, the rearrangements of 1^mu_1 2^mu_2 ...; the least is
+taken (``_weight_column``). Column new of L . P is L times column new of
+P, which reads L only at the weight-mu cols: both sides are formed there
+alone (P's rows cut to {new} once, in ``right_mul_group_algebra``), and
+ev_n, linear entrywise, keeps the verdict. A pair whose sides agree at
+new is counted by ``_pair_counts`` from P alone, at every n, with no
+product and no ev_n formed; a pair that differs there has both whole
+products formed, so a failing report is that of the whole products.
 
-The left side is built only on the keys whose cols lie in the column
-support of the pair's own operator, the cols at which P
-(``tensors._place_operator``) has a nonzero row: an entry at any other col
-meets a zero row of P and adds nothing, so this is exact for any group
-algebra element. That support keys the ``_shifted_product`` memo, and the
-matrix units make it one entry per tableau T for every T': Psi(T,T') =
-(dim mu / k!) Psi(T,T) Psi(T,T') and Psi(T,T) = (dim mu / k!) Psi(T,T')
-Psi(T',T), and right multiplication is a right action, so each place
-operator is the other times another and both have the same nonzero rows.
-For a shape of more than m rows every operator is 0 (Schur-Weyl), and
-nothing is built. Both sides are linear in Psi, so the verify path
+The one column decides only under two conditions, its trust boundary.
+L is invariant because of how it is built, each step the right action of
+the invariant matrix E - c; a left tensor corrupted only away from the
+weight-mu cols would not be seen, so the builder's own oracles compare
+whole tensors. And im P must be V_mu: ``_certified_basis`` checks the
+rank of the whole P, by exact elimination of its rows over Q
+(``_column_basis``), against dim V_mu(gl(m)), which the hook-content
+formula gives from (mu, m) alone (``tableaux._gl_dimension``); a mismatch
+raises ``ArithmeticError``, and so does a P that is 0 at weight mu.
+
+The left side is built only on the keys whose cols the product reads: the
+cols at which P (``tensors._place_operator``) has a nonzero row, and on
+the one-column path only those of weight mu, since P[cols][new] != 0 only
+when cols rearranges new. An entry at any other col adds nothing, so this
+is exact for any group algebra element. That support keys the
+``_shifted_product`` memo, and the matrix units make it one entry per
+tableau T for every T': Psi(T,T') = (dim mu / k!) Psi(T,T) Psi(T,T') and
+Psi(T,T) = (dim mu / k!) Psi(T,T') Psi(T',T), and right multiplication is
+a right action, so each place operator is the other times another and
+both have the same nonzero rows. For a shape of more than m rows every
+operator is 0 (Schur-Weyl) and there is no weight-mu col: both sides are
+0 and nothing is built. Both sides are linear in Psi, so the verify path
 multiplies both by the least integral multiple D Psi(T,T'), D the lcm of
 Psi's denominators: the product never divides, and symbols, comparisons and
 ev_n images stay in ints. D != 0 changes no verdict, no term count and no
@@ -391,10 +405,16 @@ def _lhs_symbols(
 ) -> TensorElement:
     """The symbols of the left side times g, at the output cols in
     ``columns`` only if it is given. The left side is built only at the
-    cols where the place operator of g has a nonzero row, the only ones the
-    product reads."""
+    cols the product reads: those where the place operator P of g has a
+    nonzero row and, given ``columns``, that rearrange one of them, since
+    P[cols][new] != 0 only when cols is a rearrangement of new."""
     _, place = _place_operator(g, T.size, m)
-    support = frozenset(cols for cols, row in place.items() if row)
+    weights = None if columns is None else {tuple(sorted(new)) for new in columns}
+    support = frozenset(
+        cols
+        for cols, row in place.items()
+        if row and (weights is None or tuple(sorted(cols)) in weights)
+    )
     return right_mul_group_algebra(_shifted_product(T, m, support), g, columns=columns)
 
 
@@ -429,10 +449,11 @@ def _pair_counts(g: GroupAlgebraElement, m: int, ns, length: int) -> dict[int, i
 
 def _certified_basis(T: StandardTableau, g: GroupAlgebraElement, m: int) -> set:
     """The output cols of a column basis of the place operator P of g, a
-    nonzero multiple of Psi(T,T'), certified against P's rank. By Schur-Weyl
-    duality every Psi(T,T') of shape mu acts on (C^m)^(x k) with rank
-    dim V_mu(gl(m)), so the certificate depends on (mu, m) alone; an
-    operator of another rank raises."""
+    nonzero multiple of Psi(T,T'), certified against P's rank: the
+    im P = V_mu(gl(m)) half of the theorem's one-column verdict (see the
+    module docstring). By Schur-Weyl duality every Psi(T,T') of shape mu
+    acts on (C^m)^(x k) with rank dim V_mu(gl(m)), so the certificate
+    depends on (mu, m) alone; an operator of another rank raises."""
     rank = _gl_dimension(T.shape, m)
     basis = _column_basis(g, T.size, m)
     if len(basis) != rank:
@@ -441,6 +462,20 @@ def _certified_basis(T: StandardTableau, g: GroupAlgebraElement, m: int) -> set:
             f"but the place operator has rank {rank}"
         )
     return set(basis)
+
+
+def _weight_column(shape: Partition, g: GroupAlgebraElement, m: int) -> set:
+    """{new}, new the least output col of weight mu, a rearrangement of
+    1^mu_1 2^mu_2 ..., at which the place operator P of g has a nonzero
+    column; empty for a shape of more than m rows, which has no such col.
+    im P = V_mu(gl(m)) has a nonzero mu-weight space and P keeps weights,
+    so for at most m rows such a col exists, and its absence raises."""
+    word = sorted(b for b, part in enumerate(shape.parts, 1) for _ in range(part))
+    _, place = _place_operator(g, g.degree, m)
+    news = [new for cols, row in place.items() if sorted(cols) == word for new, _ in row]
+    if not news and len(shape) <= m:
+        raise ArithmeticError(f"the place operator of shape {shape} at m={m} is 0 at weight mu")
+    return {min(news)} if news else set()
 
 
 def lhs_theorem(
@@ -525,14 +560,16 @@ def _theorem_reports(
         # D Psi, D the lcm of Psi's denominators, has int coefficients
         g = psi(T, T2)
         g = lcm(*(c.denominator for _, c in g.items())) * g
-        # both sides are tensors times the same P, so they agree exactly
-        # when they agree on a column basis J of P; a passing pair is
-        # counted from P by ``_pair_counts``, and a failing one gets both
-        # whole products, for the counts and first_diff of the whole
-        # comparison
-        basis = _certified_basis(T, g, m)
+        # both sides are GL(m)-invariant tensors times the same P, whose
+        # image is the irreducible V_mu once its rank is certified, so they
+        # agree exactly when they agree at one weight-mu column of P (none
+        # for more than m rows: P = 0). A passing pair is counted from P by
+        # ``_pair_counts``, and a failing one gets both whole products, for
+        # the counts and first_diff of the whole comparison
+        _certified_basis(T, g, m)
+        column = _weight_column(shape, g, m)
         counts = None
-        if _lhs_symbols(T, g, m, basis) == _rhs_symbols(g, m, basis):
+        if not column or _lhs_symbols(T, g, m, column) == _rhs_symbols(g, m, column):
             counts = _pair_counts(g, m, ns, len(shape))
         else:
             lhs, rhs = _lhs_symbols(T, g, m), _rhs_symbols(g, m)

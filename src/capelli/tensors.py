@@ -224,7 +224,8 @@ def right_mul_group_algebra(
     trace passes the diagonal keys (rows, rows), and each entry of u with
     P[cols][rows] != 0 then forms one scaled pair. Given ``columns``, the
     rows of P keep only those output columns, once, before the loop; the
-    theorem passes a column basis of P of that rank (``_column_basis``).
+    theorem passes one column of weight mu, which by GL(m)-equivariance
+    decides the whole pair (``identities._weight_column``).
     """
     if u.p != u.q:
         raise ValueError("factors must be square to act by place permutations")

@@ -269,7 +269,7 @@ def whole_theorem_reports(shape: Partition, m: int, ns, evaluator) -> dict:
     D the lcm of Psi's denominators, formed on every column by
     ``_lhs_symbols`` and ``_rhs_symbols`` (looked up at call time, so a
     patched side is used), compared whole, and reported by
-    ``_theorem_report``; no column basis."""
+    ``_theorem_report``; no single column decides."""
     tableaux = enumerate_standard_tableaux(shape)
     reports = {n: [] for n in ns}
     for T in tableaux:

@@ -33,6 +33,7 @@ from capelli.identities import (
     _theorem_reports,
     _times_variable,
     _traced,
+    _weight_column,
     _weyl_image,
     build_D,
     build_E,
@@ -492,7 +493,7 @@ def int_group_algebra_elements(draw, k):
 
 
 def test_a_passing_pair_forms_no_whole_product(monkeypatch):
-    # every pair of the golden sweep passes on the column basis, so neither
+    # every pair of the golden sweep passes at its one column, so neither
     # the whole right side nor any ev_n image of a tensor is formed
     import capelli.identities as identities
 
@@ -526,23 +527,23 @@ def test_a_passing_pair_builds_no_ev_n():
 
 def test_theorem_builds_no_left_side_for_a_shape_with_more_rows_than_m():
     # Psi(T,T) acts as 0 on (C^2)^(x 4) for a shape of three rows
-    # (Schur-Weyl), so no column of the left side is built and both sides are 0
+    # (Schur-Weyl) and no col has weight (2,1,1), so no left side is built
+    # and both sides are 0
     shape = part("2,1,1")
     _shifted_product.cache_clear()
     reports = verify_theorem(shape, 2, 2)
     assert len(reports) == 9
     assert all(r.outcome and (r.lhs_terms, r.rhs_terms) == (0, 0) for r in reports)
+    assert _shifted_product.cache_info().currsize == 0
     tableaux = enumerate_standard_tableaux(shape)
-    assert _shifted_product.cache_info().currsize == len(tableaux)
     for T in tableaux:
-        # every pair's operator is 0, so the one memo entry of T is the
-        # empty one on the empty support
-        assert all(support(psi(T, T2), 2) == frozenset() for T2 in tableaux)
-        hits = _shifted_product.cache_info().hits
-        assert not _shifted_product(T, 2, frozenset())
-        assert _shifted_product.cache_info().hits == hits + 1
-        # the rank certificate is 0, so the column basis J is empty
-        assert all(_certified_basis(T, psi(T, T2), 2) == set() for T2 in tableaux)
+        for T2 in tableaux:
+            g = psi(T, T2)
+            # every pair's operator is 0, its rank certificate is 0, and
+            # there is no weight-mu column to compare at
+            assert support(g, 2) == frozenset()
+            assert _certified_basis(T, g, 2) == set()
+            assert _weight_column(shape, g, 2) == set()
 
 
 def test_theorem_builds_each_place_operator_once():
@@ -565,15 +566,17 @@ def test_theorem_builds_each_place_operator_once():
 
 @pytest.mark.parametrize("shape,m", [("3,1", 2), ("2,1,1", 2), ("2,2", 3), ("3,2", 2)])
 def test_theorem_builds_one_left_side_per_tableau(shape, m):
-    # the left side is keyed by the support of each pair's own operator;
-    # by the matrix units every Psi(T,T') has the support of Psi(T,T), so
-    # every T' hits the one memo entry of T
+    # the left side is keyed by the weight-mu cols of each pair's own
+    # operator; by the matrix units every Psi(T,T') has the support of
+    # Psi(T,T), so every T' hits the one memo entry of T. A shape of more
+    # than m rows has no weight-mu col and builds none
     shape = part(shape)
     _shifted_product.cache_clear()
     reports = _theorem_reports(shape, m, (m,), cache(_evaluator))[m]
     tableaux = enumerate_standard_tableaux(shape)
     assert len(reports) == len(tableaux) ** 2 and all(r.outcome for r in reports)
-    assert _shifted_product.cache_info().currsize == len(tableaux)
+    built = len(tableaux) if len(shape) <= m else 0
+    assert _shifted_product.cache_info().currsize == built
 
 
 def _is_multiple(g, h):
@@ -608,19 +611,25 @@ def test_left_side_times_any_g_is_the_whole_product(data, k, m):
 
 
 def test_left_side_is_built_on_the_columns_of_the_diagonal_psi():
-    # at m = 3, Psi(T,T) of shape 2,2 keeps 54 and 36 of the 81 columns; the
-    # right side is built on every column, so equal symbols show that the
-    # left side lost nothing that a Psi(T,T') reads
+    # at m = 3, Psi(T,T) of shape 2,2 keeps 54 and 36 of the 81 columns, and
+    # the one-column path builds the left side on the 6 and 4 of weight
+    # (2,2) among them; the whole left side is built on all of them, and
+    # the right side on every column, so equal symbols show that it lost
+    # nothing that a Psi(T,T') reads
     m, shape = 3, part("2,2")
     tableaux = enumerate_standard_tableaux(shape)
     _shifted_product.cache_clear()
     _theorem_reports(shape, m, (m,), cache(_evaluator))
     # read from the memo the whole-shape run left, one entry per tableau
     misses = _shifted_product.cache_info().misses
-    left = [_shifted_product(T, m, support(psi(T, T), m)) for T in tableaux]
-    assert _shifted_product.cache_info().misses == misses == len(tableaux)
+    assert misses == len(tableaux)
+    every = itertools.product(range(1, m + 1), repeat=4)
+    weight = {cols for cols in every if sorted(cols) == [1, 1, 2, 2]}
+    left = [_shifted_product(T, m, support(psi(T, T), m) & weight) for T in tableaux]
+    assert _shifted_product.cache_info().misses == misses
     columns = [{cols for (_, cols), _ in u.items()} for u in left]
-    assert [len(c) for c in columns] == [54, 36]
+    assert [len(c) for c in columns] == [6, 4]
+    assert [len(support(psi(T, T), m)) for T in tableaux] == [54, 36]
     for T in tableaux:
         for T2 in tableaux:
             g = psi(T, T2)
@@ -742,6 +751,106 @@ def test_theorem_reports_on_a_column_basis_equal_the_whole_products(broken, monk
     assert outcomes == ({True, False} if broken else {True})
 
 
+@pytest.mark.parametrize("change", ["plus", "minus", "reorder"])
+def test_one_column_reports_with_perturbed_contents_equal_the_whole_products(
+    change, monkeypatch
+):
+    # a left side with other contents is still GL(m)-invariant, so its
+    # one-column verdict must agree with the whole products, failing pairs
+    # included: +1 or -1 on the last content, or the contents reversed.
+    # The memo is keyed by T, not by the contents, so it is cleared on both
+    # sides of the patch
+    import capelli.identities as identities
+
+    contents = identities._contents
+
+    def perturbed(T):
+        c = list(contents(T))
+        if change == "reorder":
+            return tuple(reversed(c))
+        c[-1] += 1 if change == "plus" else -1
+        return tuple(c)
+
+    _shifted_product.cache_clear()
+    monkeypatch.setattr(identities, "_contents", perturbed)
+    evaluator = cache(_evaluator)
+    outcomes = set()
+    try:
+        for k, m in ((2, 2), (3, 2), (3, 3), (4, 2)):
+            for shape in all_partitions(k):
+                if len(shape) > m:
+                    continue
+                ns = range(1, m + 1)
+                got = _theorem_reports(shape, m, ns, evaluator)
+                expected = whole_theorem_reports(shape, m, ns, evaluator)
+                for n in ns:
+                    assert _without_millis(got[n]) == _without_millis(expected[n]), (shape, m, n)
+                    outcomes |= {r.outcome for r in got[n]}
+    finally:
+        _shifted_product.cache_clear()
+    assert False in outcomes
+
+
+def test_a_left_entry_broken_at_the_compared_column_fails_as_the_whole_products(monkeypatch):
+    # one entry of the left tensor, at a weight-mu col whose row of P meets
+    # the compared column new, is changed: the one column sees it, and the
+    # failing report is that of the whole products
+    import capelli.identities as identities
+
+    shape, m, ns = part("2,1"), 2, (1, 2, 3)
+    T = tab("[[1,2],[3]]")
+    g = psi(T, T)
+    g = lcm(*(c.denominator for _, c in g.items())) * g
+    [new] = identities._weight_column(shape, g, m)
+    _, place = _place_operator_of(3, m, tuple(g.items()))
+    cols = min(cols for cols, row in place.items() if new in dict(row))
+    assert sorted(cols) == sorted(new)
+    shifted_product = identities._shifted_product
+
+    def broken(T, m, support):
+        u = shifted_product(T, m, support)
+        if cols not in support:
+            return u
+        return u + TensorElement(u.algebra, u.k, m, m, {(cols, cols): u.algebra.var(1, 1)})
+
+    monkeypatch.setattr(identities, "_shifted_product", broken)
+    evaluator = cache(_evaluator)
+    got = _theorem_reports(shape, m, ns, evaluator, [(T, T)])
+    expected = whole_theorem_reports(shape, m, ns, evaluator)
+    case = f"T={T} T'={T} "
+    for n in ns:
+        [report] = got[n]
+        assert not report.outcome and case in report.case
+        [oracle] = [r for r in _without_millis(expected[n]) if case in r["case"]]
+        assert _without_millis([report]) == [oracle], n
+
+
+def test_a_passing_pair_forms_one_output_column(monkeypatch):
+    # every product a passing pair of the golden sweep forms, on either
+    # side, is cut to one output column; a shape of more than m rows forms
+    # none
+    import capelli.identities as identities
+
+    right_mul = identities.right_mul_group_algebra
+    calls = []
+
+    def recorded(u, g, keys=None, columns=None):
+        calls.append(columns)
+        return right_mul(u, g, keys, columns)
+
+    monkeypatch.setattr(identities, "right_mul_group_algebra", recorded)
+    pairs = 0
+    for k in (1, 2, 3):
+        for shape in all_partitions(k):
+            for m in (1, 2, 3):
+                reports = _theorem_reports(shape, m, (1, 2, 3), cache(_evaluator))
+                assert all(r.outcome for n in reports for r in reports[n]), (shape, m)
+                if len(shape) <= m:
+                    pairs += len(enumerate_standard_tableaux(shape)) ** 2
+    assert len(calls) == 2 * pairs
+    assert all(columns is not None and len(columns) == 1 for columns in calls)
+
+
 @pytest.mark.parametrize("broken", [False, True], ids=["passing", "failing"])
 def test_theorem_reports_do_not_depend_on_n_from_m_on(broken, monkeypatch):
     # the symbols are free of n and ev_n is injective for n >= m, so a report
@@ -822,6 +931,14 @@ def test_an_operator_of_the_wrong_rank_raises():
     # the identity acts with rank 8 on (C^2)^(x 3), against 2 for shape 2,1
     with pytest.raises(ArithmeticError, match="has 8 columns, but .* rank 2"):
         _certified_basis(tab("[[1,2],[3]]"), GroupAlgebraElement.one(3), 2)
+
+
+def test_an_operator_that_is_0_at_weight_mu_raises():
+    # the antisymmetrizer acts as 0 on (C^2)^(x 3), so no col of weight
+    # (2,1) meets a nonzero column: comparing at none would pass unseen
+    g = psi(tab("[[1],[2],[3]]"), tab("[[1],[2],[3]]"))
+    with pytest.raises(ArithmeticError, match="is 0 at weight mu"):
+        _weight_column(part("2,1"), g, 2)
 
 
 def test_report_serialization():
