@@ -35,11 +35,11 @@ irreducible: if Delta also kills one e_new with P e_new != 0, the module
 GL(m) e_new spans is mapped by P onto im P, so Delta = 0. The mu-weight
 space of V_mu is not 0 and P keeps weights, so such a new exists among
 the weight-mu cols, the rearrangements of 1^mu_1 2^mu_2 ...; the least is
-taken (``_weight_column``). Column new of L . P is L times column new of
-P, which reads L only at the weight-mu cols: both sides are formed there
-alone (P's rows cut to {new} once, in ``right_mul_group_algebra``), and
-ev_n, linear entrywise, keeps the verdict. A pair whose sides agree at
-new is counted by ``_pair_counts`` from P alone, at every n, with no
+taken (``_certified_column``). Column new of L . P is L times column new
+of P, which reads L only at the weight-mu cols: both sides are formed
+there alone (P's rows cut to new once, in ``right_mul_group_algebra``),
+and ev_n, linear entrywise, keeps the verdict. A pair whose sides agree at
+new is counted by ``_pair_count`` from P alone, at every n, with no
 product and no ev_n formed; a pair that differs there has both whole
 products formed, so a failing report is that of the whole products.
 
@@ -47,11 +47,14 @@ The one column decides only under two conditions, its trust boundary.
 L is invariant because of how it is built, each step the right action of
 the invariant matrix E - c; a left tensor corrupted only away from the
 weight-mu cols would not be seen, so the builder's own oracles compare
-whole tensors. And im P must be V_mu: ``_certified_basis`` checks the
-rank of the whole P, by exact elimination of its rows over Q
-(``_column_basis``), against dim V_mu(gl(m)), which the hook-content
-formula gives from (mu, m) alone (``tableaux._gl_dimension``); a mismatch
-raises ``ArithmeticError``, and so does a P that is 0 at weight mu.
+whole tensors. And im P must be V_mu. That holds because Psi(T,T') is
+rank one in the mu-block of C[S_k] and 0 in the others, being a joint
+eigenvector of the Jucys-Murphy elements (Okounkov-Vershik), which tier-1
+checks at k <= 5. The verify path runs two necessary guards only, in
+``_certified_column``: rank P (``tensors._rank``, exact elimination of
+its rows over Q) must be dim V_mu(gl(m)), from the hook-content formula
+(``tableaux._gl_dimension``), and P must be nonzero at weight mu; either
+failing raises ``ArithmeticError``.
 
 The left side is built only on the keys whose cols the product reads: the
 cols at which P (``tensors._place_operator``) has a nonzero row, and on
@@ -83,10 +86,10 @@ done here. ``lhs_theorem`` and ``rhs_theorem`` return the Weyl images.
 
 ``_theorem_reports`` and ``_corollary_reports`` take a sequence of n:
 they build a (shape, m)'s n-free symbols once and report every n from
-them, with the ev_n of each (m, n) from a per-call ``evaluator``.
-``verify_theorem`` and ``verify_corollary`` call them with one n, ``sweep``
-with 1..max_n and one evaluator cache for the whole sweep; no case is
-skipped. The shared work is timed into the report at the first n. Scaling
+them. ``verify_theorem`` and ``verify_corollary`` call them with one n,
+``sweep`` with 1..max_n; no case is skipped. Only the corollary maps by
+ev_n on a passing sweep, from one evaluator cache for the whole sweep.
+The shared work is timed into the report at the first n. Scaling
 by a Fraction (the division by the common denominator of Psi in
 ``lhs_theorem``/``rhs_theorem``, 1/dim mu, the proof steps' constants)
 goes through ``SparseElement.__rmul__``, and an integral result is stored
@@ -149,8 +152,8 @@ from .tableaux import (
 )
 from .tensors import (
     TensorElement,
-    _column_basis,
     _place_operator,
+    _rank,
     full_trace,
     right_mul_group_algebra,
     tensor_matmul,
@@ -401,34 +404,33 @@ def _contents(T: StandardTableau) -> tuple[int, ...]:
 
 
 def _lhs_symbols(
-    T: StandardTableau, g: GroupAlgebraElement, m: int, columns=None
+    T: StandardTableau, g: GroupAlgebraElement, m: int, column=None
 ) -> TensorElement:
-    """The symbols of the left side times g, at the output cols in
-    ``columns`` only if it is given. The left side is built only at the
-    cols the product reads: those where the place operator P of g has a
-    nonzero row and, given ``columns``, that rearrange one of them, since
-    P[cols][new] != 0 only when cols is a rearrangement of new."""
+    """The symbols of the left side times g, at the output col ``column``
+    only if it is given. The left side is built only at the cols the
+    product reads: those where the place operator P of g has a nonzero row
+    and, given ``column``, that rearrange it, since P[cols][new] != 0 only
+    when cols is a rearrangement of new."""
     _, place = _place_operator(g, T.size, m)
-    weights = None if columns is None else {tuple(sorted(new)) for new in columns}
     support = frozenset(
         cols
         for cols, row in place.items()
-        if row and (weights is None or tuple(sorted(cols)) in weights)
+        if row and (column is None or sorted(cols) == sorted(column))
     )
-    return right_mul_group_algebra(_shifted_product(T, m, support), g, columns=columns)
+    return right_mul_group_algebra(_shifted_product(T, m, support), g, column=column)
 
 
-def _rhs_symbols(g: GroupAlgebraElement, m: int, columns=None) -> TensorElement:
-    """The symbols of the right side times g, at the output cols in
-    ``columns`` only if it is given."""
-    return right_mul_group_algebra(_xd_product(g.degree, m), g, columns=columns)
+def _rhs_symbols(g: GroupAlgebraElement, m: int, column=None) -> TensorElement:
+    """The symbols of the right side times g, at the output col ``column``
+    only if it is given."""
+    return right_mul_group_algebra(_xd_product(g.degree, m), g, column=column)
 
 
-def _pair_counts(g: GroupAlgebraElement, m: int, ns, length: int) -> dict[int, int]:
+def _pair_count(g: GroupAlgebraElement, m: int) -> int:
     """The number of nonzero entries of the right side times g, R . P with
-    R = [e_ab]^(x k), at each n of ``ns``, for g a nonzero multiple of some
-    Psi(T,T') of a shape of ``length`` rows: (nonzero rows of P) x (nonzero
-    columns of P) for n >= length, 0 below. Read off P alone.
+    R = [e_ab]^(x k), for g a nonzero multiple of some Psi(T,T') of a shape
+    of l rows, at every n >= l (it is 0 below): (nonzero rows of P) x
+    (nonzero columns of P). Read off P alone.
 
     Entry (rows, new) of R . P is sum_cols P[cols][new] prod_t e[rows_t,
     cols_t], the image of e_rows (x) P e_new in the symmetric power
@@ -440,42 +442,34 @@ def _pair_counts(g: GroupAlgebraElement, m: int, ns, length: int) -> dict[int, i
     column ``new`` is. ev_n is GL(m) x GL(m)-equivariant and its kernel is
     the sum of the components with more than n rows, the ideal of the
     (n+1)-minors (De Concini-Eisenbud-Procesi), so on that component it is
-    injective for n >= length and 0 below."""
+    injective for n >= l and 0 below."""
     _, place = _place_operator(g, g.degree, m)
     rows = [row for row in place.values() if row]
-    count = len(rows) * len({new for row in rows for new, _ in row})
-    return {n: count if n >= length else 0 for n in ns}
+    return len(rows) * len({new for row in rows for new, _ in row})
 
 
-def _certified_basis(T: StandardTableau, g: GroupAlgebraElement, m: int) -> set:
-    """The output cols of a column basis of the place operator P of g, a
-    nonzero multiple of Psi(T,T'), certified against P's rank: the
-    im P = V_mu(gl(m)) half of the theorem's one-column verdict (see the
-    module docstring). By Schur-Weyl duality every Psi(T,T') of shape mu
-    acts on (C^m)^(x k) with rank dim V_mu(gl(m)), so the certificate
-    depends on (mu, m) alone; an operator of another rank raises."""
-    rank = _gl_dimension(T.shape, m)
-    basis = _column_basis(g, T.size, m)
-    if len(basis) != rank:
+def _certified_column(shape: Partition, g: GroupAlgebraElement, m: int):
+    """The least output col of weight mu, a rearrangement of
+    1^mu_1 2^mu_2 ..., at which the place operator P of g, a nonzero
+    multiple of some Psi(T,T') of the shape, has a nonzero column; None
+    for a shape of more than m rows. Raises ``ArithmeticError`` when
+    rank P != dim V_mu(gl(m)), which every Psi(T,T') of shape mu has
+    (Schur-Weyl), or when P is 0 at weight mu for at most m rows. These
+    guards of im P = V_mu are necessary, not sufficient: the symmetrizer
+    (shape 4) passes both as the operator of T = [[1,2,3],[4]] at m = 3.
+    im P = V_mu rests on the Jucys-Murphy property tier-1 checks."""
+    dim, rank = _gl_dimension(shape, m), _rank(g, g.degree, m)
+    if rank != dim:
         raise ArithmeticError(
-            f"column basis for T={T} at m={m} has {len(basis)} columns, "
-            f"but the place operator has rank {rank}"
+            f"the place operator of shape {shape} at m={m} has rank {rank}, "
+            f"but dim V_mu(gl(m)) is {dim}"
         )
-    return set(basis)
-
-
-def _weight_column(shape: Partition, g: GroupAlgebraElement, m: int) -> set:
-    """{new}, new the least output col of weight mu, a rearrangement of
-    1^mu_1 2^mu_2 ..., at which the place operator P of g has a nonzero
-    column; empty for a shape of more than m rows, which has no such col.
-    im P = V_mu(gl(m)) has a nonzero mu-weight space and P keeps weights,
-    so for at most m rows such a col exists, and its absence raises."""
     word = sorted(b for b, part in enumerate(shape.parts, 1) for _ in range(part))
     _, place = _place_operator(g, g.degree, m)
     news = [new for cols, row in place.items() if sorted(cols) == word for new, _ in row]
     if not news and len(shape) <= m:
         raise ArithmeticError(f"the place operator of shape {shape} at m={m} is 0 at weight mu")
-    return {min(news)} if news else set()
+    return min(news, default=None)
 
 
 def lhs_theorem(
@@ -532,25 +526,25 @@ def _report(case: str, lhs, rhs, start: float, describe) -> VerificationReport:
 
 
 def _theorem_report(
-    case: str, lhs: TensorElement, rhs: TensorElement, n: int, ev, start: float
+    case: str, lhs: TensorElement, rhs: TensorElement, n: int, start: float
 ) -> VerificationReport:
     """The theorem's report at n for the whole symbol tensors of both
-    sides, ``ev`` being ev_n. For n >= m ev_n is injective, so the symbols
-    are reported as they are; for n < m both are mapped by ev_n, which may
-    identify different symbols."""
-    if n < lhs.algebra.m:
+    sides. For n >= m ev_n is injective, so the symbols are reported as
+    they are; for n < m both are mapped by one ev_n, which may identify
+    different symbols."""
+    if n < (m := lhs.algebra.m):
+        ev = _evaluator(m, n)
         lhs, rhs = _weyl_image(lhs, n, ev), _weyl_image(rhs, n, ev)
     return _report(case, lhs, rhs, start, partial(_first_entry, n))
 
 
 def _theorem_reports(
-    shape: Partition, m: int, ns, evaluator, pairs=None
+    shape: Partition, m: int, ns, pairs=None
 ) -> dict[int, list[VerificationReport]]:
     """The theorem's reports for each n of ``ns``, from one n-free
     comparison per tableau pair (every ordered pair of the shape if
-    ``pairs`` is None); ``evaluator(m, n)`` gives ev_n, which only a failing
-    pair asks for. A pair's symbol work is charged to its report at the
-    first n."""
+    ``pairs`` is None). A pair's symbol work is charged to its report at
+    the first n."""
     if pairs is None:
         tableaux = enumerate_standard_tableaux(shape)
         pairs = [(T, T2) for T in tableaux for T2 in tableaux]
@@ -561,25 +555,25 @@ def _theorem_reports(
         g = psi(T, T2)
         g = lcm(*(c.denominator for _, c in g.items())) * g
         # both sides are GL(m)-invariant tensors times the same P, whose
-        # image is the irreducible V_mu once its rank is certified, so they
-        # agree exactly when they agree at one weight-mu column of P (none
-        # for more than m rows: P = 0). A passing pair is counted from P by
-        # ``_pair_counts``, and a failing one gets both whole products, for
-        # the counts and first_diff of the whole comparison
-        _certified_basis(T, g, m)
-        column = _weight_column(shape, g, m)
-        counts = None
-        if not column or _lhs_symbols(T, g, m, column) == _rhs_symbols(g, m, column):
-            counts = _pair_counts(g, m, ns, len(shape))
+        # image is the irreducible V_mu, so they agree exactly when they
+        # agree at one weight-mu column of P (none for more than m rows:
+        # P = 0). A passing pair is counted from P by ``_pair_count``, and
+        # a failing one gets both whole products, for the counts and
+        # first_diff of the whole comparison
+        column = _certified_column(shape, g, m)
+        count = None
+        if column is None or _lhs_symbols(T, g, m, column) == _rhs_symbols(g, m, column):
+            count = _pair_count(g, m)
         else:
             lhs, rhs = _lhs_symbols(T, g, m), _rhs_symbols(g, m)
         for n in ns:
             case = f"theorem shape={shape} T={T} T'={T2} m={m} n={n}"
-            if counts is None:
-                report = _theorem_report(case, lhs, rhs, n, evaluator(m, n), start)
+            if count is None:
+                report = _theorem_report(case, lhs, rhs, n, start)
             else:
+                terms = count if n >= len(shape) else 0
                 millis = (time.perf_counter() - start) * 1000.0
-                report = VerificationReport(case, True, counts[n], counts[n], None, millis)
+                report = VerificationReport(case, True, terms, terms, None, millis)
             reports[n].append(report)
             start = time.perf_counter()
     return reports
@@ -606,7 +600,7 @@ def verify_theorem(
             if T.shape != shape:
                 raise ValueError(f"tableau {T} is not of shape {shape}")
         pairs = [pair]
-    return _theorem_reports(shape, m, (n,), cache(_evaluator), pairs)[n]
+    return _theorem_reports(shape, m, (n,), pairs)[n]
 
 
 def _corollary_reports(
@@ -692,8 +686,9 @@ def sweep(max_k: int, max_m: int, max_n: int) -> list[VerificationReport]:
     for name, bound in (("max_k", max_k), ("max_m", max_m), ("max_n", max_n)):
         if bound < 1:
             raise ValueError(f"{name} must be at least 1, got {bound}")
-    # one ev_n per (m, n) for the whole sweep, so each word image is
-    # expanded once; the n-free symbols of a (shape, m) serve every n
+    # one ev_n per (m, n) for the whole sweep's corollary, so each word
+    # image is expanded once; the n-free symbols of a (shape, m) serve
+    # every n
     evaluator = cache(_evaluator)
     ns = range(1, max_n + 1)
     reports = []
@@ -702,7 +697,7 @@ def sweep(max_k: int, max_m: int, max_n: int) -> list[VerificationReport]:
             if k >= 2:
                 reports.extend(verify_proof_steps(shape))
             for m in range(1, max_m + 1):
-                theorem = _theorem_reports(shape, m, ns, evaluator)
+                theorem = _theorem_reports(shape, m, ns)
                 corollary = _corollary_reports(shape, m, ns, evaluator)
                 for n in ns:
                     reports.extend(theorem[n])

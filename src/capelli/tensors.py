@@ -208,31 +208,27 @@ def right_mul_group_algebra(
     u: TensorElement,
     g: GroupAlgebraElement,
     keys: set[tuple[MultiIndex, MultiIndex]] | None = None,
-    columns: set[MultiIndex] | None = None,
+    column: MultiIndex | None = None,
 ) -> TensorElement:
     """u times the place-permutation image of a group algebra element, or,
-    given a set ``keys`` of output keys (rows, cols) or a set ``columns`` of
-    output cols, only its entries at those.
+    given a set ``keys`` of output keys (rows, cols) or one output col
+    ``column``, only its entries at those.
 
     Computed as (1/D) (u . P) with D and P from ``_place_operator``.
     Cancellation happens in P before any coefficient of u is touched; only
-    the nonzero entries of P multiply u. (By Schur-Weyl duality the operator
-    of Psi(T,T') has rank dim V_mu(gl(m)), ``tableaux._gl_dimension``, and
-    is 0 when mu has more than m rows.) The product is linear in g, so the
+    the nonzero entries of P multiply u. The product is linear in g, so the
     result is exact, and the division by D touches only the kept outputs.
     Given ``keys``, no output outside them is formed, summed or divided; a
     trace passes the diagonal keys (rows, rows), and each entry of u with
-    P[cols][rows] != 0 then forms one scaled pair. Given ``columns``, the
-    rows of P keep only those output columns, once, before the loop; the
-    theorem passes one column of weight mu, which by GL(m)-equivariance
-    decides the whole pair (``identities._weight_column``).
+    P[cols][rows] != 0 then forms one scaled pair. Given ``column``, the
+    rows of P keep only that output column, once, before the loop.
     """
     if u.p != u.q:
         raise ValueError("factors must be square to act by place permutations")
     denom, nonzero = _place_operator(g, u.k, u.p)
-    if columns is not None:
+    if column is not None:
         nonzero = {
-            cols: [(new, scale) for new, scale in row if new in columns]
+            cols: [(new, scale) for new, scale in row if new == column]
             for cols, row in nonzero.items()
         }
     buckets: dict[tuple[MultiIndex, MultiIndex], list] = {}
@@ -249,18 +245,16 @@ def right_mul_group_algebra(
     return TensorElement._raw(u._space, terms)
 
 
-def _column_basis(g: GroupAlgebraElement, k: int, m: int) -> list[MultiIndex]:
-    """Output columns ``new`` whose columns P[.][new] of the place operator
-    P of g (from ``_place_operator``) form a basis of P's column space, in
-    sorted order, by exact elimination over Q in ints on P's rows.
+def _rank(g: GroupAlgebraElement, k: int, m: int) -> int:
+    """The rank of the place operator P of g (from ``_place_operator``), by
+    exact elimination over Q in ints on P's rows.
 
     Each row, as stored, is reduced against the rows kept so far, each kept
     with its pivot at its least output column: a row whose least column is
     no pivot joins them with that pivot; otherwise that column is
     eliminated, which leaves only larger ones, and the reduction goes on.
-    Every row is reduced, so the pivots are the least columns of P's row
-    space: the columns not in the span of the columns before them, which
-    is the greedy basis of the sorted columns.
+    The kept rows have distinct pivots, so they are independent, and every
+    row of P lies in their span: the rank is their number.
     """
     _, nonzero = _place_operator(g, k, m)
     pivots: dict[MultiIndex, dict[MultiIndex, int]] = {}
@@ -284,7 +278,7 @@ def _column_basis(g: GroupAlgebraElement, k: int, m: int) -> list[MultiIndex]:
             if v:
                 divisor = gcd(*v.values())
                 v = {key: c // divisor for key, c in v.items()}
-    return sorted(pivots)
+    return len(pivots)
 
 
 def full_trace(u: TensorElement):

@@ -10,8 +10,8 @@ PBW bookkeeping, a ratio of determinants instead of a trace over U(gl(m)),
 Weyl products of the x and D entries instead of the image of a U(gl(m))
 product or of a normal-ordered symbol, the trace of the whole tensor with
 every output of the product formed instead of its trace support and its
-diagonal outputs, whole products compared instead of their columns on a
-basis of the place operator, PBW straightening and the symbol map instead
+diagonal outputs, whole products compared instead of one weight-mu
+column of the place operator, PBW straightening and the symbol map instead
 of the right action of each factor on symbols, a trace over every key of
 U(gl(m)) tensors instead of one key per S_m-orbit of symbols, a sum over
 all of S_m instead of over the injections of each monomial's values, all m^2
@@ -263,7 +263,7 @@ def ugl_shifted_symbols(T, m: int) -> TensorElement:
     return symbol_image(TensorElement._raw(whole._space, restricted))
 
 
-def whole_theorem_reports(shape: Partition, m: int, ns, evaluator) -> dict:
+def whole_theorem_reports(shape: Partition, m: int, ns) -> dict:
     """The theorem's reports for every ordered tableau pair of the shape and
     each n of ``ns``, from the whole products: both sides times D Psi(T,T'),
     D the lcm of Psi's denominators, formed on every column by
@@ -279,7 +279,7 @@ def whole_theorem_reports(shape: Partition, m: int, ns, evaluator) -> dict:
             lhs, rhs = identities._lhs_symbols(T, g, m), identities._rhs_symbols(g, m)
             for n in ns:
                 case = f"theorem shape={shape} T={T} T'={T2} m={m} n={n}"
-                report = identities._theorem_report(case, lhs, rhs, n, evaluator(m, n), 0.0)
+                report = identities._theorem_report(case, lhs, rhs, n, 0.0)
                 reports[n].append(report)
     return reports
 
