@@ -47,14 +47,12 @@ The one column decides only under two conditions, its trust boundary.
 L is invariant because of how it is built, each step the right action of
 the invariant matrix E - c; a left tensor corrupted only away from the
 weight-mu cols would not be seen, so the builder's own oracles compare
-whole tensors. And im P must be V_mu. That holds because Psi(T,T') is
-rank one in the mu-block of C[S_k] and 0 in the others, being a joint
-eigenvector of the Jucys-Murphy elements (Okounkov-Vershik), which tier-1
-checks at k <= 5. The verify path runs two necessary guards only, in
-``_certified_column``: rank P (``tensors._rank``, exact elimination of
-its rows over Q) must be dim V_mu(gl(m)), from the hook-content formula
-(``tableaux._gl_dimension``), and P must be nonzero at weight mu; either
-failing raises ``ArithmeticError``.
+whole tensors. And im P must be V_mu: ``tableaux._certified`` proves, once
+per shape, that the seminormal generators give V_mu of S_k, so every
+Psi(T,T') is rank one in the mu-block of C[S_k] and 0 in the others, or
+raises ``ArithmeticError``; ``_certified_column`` only guards that P is
+nonzero at weight mu. The descent recursion from the generators to Psi
+and the place-operator builder are covered by tier-1 alone.
 
 The left side is built only on the keys whose cols the product reads: the
 cols at which P (``tensors._place_operator``) has a nonzero row, and on
@@ -66,8 +64,8 @@ tableau T for every T': Psi(T,T') = (dim mu / k!) Psi(T,T) Psi(T,T') and
 Psi(T,T) = (dim mu / k!) Psi(T,T') Psi(T',T), and right multiplication is
 a right action, so each place operator is the other times another and
 both have the same nonzero rows. For a shape of more than m rows every
-operator is 0 (Schur-Weyl) and there is no weight-mu col: both sides are
-0 and nothing is built. Both sides are linear in Psi, so the verify path
+operator is 0 (Schur-Weyl): both sides are 0, and no Psi, operator or side
+is built. Both sides are linear in Psi, so the verify path
 multiplies both by the least integral multiple D Psi(T,T'), D the lcm of
 Psi's denominators: the product never divides, and symbols, comparisons and
 ev_n images stay in ints. D != 0 changes no verdict, no term count and no
@@ -143,7 +141,7 @@ from .permutations import GroupAlgebraElement, embed, ga_multiply, jm_element
 from .tableaux import (
     Partition,
     StandardTableau,
-    _gl_dimension,
+    _certified,
     all_partitions,
     character_element,
     dimension,
@@ -153,7 +151,6 @@ from .tableaux import (
 from .tensors import (
     TensorElement,
     _place_operator,
-    _rank,
     full_trace,
     right_mul_group_algebra,
     tensor_matmul,
@@ -451,25 +448,19 @@ def _pair_count(g: GroupAlgebraElement, m: int) -> int:
 def _certified_column(shape: Partition, g: GroupAlgebraElement, m: int):
     """The least output col of weight mu, a rearrangement of
     1^mu_1 2^mu_2 ..., at which the place operator P of g, a nonzero
-    multiple of some Psi(T,T') of the shape, has a nonzero column; None
-    for a shape of more than m rows. Raises ``ArithmeticError`` when
-    rank P != dim V_mu(gl(m)), which every Psi(T,T') of shape mu has
-    (Schur-Weyl), or when P is 0 at weight mu for at most m rows. These
-    guards of im P = V_mu are necessary, not sufficient: the symmetrizer
-    (shape 4) passes both as the operator of T = [[1,2,3],[4]] at m = 3.
-    im P = V_mu rests on the Jucys-Murphy property tier-1 checks."""
-    dim, rank = _gl_dimension(shape, m), _rank(g, g.degree, m)
-    if rank != dim:
-        raise ArithmeticError(
-            f"the place operator of shape {shape} at m={m} has rank {rank}, "
-            f"but dim V_mu(gl(m)) is {dim}"
-        )
+    multiple of some Psi(T,T') of a shape of at most m rows, has a nonzero
+    column. Raises ``ArithmeticError`` when P is 0 at weight mu, as is every
+    operator for a shape of more than m rows. im P = V_mu, which makes that
+    column decide, is proved for every Psi(T,T') of the shape by
+    ``tableaux._certified``, not here: this guard is necessary, not
+    sufficient, and the symmetrizer (shape 4) passes it as the operator of
+    T = [[1,2,3],[4]] at m = 3."""
     word = sorted(b for b, part in enumerate(shape.parts, 1) for _ in range(part))
     _, place = _place_operator(g, g.degree, m)
     news = [new for cols, row in place.items() if sorted(cols) == word for new, _ in row]
-    if not news and len(shape) <= m:
+    if not news:
         raise ArithmeticError(f"the place operator of shape {shape} at m={m} is 0 at weight mu")
-    return min(news, default=None)
+    return min(news)
 
 
 def lhs_theorem(
@@ -548,24 +539,26 @@ def _theorem_reports(
     if pairs is None:
         tableaux = enumerate_standard_tableaux(shape)
         pairs = [(T, T2) for T in tableaux for T2 in tableaux]
+    # im P = V_mu for every pair of the shape, and P = 0 for more than m rows
+    _certified(shape.parts)
     reports = {n: [] for n in ns}
     for T, T2 in pairs:
         start = time.perf_counter()
-        # D Psi, D the lcm of Psi's denominators, has int coefficients
-        g = psi(T, T2)
-        g = lcm(*(c.denominator for _, c in g.items())) * g
-        # both sides are GL(m)-invariant tensors times the same P, whose
-        # image is the irreducible V_mu, so they agree exactly when they
-        # agree at one weight-mu column of P (none for more than m rows:
-        # P = 0). A passing pair is counted from P by ``_pair_count``, and
-        # a failing one gets both whole products, for the counts and
-        # first_diff of the whole comparison
-        column = _certified_column(shape, g, m)
-        count = None
-        if column is None or _lhs_symbols(T, g, m, column) == _rhs_symbols(g, m, column):
-            count = _pair_count(g, m)
-        else:
-            lhs, rhs = _lhs_symbols(T, g, m), _rhs_symbols(g, m)
+        count = 0
+        if len(shape) <= m:
+            # D Psi, D the lcm of Psi's denominators, has int coefficients
+            g = psi(T, T2)
+            g = lcm(*(c.denominator for _, c in g.items())) * g
+            # both sides are GL(m)-invariant tensors times the same P, whose
+            # image is the irreducible V_mu, so they agree exactly when they
+            # agree at one weight-mu column of P. A passing pair is counted
+            # from P by ``_pair_count``, and a failing one gets both whole
+            # products, for the counts and first_diff of the whole comparison
+            column = _certified_column(shape, g, m)
+            if _lhs_symbols(T, g, m, column) == _rhs_symbols(g, m, column):
+                count = _pair_count(g, m)
+            else:
+                count, lhs, rhs = None, _lhs_symbols(T, g, m), _rhs_symbols(g, m)
         for n in ns:
             case = f"theorem shape={shape} T={T} T'={T2} m={m} n={n}"
             if count is None:

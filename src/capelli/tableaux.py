@@ -18,6 +18,7 @@ Psi(T, T).
 
 from __future__ import annotations
 
+import itertools
 import json
 from fractions import Fraction
 from functools import lru_cache
@@ -217,19 +218,6 @@ def dimension(shape: Partition) -> int:
     return len(_enumerate_cached(shape.parts))
 
 
-def _gl_dimension(shape: Partition, m: int) -> int:
-    """dim V_mu(gl(m)) by the hook-content formula: the product over the
-    cells (i, j) of (m + j - i) / hook(i, j). It is 0 when mu has more than
-    m rows, since the cell (m + 1, 1) has content -m."""
-    parts = shape.parts
-    numerator = denominator = 1
-    for i, row in enumerate(parts):
-        for j in range(row):
-            numerator *= m + j - i
-            denominator *= row - j + sum(1 for below in parts[i + 1 :] if below > j)
-    return numerator // denominator
-
-
 class RepMatrix:
     """A square rational matrix indexed by the standard tableaux of a shape."""
 
@@ -318,6 +306,57 @@ def _generator_matrix(parts: tuple[int, ...], r: int) -> RepMatrix:
             cross = 1 if dist > 0 else 1 - Fraction(1, dist * dist)
             entries[other][t] += cross
     return RepMatrix(shape, entries)
+
+
+@lru_cache(maxsize=None)
+def _certified(parts: tuple[int, ...]) -> None:
+    """Raise ``ArithmeticError`` unless the seminormal generators s_r
+    (``_generator_matrix``) of the shape satisfy the Coxeter relations
+    s_r^2 = 1, (s_r s_(r+1))^3 = 1 and (s_r s_t)^2 = 1 for t > r + 1, and
+    X_1 = 0 and X_(r+1) = s_r X_r s_r + s_r are diagonal with entry c_T(r+1)
+    at T. Checked once per shape, one basis vector v_T at a time, on sparse
+    columns: each s_r has at most two nonzeros per column.
+
+    The relations present S_k, so the s_r extend to a representation rho,
+    and X_r is rho of the Jucys-Murphy element (1,r) + ... + (r-1,r), as
+    s_r (i,r) s_r = (i,r+1). So v_T is a joint eigenvector of them with the
+    content vector alpha(T), and a content vector determines its tableau
+    (Okounkov-Vershik, 1996): alpha(T) occurs in no irreducible but V_mu,
+    and rho, of dimension dim V_mu, is V_mu. By Schur orthogonality
+    Psi(T,T') = sum_s rho(s)[T',T] s^-1 is then rank one in the mu-block of
+    C[S_k] and 0 in the others, so the image of its place operator on
+    (C^m)^(x k) is V_mu(gl(m)), and the operator is 0 when mu has more than
+    m rows (Schur-Weyl)."""
+    tableaux, k, shape = _enumerate_cached(parts), sum(parts), Partition(parts)
+    d = len(tableaux)
+    s = [_generator_matrix(parts, r).entries for r in range(1, k)]
+    s = [None] + [[{i: row[t] for i, row in enumerate(e) if row[t]} for t in range(d)] for e in s]
+    words = [(r, r) for r in range(1, k)] + [(r, r + 1) * 3 for r in range(1, k - 1)]
+    words += [(r, q) * 2 for r in range(1, k) for q in range(r + 2, k)]
+    for word, t in itertools.product(words, range(d)):
+        v = {t: 1}
+        for r in word:
+            v = _apply(s[r], v)
+        if v != {t: 1}:
+            raise ArithmeticError(f"the generators of shape {shape} fail the relation {word}")
+    # X_r is diag(c_T(r)) by the step before, and X_1 = 0 = c_T(1)
+    alpha = [[T.content(r) for r in range(1, k + 1)] for T in tableaux]
+    for r, t in itertools.product(range(1, k), range(d)):
+        # X_(r+1) v_T = s_r (X_r s_r v_T + v_T)
+        x = {i: alpha[i][r - 1] * c for i, c in _apply(s[r], {t: 1}).items()}
+        if _apply(s[r], x | {t: x.get(t, 0) + 1}) != ({t: alpha[t][r]} if alpha[t][r] else {}):
+            raise ArithmeticError(
+                f"X_{r + 1} of shape {shape} is not c_T({r + 1}) at {tableaux[t]}"
+            )
+
+
+def _apply(columns: list[dict[int, Fraction]], v: dict[int, Fraction]) -> dict[int, Fraction]:
+    """The matrix with these sparse columns times the sparse vector v."""
+    out: dict[int, Fraction] = {}
+    for j, c in v.items():
+        for i, a in columns[j].items():
+            out[i] = out.get(i, 0) + a * c
+    return {i: c for i, c in out.items() if c}
 
 
 @lru_cache(maxsize=None)

@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import lcm
 from operator import itemgetter
 from typing import Iterable, Sequence
 
@@ -243,42 +243,6 @@ def right_mul_group_algebra(
         if total:
             terms[key] = total if denom == 1 else inverse * total
     return TensorElement._raw(u._space, terms)
-
-
-def _rank(g: GroupAlgebraElement, k: int, m: int) -> int:
-    """The rank of the place operator P of g (from ``_place_operator``), by
-    exact elimination over Q in ints on P's rows.
-
-    Each row, as stored, is reduced against the rows kept so far, each kept
-    with its pivot at its least output column: a row whose least column is
-    no pivot joins them with that pivot; otherwise that column is
-    eliminated, which leaves only larger ones, and the reduction goes on.
-    The kept rows have distinct pivots, so they are independent, and every
-    row of P lies in their span: the rank is their number.
-    """
-    _, nonzero = _place_operator(g, k, m)
-    pivots: dict[MultiIndex, dict[MultiIndex, int]] = {}
-    for row in nonzero.values():
-        v = dict(row)
-        while v:
-            pivot = min(v)
-            b = pivots.get(pivot)
-            if b is None:
-                pivots[pivot] = v
-                break
-            # b[pivot] v - v[pivot] b vanishes at the pivot
-            bp, vp = b[pivot], v[pivot]
-            v = {key: bp * c for key, c in v.items()}
-            for key, c in b.items():
-                c = v.get(key, 0) - vp * c
-                if c:
-                    v[key] = c
-                else:
-                    del v[key]
-            if v:
-                divisor = gcd(*v.values())
-                v = {key: c // divisor for key, c in v.items()}
-    return len(pivots)
 
 
 def full_trace(u: TensorElement):

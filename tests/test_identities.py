@@ -53,7 +53,9 @@ from capelli.permutations import (
 )
 from capelli.tableaux import (
     Partition,
+    RepMatrix,
     StandardTableau,
+    _psi_cached,
     all_partitions,
     character_element,
     dimension,
@@ -63,7 +65,6 @@ from capelli.tableaux import (
 from capelli.tensors import (
     TensorElement,
     _place_operator_of,
-    _rank,
     full_trace,
     right_mul_group_algebra,
     tensor_matmul,
@@ -535,23 +536,25 @@ def test_a_passing_pair_builds_no_ev_n(monkeypatch):
 
 def test_theorem_builds_no_left_side_for_a_shape_with_more_rows_than_m():
     # Psi(T,T) acts as 0 on (C^2)^(x 4) for a shape of three rows
-    # (Schur-Weyl) and no col has weight (2,1,1), so no left side is built
-    # and both sides are 0
+    # (Schur-Weyl), once the shape's representation is certified, so no
+    # Psi, no place operator and no left side is built, and both sides are 0
     shape = part("2,1,1")
-    _shifted_product.cache_clear()
+    for memo in (_shifted_product, _psi_cached, _place_operator_of):
+        memo.cache_clear()
     reports = verify_theorem(shape, 2, 2)
     assert len(reports) == 9
     assert all(r.outcome and (r.lhs_terms, r.rhs_terms) == (0, 0) for r in reports)
-    assert _shifted_product.cache_info().currsize == 0
+    for memo in (_shifted_product, _psi_cached, _place_operator_of):
+        assert memo.cache_info().currsize == 0, memo
     tableaux = enumerate_standard_tableaux(shape)
     for T in tableaux:
         for T2 in tableaux:
             g = psi(T, T2)
-            # every pair's operator is 0, of rank 0 = dim V_mu(gl(2)), and
-            # there is no weight-mu column to compare at
+            # every pair's operator is 0: there is no weight-mu column to
+            # compare at
             assert support(g, 2) == frozenset()
-            assert _rank(g, 4, 2) == 0
-            assert _certified_column(shape, g, 2) is None
+            with pytest.raises(ArithmeticError, match="is 0 at weight mu"):
+                _certified_column(shape, g, 2)
 
 
 def test_theorem_builds_each_place_operator_once():
@@ -896,10 +899,11 @@ def test_shifted_product_built_in_symbols_equals_the_ugl_route():
 @pytest.mark.parametrize("k,ms", [(k, (1, 2, 3)) for k in (1, 2, 3, 4)] + [(5, (2,))])
 def test_column_basis_has_the_dimension_of_the_gl_module(k, ms):
     # the rank of the place operator of Psi(T,T'), the size of a basis of
-    # its columns, is dim V_mu(gl(m)) by Schur-Weyl duality: the
-    # hook-content formula is the oracle for ``_rank``, and so is a dense
-    # Fraction elimination over every column; the certified column is one
-    # of weight mu where the operator is nonzero
+    # its columns, is dim V_mu(gl(m)) by Schur-Weyl duality: a dense
+    # Fraction elimination over every column against the hook-content
+    # formula covers ``_psi_cached`` and the place-operator builder, which
+    # the shape's certificate does not; the certified column is one of
+    # weight mu where the operator is nonzero
     for shape in all_partitions(k):
         tableaux = enumerate_standard_tableaux(shape)
         word = sorted(b for b, part in enumerate(shape.parts, 1) for _ in range(part))
@@ -909,56 +913,80 @@ def test_column_basis_has_the_dimension_of_the_gl_module(k, ms):
             for T in tableaux:
                 for T2 in tableaux:
                     g = psi(T, T2)
-                    assert _rank(g, k, m) == dim, (T, T2, m)
                     assert exact_rank(operator_columns(g, k, m, columns)) == dim, (T, T2, m)
-                    new = _certified_column(shape, g, m)
-                    if len(shape) > m:
-                        assert new is None
-                    else:
+                    if len(shape) <= m:
+                        new = _certified_column(shape, g, m)
                         assert sorted(new) == word and any(operator_columns(g, k, m, [new])[0])
 
 
-@pytest.mark.parametrize("change", ["short", "long"])
-def test_a_column_basis_of_the_wrong_size_raises(change, monkeypatch):
-    # an elimination that finds one pivot too few or too many must fail the
-    # rank certificate instead of passing a weaker check
-    import capelli.identities as identities
-
-    rank = identities._rank
-    monkeypatch.setattr(
-        identities, "_rank", lambda g, k, m: rank(g, k, m) + (-1 if change == "short" else 1)
-    )
-    with pytest.raises(ArithmeticError, match=r"has rank [13], but dim V_mu\(gl\(m\)\) is 2"):
-        verify_theorem(part("2,1"), 2, 2)
+def _cross_broken(entries):
+    # the first cross coefficient, column by column, set to 1, or to 2 where
+    # it is 1
+    rows = [list(row) for row in entries]
+    i, t = next((i, t) for t in range(len(rows)) for i in range(len(rows)) if i != t and rows[i][t])
+    rows[i][t] = 2 if rows[i][t] == 1 else 1
+    return rows
 
 
-def test_an_operator_of_the_wrong_rank_raises():
-    # the certificate is dim V_mu(gl(m)), read off the shape and m alone, so
-    # an operator that is no multiple of a Psi(T,T') of the shape fails it:
-    # the identity acts with rank 8 on (C^2)^(x 3), against 2 for shape 2,1
-    with pytest.raises(ArithmeticError, match=r"has rank 8, but dim V_mu\(gl\(m\)\) is 2"):
-        _certified_column(part("2,1"), GroupAlgebraElement.one(3), 2)
+def _relabelled(entries):
+    # the first two tableaux swapped as basis vectors
+    order = [1, 0, *range(2, len(entries))]
+    return [[entries[i][j] for j in order] for i in order]
+
+
+@pytest.mark.parametrize(
+    "shape,change,match",
+    [(text, "cross", "fail the relation") for text in ("2,1", "3,2", "3,2,1", "4,2")]
+    + [("3,1", "relabelled", r"X_3 of shape 3,1 is not c_T\(3\)")],
+)
+def test_a_wrong_seminormal_generator_fails_the_certificate(shape, change, match, monkeypatch):
+    # a wrong cross coefficient in the last generator breaks s_r^2 = 1; two
+    # tableaux relabelled in every generator keep the Coxeter relations but
+    # give them each other's contents. Either fails the certificate, and so
+    # the theorem of the shape
+    import capelli.tableaux as tableaux
+
+    parts, generator = part(shape).parts, tableaux._generator_matrix
+
+    def patched(p, r):
+        matrix = generator(p, r)
+        if p != parts or (change == "cross" and r != sum(p) - 1):
+            return matrix
+        broken = _cross_broken if change == "cross" else _relabelled
+        return RepMatrix(matrix.shape, broken(matrix.entries))
+
+    memos = (tableaux._certified, tableaux._seminormal_cached, tableaux._psi_cached)
+    for memo in memos:
+        memo.cache_clear()
+    monkeypatch.setattr(tableaux, "_generator_matrix", patched)
+    try:
+        with pytest.raises(ArithmeticError, match=match):
+            tableaux._certified(parts)
+        with pytest.raises(ArithmeticError, match=match):
+            verify_theorem(part(shape), 2, 2)
+    finally:
+        monkeypatch.undo()
+        for memo in memos:
+            memo.cache_clear()
 
 
 def test_an_operator_that_is_0_at_weight_mu_raises():
     # on (C^3)^(x 4), the sum of Psi(S,S) over the two S of shape 2,2 acts
-    # with rank 2 dim V_(2,2)(gl(3)) = 12 and Psi(U,U) of shape 2,1,1 with
-    # rank dim V_(2,1,1)(gl(3)) = 3: their sum has the rank 15 of shape 3,1,
-    # but weight (3,1) is in neither module, so no col of that weight meets
-    # a nonzero column, and comparing at none would pass unseen
+    # on V_(2,2)(gl(3)) and Psi(U,U) of shape 2,1,1 on V_(2,1,1)(gl(3)):
+    # weight (3,1) is in neither module, so no col of that weight meets a
+    # nonzero column, and comparing at none would pass unseen
     U = tab("[[1,2],[3],[4]]")
     g = sum((psi(S, S) for S in enumerate_standard_tableaux(part("2,2"))), psi(U, U))
-    assert _rank(g, 4, 3) == gl_dimension((3, 1), 3) == 15
     with pytest.raises(ArithmeticError, match="is 0 at weight mu"):
         _certified_column(part("3,1"), g, 3)
 
 
 def test_the_runtime_guards_pass_an_operator_of_another_shape():
-    # the guards are necessary, not sufficient: the symmetrizer, the
-    # operator of shape 4, has rank dim V_(4)(gl(3)) = dim V_(3,1)(gl(3))
-    # = 15 and is nonzero at weight (3,1), so it passes both as the
-    # operator of T = [[1,2,3],[4]]; the Jucys-Murphy test below is what
-    # rules it out for the Psi(T,T')
+    # the weight-mu guard is necessary, not sufficient: the symmetrizer,
+    # the operator of shape 4, is nonzero at weight (3,1), so it passes as
+    # the operator of T = [[1,2,3],[4]]; the certificate of the shape's
+    # generators, with the Jucys-Murphy test below for the descent
+    # recursion, is what rules it out for the Psi(T,T')
     g = GroupAlgebraElement(4, {s: 1 for s in all_permutations(4)})
     assert _certified_column(part("3,1"), g, 3) == (1, 1, 1, 2)
     T = tab("[[1,2,3],[4]]")
@@ -969,9 +997,9 @@ def test_every_psi_is_a_joint_jucys_murphy_eigenvector():
     # X_r Psi(T,T') = c_T(r) Psi(T,T') for r = 2..k (X_1 = 0 = c_T(1)), with
     # Psi(T,T') != 0: Psi(T,T') is then rank one in the mu-block of C[S_k]
     # and 0 in the others, since the joint eigenspace of the X_r with the
-    # content vector of T is the line of T in S^mu (Okounkov-Vershik). This
-    # is what gives im P = V_mu(gl(m)), which the one-column verdict and the
-    # term counts of a passing pair assume and the runtime guards do not prove
+    # content vector of T is the line of T in S^mu (Okounkov-Vershik). The
+    # verify path certifies the shape's generators; this covers the descent
+    # recursion from them to each Psi(T,T') as well
     for k in range(1, 6):
         jm = [jm_element(k, r) for r in range(2, k + 1)]
         for shape in all_partitions(k):

@@ -11,8 +11,8 @@ from capelli.tableaux import (
     Partition,
     RepMatrix,
     StandardTableau,
+    _certified,
     _enumerate_cached,
-    _gl_dimension,
     all_partitions,
     character_element,
     dimension,
@@ -20,7 +20,14 @@ from capelli.tableaux import (
     psi,
     seminormal_matrix,
 )
-from oracles import adjacent_word, hook_count, mn_character, orthonormal_psi, ssyt_count
+from oracles import (
+    adjacent_word,
+    gl_dimension,
+    hook_count,
+    mn_character,
+    orthonormal_psi,
+    ssyt_count,
+)
 
 
 def part(text):
@@ -119,11 +126,12 @@ def test_enumeration_count_matches_hook_formula(shape):
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_gl_dimension_counts_semistandard_fillings(m):
     # dim V_mu(gl(m)) is the number of semistandard tableaux of shape mu with
-    # entries <= m, which is 0 when mu has more than m rows
+    # entries <= m, which is 0 when mu has more than m rows: the hook-content
+    # formula of the tests' oracles against a count of fillings
     for k in range(7):
         for shape in all_partitions(k):
-            assert _gl_dimension(shape, m) == ssyt_count(shape.parts, m), (shape, m)
-            assert (_gl_dimension(shape, m) == 0) == (len(shape) > m), (shape, m)
+            assert gl_dimension(shape.parts, m) == ssyt_count(shape.parts, m), (shape, m)
+            assert (gl_dimension(shape.parts, m) == 0) == (len(shape) > m), (shape, m)
 
 
 @given(shape=partition_strategy(max_size=5))
@@ -345,3 +353,11 @@ def test_orthonormal_model_proportional_to_exact(k):
                 for s, value in approx.items():
                     if s not in support:
                         assert abs(value) < 1e-9
+
+
+def test_every_shape_of_at_most_7_cells_is_certified():
+    # the seminormal generators of each shape present S_k and have the
+    # contents of the tableaux as their Jucys-Murphy eigenvalues
+    for k in range(1, 8):
+        for shape in all_partitions(k):
+            assert _certified(shape.parts) is None, shape
