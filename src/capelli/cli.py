@@ -201,6 +201,10 @@ def main(argv=None) -> int:
     except MemoryError:
         print("error: out of memory", file=sys.stderr)
         return 2
+    except ArithmeticError as exc:
+        # a certificate or a runtime guard failed on valid input
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -10,10 +10,14 @@ where cross(T) = 1 on the side with d > 0 and 1 - 1/d**2 on the other, so
 that the generator squares to the identity. When T' is not standard the
 cross term is absent and 1/d is +-1.
 
+The one form of the representation is its sparse columns: column T of s_r
+is s_r . v_T, with at most two nonzeros. The certificate, rho(s) and Psi
+read them, and only ``seminormal_matrix`` builds a dense ``RepMatrix``.
+
 Each builder goes forward: tableaux fill addable cells level by level, top
 row first, which is already the order of their positions; rho(s) =
-rho(s . s_r) rho(s_r) at the first descent r; chi is the sum of the diagonal
-Psi(T, T).
+rho(s . s_r) rho(s_r) at the first descent r, column by column; chi is the
+sum of the diagonal Psi(T, T).
 """
 
 from __future__ import annotations
@@ -249,18 +253,8 @@ class RepMatrix:
     def __mul__(self, other: RepMatrix) -> RepMatrix:
         if self.shape != other.shape:
             raise ValueError("shape mismatch")
-        d = self.dim
-        rows = []
-        for i in range(d):
-            row = []
-            for j in range(d):
-                acc = 0
-                for t in range(d):
-                    a = self.entries[i][t]
-                    if a:
-                        acc += a * other.entries[t][j]
-                row.append(acc)
-            rows.append(row)
+        cols = list(zip(*other.entries))
+        rows = [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in self.entries]
         return RepMatrix(self.shape, rows)
 
     def is_diagonal(self) -> bool:
@@ -285,37 +279,37 @@ class RepMatrix:
         return f"<RepMatrix {self.shape} [{rows}]>"
 
 
+# a matrix on the Young basis as sparse columns, each mapping a row to its
+# entry; the memos hand the same columns to every caller, so none mutates them
+_Columns = tuple[dict[int, Fraction], ...]
+
+
 @lru_cache(maxsize=None)
-def _generator_matrix(parts: tuple[int, ...], r: int) -> RepMatrix:
-    shape = Partition(parts)
-    tableaux = enumerate_standard_tableaux(shape)
-    index = {t: i for i, t in enumerate(tableaux)}
-    d = len(tableaux)
-    entries = [[0] * d for _ in range(d)]
+def _generator_columns(parts: tuple[int, ...], r: int) -> _Columns:
+    # column t holds s_r . v_T: 1/d at T and cross(T) at T', or d = +-1 alone
+    # when r, r+1 share a row or a column
+    tableaux = _enumerate_cached(parts)
+    index = {T: t for t, T in enumerate(tableaux)}
+    columns = []
     for t, T in enumerate(tableaux):
-        i1, j1 = T.position(r)
-        i2, j2 = T.position(r + 1)
-        if i1 == i2:
-            entries[t][t] += 1
-        elif j1 == j2:
-            entries[t][t] -= 1
+        (i1, j1), (i2, j2) = T.position(r), T.position(r + 1)
+        dist = (j2 - i2) - (j1 - i1)
+        if i1 == i2 or j1 == j2:
+            columns.append({t: dist})
         else:
-            dist = (j2 - i2) - (j1 - i1)
-            entries[t][t] += Fraction(1, dist)
-            other = index[T.swap_entries(r, r + 1)]
             cross = 1 if dist > 0 else 1 - Fraction(1, dist * dist)
-            entries[other][t] += cross
-    return RepMatrix(shape, entries)
+            columns.append({t: Fraction(1, dist), index[T.swap_entries(r, r + 1)]: cross})
+    return tuple(columns)
 
 
 @lru_cache(maxsize=None)
 def _certified(parts: tuple[int, ...]) -> None:
     """Raise ``ArithmeticError`` unless the seminormal generators s_r
-    (``_generator_matrix``) of the shape satisfy the Coxeter relations
+    (``_generator_columns``) of the shape satisfy the Coxeter relations
     s_r^2 = 1, (s_r s_(r+1))^3 = 1 and (s_r s_t)^2 = 1 for t > r + 1, and
     X_1 = 0 and X_(r+1) = s_r X_r s_r + s_r are diagonal with entry c_T(r+1)
-    at T. Checked once per shape, one basis vector v_T at a time, on sparse
-    columns: each s_r has at most two nonzeros per column.
+    at T. Checked once per shape, one basis vector v_T at a time, by
+    ``_apply`` on the same sparse columns that build rho(s) and Psi.
 
     The relations present S_k, so the s_r extend to a representation rho,
     and X_r is rho of the Jucys-Murphy element (1,r) + ... + (r-1,r), as
@@ -329,8 +323,7 @@ def _certified(parts: tuple[int, ...]) -> None:
     m rows (Schur-Weyl)."""
     tableaux, k, shape = _enumerate_cached(parts), sum(parts), Partition(parts)
     d = len(tableaux)
-    s = [_generator_matrix(parts, r).entries for r in range(1, k)]
-    s = [None] + [[{i: row[t] for i, row in enumerate(e) if row[t]} for t in range(d)] for e in s]
+    s = [None] + [_generator_columns(parts, r) for r in range(1, k)]
     words = [(r, r) for r in range(1, k)] + [(r, r + 1) * 3 for r in range(1, k - 1)]
     words += [(r, q) * 2 for r in range(1, k) for q in range(r + 2, k)]
     for word, t in itertools.product(words, range(d)):
@@ -350,7 +343,7 @@ def _certified(parts: tuple[int, ...]) -> None:
             )
 
 
-def _apply(columns: list[dict[int, Fraction]], v: dict[int, Fraction]) -> dict[int, Fraction]:
+def _apply(columns: _Columns, v: dict[int, Fraction]) -> dict[int, Fraction]:
     """The matrix with these sparse columns times the sparse vector v."""
     out: dict[int, Fraction] = {}
     for j, c in v.items():
@@ -360,14 +353,15 @@ def _apply(columns: list[dict[int, Fraction]], v: dict[int, Fraction]) -> dict[i
 
 
 @lru_cache(maxsize=None)
-def _seminormal_cached(parts: tuple[int, ...], images: tuple[int, ...]) -> RepMatrix:
-    # rho(s) = rho(s . s_r) rho(s_r) at the first descent r; s . s_r swaps
-    # the images at r and r+1 and has one inversion less
+def _seminormal_cached(parts: tuple[int, ...], images: tuple[int, ...]) -> _Columns:
+    # rho(s) = rho(s . s_r) rho(s_r) at the first descent r, one sparse column
+    # at a time; s . s_r swaps the images at r and r+1 and has one inversion less
     for r in range(1, len(images)):
         if images[r - 1] > images[r]:
             shorter = images[: r - 1] + (images[r], images[r - 1]) + images[r + 1 :]
-            return _seminormal_cached(parts, shorter) * _generator_matrix(parts, r)
-    return RepMatrix.identity(Partition(parts))
+            rho = _seminormal_cached(parts, shorter)
+            return tuple(_apply(rho, column) for column in _generator_columns(parts, r))
+    return tuple({t: 1} for t in range(len(_enumerate_cached(parts))))
 
 
 def seminormal_matrix(shape: Partition, s: Permutation) -> RepMatrix:
@@ -377,25 +371,26 @@ def seminormal_matrix(shape: Partition, s: Permutation) -> RepMatrix:
     """
     if s.degree != shape.size:
         raise ValueError(f"degree {s.degree} != |shape| {shape.size}")
-    return _seminormal_cached(shape.parts, s.images)
+    columns = _seminormal_cached(shape.parts, s.images)
+    return RepMatrix(shape, [[c.get(i, 0) for c in columns] for i in range(len(columns))])
 
 
 @lru_cache(maxsize=None)
 def _psi_cached(
     rows: tuple[tuple[int, ...], ...], rows2: tuple[tuple[int, ...], ...]
 ) -> GroupAlgebraElement:
+    """Psi(T, T'): entry T' of column T of each sparse rho(s), at s^-1. The
+    entries are exact, _store unwraps the integral ones, every key is in S_k."""
     T = StandardTableau(rows)
-    T2 = StandardTableau(rows2)
-    shape = T.shape
-    tableaux = enumerate_standard_tableaux(shape)
-    t, t2 = tableaux.index(T), tableaux.index(T2)
-    k = shape.size
+    parts = T.shape.parts
+    tableaux = _enumerate_cached(parts)
+    t, t2 = tableaux.index(T), tableaux.index(StandardTableau(rows2))
+    k = T.size
     terms = {}
     for s in all_permutations(k):
-        c = seminormal_matrix(shape, s).entry(t2, t)
+        c = _seminormal_cached(parts, s.images)[t].get(t2)
         if c:
             terms[s.inverse()] = c
-    # the entries of a RepMatrix are exact already, and every key is in S_k
     return GroupAlgebraElement._raw((k,), terms)
 
 

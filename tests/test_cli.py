@@ -269,6 +269,35 @@ def test_failing_report_sets_exit_code(capsys, monkeypatch):
     assert "first diff" in out
 
 
+def test_a_failed_certificate_is_an_error_line(capsys, monkeypatch):
+    # the rows of s_2 of shape 2,1 swapped break s_2^2 = 1: a check failed
+    # on valid input, so one error line and exit code 1, with no report
+    import capelli.tableaux as tableaux
+
+    generator = tableaux._generator_columns
+
+    def patched(parts, r):
+        columns = generator(parts, r)
+        if (parts, r) != ((2, 1), 2):
+            return columns
+        return tuple({1 - i: c for i, c in column.items()} for column in columns)
+
+    memos = (generator, tableaux._certified, tableaux._seminormal_cached, tableaux._psi_cached)
+    for memo in memos:
+        memo.cache_clear()
+    monkeypatch.setattr(tableaux, "_generator_columns", patched)
+    try:
+        argv = ["verify", "theorem", "--shape", "2,1", "--m", "2", "--n", "2", "--json"]
+        assert cli.main(argv) == 1
+    finally:
+        monkeypatch.undo()
+        for memo in memos:
+            memo.cache_clear()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the generators of shape 2,1 fail the relation (2, 2)\n"
+
+
 def test_sweep_json_matches_golden_reports(capsys):
     # every report of a small sweep, pinned with the timing field removed:
     # the reports of the m <= 3, n <= 3 golden file whose case has m, n <= 2

@@ -53,7 +53,6 @@ from capelli.permutations import (
 )
 from capelli.tableaux import (
     Partition,
-    RepMatrix,
     StandardTableau,
     _psi_cached,
     all_partitions,
@@ -919,19 +918,19 @@ def test_column_basis_has_the_dimension_of_the_gl_module(k, ms):
                         assert sorted(new) == word and any(operator_columns(g, k, m, [new])[0])
 
 
-def _cross_broken(entries):
+def _cross_broken(columns):
     # the first cross coefficient, column by column, set to 1, or to 2 where
     # it is 1
-    rows = [list(row) for row in entries]
-    i, t = next((i, t) for t in range(len(rows)) for i in range(len(rows)) if i != t and rows[i][t])
-    rows[i][t] = 2 if rows[i][t] == 1 else 1
-    return rows
+    t, i = next((t, i) for t, column in enumerate(columns) for i in column if i != t)
+    columns = [dict(column) for column in columns]
+    columns[t][i] = 2 if columns[t][i] == 1 else 1
+    return tuple(columns)
 
 
-def _relabelled(entries):
+def _relabelled(columns):
     # the first two tableaux swapped as basis vectors
-    order = [1, 0, *range(2, len(entries))]
-    return [[entries[i][j] for j in order] for i in order]
+    order = [1, 0, *range(2, len(columns))]
+    return tuple({order[i]: c for i, c in columns[j].items()} for j in order)
 
 
 @pytest.mark.parametrize(
@@ -946,19 +945,18 @@ def test_a_wrong_seminormal_generator_fails_the_certificate(shape, change, match
     # the theorem of the shape
     import capelli.tableaux as tableaux
 
-    parts, generator = part(shape).parts, tableaux._generator_matrix
+    parts, generator = part(shape).parts, tableaux._generator_columns
 
     def patched(p, r):
-        matrix = generator(p, r)
+        columns = generator(p, r)
         if p != parts or (change == "cross" and r != sum(p) - 1):
-            return matrix
-        broken = _cross_broken if change == "cross" else _relabelled
-        return RepMatrix(matrix.shape, broken(matrix.entries))
+            return columns
+        return (_cross_broken if change == "cross" else _relabelled)(columns)
 
-    memos = (tableaux._certified, tableaux._seminormal_cached, tableaux._psi_cached)
+    memos = (generator, tableaux._certified, tableaux._seminormal_cached, tableaux._psi_cached)
     for memo in memos:
         memo.cache_clear()
-    monkeypatch.setattr(tableaux, "_generator_matrix", patched)
+    monkeypatch.setattr(tableaux, "_generator_columns", patched)
     try:
         with pytest.raises(ArithmeticError, match=match):
             tableaux._certified(parts)

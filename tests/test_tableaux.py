@@ -204,6 +204,26 @@ def test_homomorphism_sampled_degree_5():
             ) == seminormal_matrix(shape, compose(s, t))
 
 
+def _generator_product(shape, s):
+    # the dense product of the generator matrices along a word of s
+    product, k = RepMatrix.identity(shape), shape.size
+    for r in adjacent_word(s):
+        product = product * seminormal_matrix(shape, Permutation.transposition(r, r + 1, k))
+    return product
+
+
+def test_seminormal_matrix_is_the_generator_product_along_a_word():
+    # rho(s) is built column by column at the first descent of s; the word of
+    # adjacent_word factors s by a bubble sort instead. Every s of S_5 at every
+    # shape, and 20 seeded s of S_6 at shape 3,2,1 (dimension 16)
+    for shape in all_partitions(5):
+        for s in all_permutations(5):
+            assert seminormal_matrix(shape, s) == _generator_product(shape, s), (shape, s)
+    shape = part("3,2,1")
+    for s in random.Random(20261020).sample(list(all_permutations(6)), 20):
+        assert seminormal_matrix(shape, s) == _generator_product(shape, s), s
+
+
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
 def test_generator_relations(k):
     for shape in all_partitions(k):
