@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from fractions import Fraction
@@ -59,9 +60,16 @@ def _cmd_sweep(args) -> int:
     return _print_reports(reports, args.json)
 
 
+def _row_reading(shape: Partition) -> StandardTableau:
+    """The tableau filled with 1..k row by row, the first standard tableau
+    of the shape, built without enumerating the others."""
+    entries = itertools.count(1)
+    return StandardTableau([list(itertools.islice(entries, part)) for part in shape])
+
+
 def _cmd_immanant(args) -> int:
     shape = Partition.parse(args.shape)
-    T = enumerate_standard_tableaux(shape)[0]
+    T = _row_reading(shape)
     element = quantum_immanant(shape, T, args.m)
     central = is_central(element)
     if args.json:
@@ -97,7 +105,7 @@ def _weight(text: str) -> Fraction:
 def _cmd_eigenvalue(args) -> int:
     shape = Partition.parse(args.shape)
     weights = [_weight(w) for w in args.weights.split(",")]
-    T = enumerate_standard_tableaux(shape)[0]
+    T = _row_reading(shape)
     value = hc_eigenvalue(quantum_immanant(shape, T, args.m), weights)
     if args.json:
         print(

@@ -44,11 +44,11 @@ and gl(m) is sl(m) plus a central element.
 from __future__ import annotations
 
 from bisect import bisect
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
 from itertools import groupby
-from typing import Sequence
 
 from .exact import CoefficientAlgebra, SparseElement, as_exact
 from .weyl import WeylElement, WeylMonomial
@@ -221,13 +221,15 @@ def _generator(algebra, a: int, b: int) -> _WordElement:
     return element._raw((m,), {(_generator_index(m)[(a, b)],): 1})
 
 
-@dataclass(frozen=True)
 class SymbolAlgebra(CoefficientAlgebra):
     """C[e_ab] for one rank as a tensor coefficient algebra."""
 
-    m: int
+    __slots__ = ("m",)
 
     element = SymbolElement
+
+    def __init__(self, m: int):
+        object.__setattr__(self, "m", m)
 
     var = _generator
 
@@ -345,13 +347,12 @@ def ugl_to_weyl(u: UglElement, n: int) -> WeylElement:
     return ev_n(symbol(u), n)
 
 
-@dataclass(frozen=True)
-class Centrality:
-    """Outcome of a centrality check, with the offending commutator if any."""
+class Centrality(namedtuple("Centrality", "ok generator commutator", defaults=(None, None))):
+    """Outcome of a centrality check, with the offending commutator if any:
+    ``generator`` is the first (a, b) whose E[a,b] does not commute with the
+    element and ``commutator`` that commutator, both None when ``ok``."""
 
-    ok: bool
-    generator: tuple[int, int] | None = None
-    commutator: UglElement | None = None
+    __slots__ = ()
 
     def __bool__(self) -> bool:
         return self.ok
@@ -405,12 +406,14 @@ def hc_eigenvalue(u: UglElement, weights: Sequence) -> int | Fraction:
     return as_exact(total)
 
 
-@dataclass(frozen=True)
 class EnvelopingAlgebra(CoefficientAlgebra):
     """Factory handle for one rank; doubles as a tensor coefficient algebra."""
 
-    m: int
+    __slots__ = ("m",)
 
     element = UglElement
+
+    def __init__(self, m: int):
+        object.__setattr__(self, "m", m)
 
     gen = _generator

@@ -12,9 +12,8 @@ unwraps every integral Fraction there.
 
 from __future__ import annotations
 
-from dataclasses import fields
+from collections.abc import Iterator
 from fractions import Fraction
-from typing import Iterator
 
 __all__ = ["as_exact", "as_int", "SparseElement", "CoefficientAlgebra"]
 
@@ -194,17 +193,40 @@ class CoefficientAlgebra:
     """A handle on one algebra of ``SparseElement``s, usable as the
     coefficient algebra of a ``TensorElement``.
 
-    A subclass is a frozen dataclass whose fields, in order, are the space
-    of its class attribute ``element``; it adds only its generators.
-    ``TensorElement`` and its functions use ``zero``, ``one`` and
-    ``scaled_sum`` (of a list of (nonzero rational, value) pairs, zero when
-    empty); a constant c is ``c * one()``.
+    A handle is an immutable value, named by the space of its class
+    attribute ``element``: a subclass lists the entries of that space in
+    ``__slots__``, in order, sets them in its ``__init__``, and adds only
+    its generators. Two handles are equal, and hash equal, exactly when
+    their classes and spaces are. ``TensorElement`` and its functions use
+    ``zero``, ``one`` and ``scaled_sum`` (of a list of (nonzero rational,
+    value) pairs, zero when empty); a constant c is ``c * one()``.
     """
+
+    __slots__ = ()
 
     element: type[SparseElement]
 
     def _space(self) -> tuple:
-        return tuple(getattr(self, field.name) for field in fields(self))
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self._space() == other._space()
+
+    def __hash__(self) -> int:
+        return hash(self._space())
+
+    def __reduce__(self):
+        return type(self), self._space()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
 
     def zero(self):
         return self.element.zero(*self._space())

@@ -121,7 +121,7 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cache, lru_cache, partial
 from math import factorial, lcm, perm
@@ -173,16 +173,16 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    """One verified case: canonical-form comparison of two tensor elements."""
+class VerificationReport(
+    namedtuple("VerificationReport", "case outcome lhs_terms rhs_terms first_diff millis")
+):
+    """One verified case: canonical-form comparison of two tensor elements.
+    ``case`` names it, ``outcome`` is a bool, ``lhs_terms`` and
+    ``rhs_terms`` count the terms of the two sides, ``first_diff`` says
+    where they first differ (None when they agree) and ``millis`` is the
+    time taken."""
 
-    case: str
-    outcome: bool
-    lhs_terms: int
-    rhs_terms: int
-    first_diff: str | None
-    millis: float
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         return {

@@ -7,8 +7,8 @@ All coefficients are exact rationals; there is no floating point here.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
-from typing import Iterable, Iterator
 
 from .exact import SparseElement, as_exact, as_int
 

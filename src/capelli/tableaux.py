@@ -24,9 +24,9 @@ from __future__ import annotations
 
 import itertools
 import json
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator
 
 from .exact import as_exact, as_int
 from .permutations import (

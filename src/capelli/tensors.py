@@ -21,11 +21,11 @@ at the keys read off a place operator is built on those keys alone by
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 from operator import itemgetter
-from typing import Iterable, Sequence
 
 from .exact import SparseElement
 from .permutations import GroupAlgebraElement, Permutation

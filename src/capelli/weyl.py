@@ -13,24 +13,24 @@ counts down compared with one-step rewriting.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterator
 from fractions import Fraction
 from math import comb, factorial, perm, prod
-from typing import Iterator, NamedTuple
 
 from .exact import CoefficientAlgebra, SparseElement, as_exact
 
 __all__ = ["WeylMonomial", "WeylElement", "WeylAlgebra", "weyl_multiply", "weyl_apply"]
 
 
-class WeylMonomial(NamedTuple):
-    """Exponent arrays of a normal-ordered monomial x^alpha D^beta.
+class WeylMonomial(namedtuple("WeylMonomial", "alpha beta")):
+    """Exponent arrays of a normal-ordered monomial x^alpha D^beta, two
+    tuples of ints.
 
     Both arrays are flattened row-major: slot (a, i) sits at (a-1)*n + (i-1).
     """
 
-    alpha: tuple[int, ...]
-    beta: tuple[int, ...]
+    __slots__ = ()
 
 
 class WeylElement(SparseElement):
@@ -145,14 +145,16 @@ def weyl_apply(u: WeylElement, f: WeylElement) -> WeylElement:
     return u._product(f, act)
 
 
-@dataclass(frozen=True)
 class WeylAlgebra(CoefficientAlgebra):
     """Factory handle for one grid size; doubles as a tensor coefficient algebra."""
 
-    m: int
-    n: int
+    __slots__ = ("m", "n")
 
     element = WeylElement
+
+    def __init__(self, m: int, n: int):
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "n", n)
 
     def x(self, a: int, i: int) -> WeylElement:
         return self._variable(a, i, x=True)

@@ -11,6 +11,7 @@ import pytest
 
 from capelli import cli
 from capelli.identities import VerificationReport
+from capelli.tableaux import all_partitions, enumerate_standard_tableaux
 
 
 def run(argv, capsys):
@@ -100,6 +101,14 @@ def test_immanant(capsys):
     code, out = run(["immanant", "--shape", "2", "--m", "2", "--print-pbw"], capsys)
     assert code == 0
     assert "E[" in out
+
+
+def test_the_immanant_tableau_is_the_first_standard_tableau():
+    # immanant and eigenvalue build the row reading tableau directly; it is
+    # the first of the enumeration, which they used to build in full
+    for k in range(8):
+        for shape in all_partitions(k):
+            assert cli._row_reading(shape) == enumerate_standard_tableaux(shape)[0], shape
 
 
 def test_eigenvalue(capsys):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from capelli.enveloping import (
+    Centrality,
     EnvelopingAlgebra,
     SymbolAlgebra,
     SymbolElement,
@@ -443,3 +444,20 @@ def test_dropped_evaluator_leaves_no_reference_cycle():
     finally:
         if enabled:
             gc.enable()
+
+
+def test_a_centrality_verdict_is_an_immutable_record():
+    alg = EnvelopingAlgebra(2)
+    passed, failed = is_central(alg.gen(1, 1) + alg.gen(2, 2)), is_central(alg.gen(1, 2))
+    assert bool(passed) is True and bool(failed) is False
+    assert (passed.ok, passed.generator, passed.commutator) == (True, None, None)
+    assert repr(passed) == "Centrality(ok=True, generator=None, commutator=None)"
+    assert failed.ok is False and failed.generator == (2, 1)
+    # E[1,2] E[2,1] - E[2,1] E[1,2] = E[1,1] - E[2,2]
+    assert failed.commutator == alg.gen(1, 1) - alg.gen(2, 2)
+    assert failed == Centrality(False, (2, 1), alg.gen(1, 1) - alg.gen(2, 2))
+    assert passed == Centrality(True) and passed != failed
+    with pytest.raises(AttributeError):
+        passed.ok = False
+    with pytest.raises(AttributeError):
+        passed.note = "x"

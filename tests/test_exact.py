@@ -1,9 +1,14 @@
 """The exact-coefficient invariant of the shared sparse core: every stored
 coefficient is a nonzero int or a non-integral Fraction, whatever produced it."""
 
+import copy
 import operator
+import pickle
+import subprocess
+import sys
 from fractions import Fraction
 from functools import reduce
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -211,3 +216,63 @@ def test_package_exports_the_union_of_the_module_lists():
     assert not hasattr(TensorElement, "__matmul__")
     assert not hasattr(exact.CoefficientAlgebra, "scalar")
     assert not hasattr(tableaux.StandardTableau, "position_sequence")
+
+
+def test_handles_are_values_of_their_class_and_space():
+    def handles():
+        return [WeylAlgebra(2, 3), WeylAlgebra(3, 2), EnvelopingAlgebra(2), SymbolAlgebra(2)]
+
+    for i, a in enumerate(handles()):
+        for j, b in enumerate(handles()):
+            assert (a == b) is (i == j) and (a != b) is (i != j), (a, b)
+            if i == j:
+                assert hash(a) == hash(b) and a is not b
+        assert copy.copy(a) == pickle.loads(pickle.dumps(a)) == a
+    assert len({WeylAlgebra(2, 3), WeylAlgebra(2, 3), WeylAlgebra(3, 2)}) == 2
+    assert WeylAlgebra(2, 3) != (2, 3) and SymbolAlgebra(2) != 2
+    assert (WeylAlgebra(2, 3).m, WeylAlgebra(2, 3).n, SymbolAlgebra(4).m) == (2, 3, 4)
+    # the space names the handle's elements
+    assert WeylAlgebra(2, 3).zero() == WeylElement.zero(2, 3)
+    assert EnvelopingAlgebra(2).one() == UglElement.one(2)
+
+
+def test_handles_are_immutable_and_keep_their_reprs():
+    w, u, s = WeylAlgebra(2, 3), EnvelopingAlgebra(2), SymbolAlgebra(3)
+    assert [repr(h) for h in (w, u, s)] == [
+        "WeylAlgebra(m=2, n=3)",
+        "EnvelopingAlgebra(m=2)",
+        "SymbolAlgebra(m=3)",
+    ]
+    for h, name in ((w, "n"), (u, "m"), (s, "m"), (s, "element")):
+        with pytest.raises(AttributeError):
+            setattr(h, name, 5)
+        with pytest.raises(AttributeError):
+            delattr(h, name)
+    with pytest.raises(AttributeError):
+        s.rank = 3
+    with pytest.raises(TypeError):
+        WeylAlgebra(2)
+    with pytest.raises(TypeError):
+        SymbolAlgebra(2, 3)
+
+
+def test_import_loads_every_submodule_and_no_class_machinery():
+    # a clean interpreter, without site: `import capelli` builds its classes
+    # by hand, so neither dataclasses (with inspect, ast, dis) nor typing is
+    # loaded; and nothing is deferred, so every submodule is loaded there
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(src)!r})\n"
+        "import capelli\n"
+        "print(' '.join(sorted(sys.modules)))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    loaded = set(done.stdout.split())
+    assert not loaded & {"dataclasses", "inspect", "ast", "dis", "typing"}
+    submodules = {"enveloping", "exact", "identities", "permutations", "tableaux",
+                  "tensors", "weyl"}
+    assert {f"capelli.{name}" for name in submodules} <= loaded

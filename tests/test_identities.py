@@ -18,6 +18,7 @@ from capelli.enveloping import (
     ugl_to_weyl,
 )
 from capelli.identities import (
+    VerificationReport,
     _built,
     _certified_column,
     _contents,
@@ -1068,3 +1069,32 @@ def test_failing_proof_step_and_corollary_reports(monkeypatch):
         ("corollary-T-independence", False, 18, 18,
          "traced left side depends on the tableau"),
     ]
+
+
+def test_a_report_is_an_immutable_record_with_a_fixed_dict():
+    report = VerificationReport("theorem x", True, 3, 3, None, 1.23456)
+    assert report == VerificationReport(
+        case="theorem x", outcome=True, lhs_terms=3, rhs_terms=3, first_diff=None, millis=1.23456
+    )
+    assert (report.case, report.outcome, report.lhs_terms, report.rhs_terms) == (
+        "theorem x", True, 3, 3,
+    )
+    assert report.first_diff is None and report.millis == 1.23456
+    assert list(report.to_dict().items()) == [
+        ("case", "theorem x"),
+        ("outcome", "pass"),
+        ("lhs_terms", 3),
+        ("rhs_terms", 3),
+        ("first_diff", None),
+        ("millis", 1.235),
+    ]
+    failed = VerificationReport("y", False, 1, 2, "at key", 0.0004)
+    assert failed.to_dict()["outcome"] == "fail" and failed.to_dict()["millis"] == 0.0
+    assert repr(failed) == (
+        "VerificationReport(case='y', outcome=False, lhs_terms=1, rhs_terms=2,"
+        " first_diff='at key', millis=0.0004)"
+    )
+    with pytest.raises(AttributeError):
+        report.outcome = False
+    with pytest.raises(AttributeError):
+        report.note = "x"
