@@ -154,7 +154,8 @@ class UglElement(_WordElement):
 
     ``_central`` is set only by ``is_central``, when the element passed, and
     stays valid because elements are immutable; it is unset on every other
-    element.
+    element. It is the one slot that is not part of the value: equality
+    ignores it, and a copy or pickle keeps it.
     """
 
     __slots__ = ("_central",)

@@ -1,7 +1,8 @@
-"""Exact rational coefficients, stored as plain int whenever integral, the
-sparse linear combination that every element type of the library is built
-on, and the handle that makes one such algebra a coefficient algebra, the
-one kind of coefficient a library ``TensorElement`` holds.
+"""Exact rational coefficients, stored as plain int whenever integral; the
+``Value`` base of every value class of the library; the sparse linear
+combination that every element type is built on; and the handle that makes
+one such algebra a coefficient algebra, the one kind of coefficient a
+library ``TensorElement`` holds.
 
 Python promotes mixed int/Fraction arithmetic to Fraction and compares the
 two representations equal, so keeping integers unwrapped costs nothing in
@@ -12,10 +13,11 @@ unwraps every integral Fraction there.
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Iterator
 from fractions import Fraction
 
-__all__ = ["as_exact", "as_int", "SparseElement", "CoefficientAlgebra"]
+__all__ = ["as_exact", "as_int", "Value", "SparseElement", "CoefficientAlgebra"]
 
 
 def as_exact(value) -> int | Fraction:
@@ -35,8 +37,58 @@ def as_int(value) -> int:
     raise ValueError(f"expected an integer, got {value!r}")
 
 
-class SparseElement:
-    """An immutable sparse linear combination of basis keys in one space.
+class Value:
+    """An immutable slotted value: its fields are the slots of the first
+    class in its hierarchy that declares any, read by ``_fields``.
+
+    Two values are equal exactly when their classes and fields are, and a
+    value hashes by its fields; a class of unhashable values sets
+    ``__hash__ = None``. Fields are set once, by a constructor or a ``_raw``
+    fast path through ``object.__setattr__``; setting or deleting any
+    attribute afterwards raises ``AttributeError``. ``copy``, ``deepcopy``
+    and ``pickle`` rebuild a value from every slot it has set, without its
+    constructor, so a slot outside the fields survives them too.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        if cls.__dict__.get("__slots__") and not hasattr(cls, "_fields"):
+            cls._fields = operator.attrgetter(*cls.__slots__)
+
+    def __eq__(self, other) -> bool:
+        fields = self._fields
+        return type(other) is type(self) and fields(self) == fields(other)
+
+    def __hash__(self) -> int:
+        return hash(self._fields(self))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        slots = {}
+        for cls in type(self).__mro__:
+            for name in cls.__dict__.get("__slots__", ()):
+                if hasattr(self, name):
+                    slots[name] = getattr(self, name)
+        return _rebuilt, (type(self), slots)
+
+
+def _rebuilt(cls, slots: dict) -> Value:
+    value = object.__new__(cls)
+    for name, field in slots.items():
+        object.__setattr__(value, name, field)
+    return value
+
+
+class SparseElement(Value):
+    """A sparse linear combination of basis keys in one space: an
+    unhashable ``Value`` whose fields are ``_space`` and ``_terms``.
 
     ``_space`` is a tuple naming the space (a degree, a grid, a rank, a
     tensor shape); elements combine only with elements of the same space.
@@ -53,6 +105,7 @@ class SparseElement:
 
     __slots__ = ("_space", "_terms")
 
+    __hash__ = None
     _DESCENDING = False
     _coerce = staticmethod(as_exact)  # applied to constructor coefficients
 
@@ -90,9 +143,6 @@ class SparseElement:
     def one(cls, *space):
         return cls._raw(space, {cls._unit(space): 1})
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
     def items(self) -> Iterator[tuple]:
         return iter(self._terms.items())
 
@@ -107,13 +157,6 @@ class SparseElement:
 
     def __bool__(self) -> bool:
         return bool(self._terms)
-
-    def __eq__(self, other) -> bool:
-        return (
-            type(other) is type(self)
-            and self._space == other._space
-            and self._terms == other._terms
-        )
 
     def _check(self, other: SparseElement) -> None:
         if self._space != other._space:
@@ -189,17 +232,16 @@ class SparseElement:
         return "".join(out)
 
 
-class CoefficientAlgebra:
+class CoefficientAlgebra(Value):
     """A handle on one algebra of ``SparseElement``s, usable as the
     coefficient algebra of a ``TensorElement``.
 
-    A handle is an immutable value, named by the space of its class
+    A handle is a hashable ``Value`` whose fields are the space of its class
     attribute ``element``: a subclass lists the entries of that space in
-    ``__slots__``, in order, sets them in its ``__init__``, and adds only
-    its generators. Two handles are equal, and hash equal, exactly when
-    their classes and spaces are. ``TensorElement`` and its functions use
-    ``zero``, ``one`` and ``scaled_sum`` (of a list of (nonzero rational,
-    value) pairs, zero when empty); a constant c is ``c * one()``.
+    ``__slots__``, in order, sets them in its ``__init__``, and adds only its
+    generators. ``TensorElement`` and its functions use ``zero``, ``one`` and
+    ``scaled_sum`` (of a list of (nonzero rational, value) pairs, zero when
+    empty); a constant c is ``c * one()``.
     """
 
     __slots__ = ()
@@ -208,21 +250,6 @@ class CoefficientAlgebra:
 
     def _space(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __eq__(self, other) -> bool:
-        return type(other) is type(self) and self._space() == other._space()
-
-    def __hash__(self) -> int:
-        return hash(self._space())
-
-    def __reduce__(self):
-        return type(self), self._space()
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)

@@ -10,7 +10,7 @@ import re
 from collections.abc import Iterable, Iterator
 from fractions import Fraction
 
-from .exact import SparseElement, as_exact, as_int
+from .exact import SparseElement, Value, as_exact, as_int
 
 __all__ = [
     "Permutation",
@@ -23,7 +23,7 @@ __all__ = [
 ]
 
 
-class Permutation:
+class Permutation(Value):
     """A bijection of {1..k}, stored in one-line notation."""
 
     __slots__ = ("images",)
@@ -33,9 +33,6 @@ class Permutation:
         if sorted(images) != list(range(1, len(images) + 1)):
             raise ValueError(f"not a permutation of 1..{len(images)}: {images}")
         object.__setattr__(self, "images", images)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Permutation is immutable")
 
     @classmethod
     def _raw(cls, images: tuple[int, ...]) -> Permutation:
@@ -152,12 +149,6 @@ class Permutation:
             return "()"
         return "".join("(" + " ".join(str(v) for v in c) + ")" for c in cycles)
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Permutation) and self.images == other.images
-
-    def __hash__(self) -> int:
-        return hash(self.images)
-
     def __lt__(self, other: Permutation) -> bool:
         # total order on one-line notation; used for canonical printing
         return self.images < other.images
@@ -190,7 +181,8 @@ class GroupAlgebraElement(SparseElement):
     """A sparse rational linear combination of permutations of one degree.
 
     Zero coefficients are never stored, so ``==`` is a syntactic check on
-    the canonical form. Instances are immutable.
+    the canonical form. Like every ``SparseElement``, it is an unhashable
+    ``Value``.
     """
 
     __slots__ = ()

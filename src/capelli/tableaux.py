@@ -28,7 +28,7 @@ from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact import as_exact, as_int
+from .exact import Value, as_exact, as_int
 from .permutations import (
     GroupAlgebraElement,
     Permutation,
@@ -48,7 +48,7 @@ __all__ = [
 ]
 
 
-class Partition:
+class Partition(Value):
     """A weakly decreasing sequence of positive integers."""
 
     __slots__ = ("parts",)
@@ -61,9 +61,6 @@ class Partition:
         if parts and parts[-1] < 1:
             raise ValueError(f"parts must be positive: {parts}")
         object.__setattr__(self, "parts", parts)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Partition is immutable")
 
     @classmethod
     def parse(cls, text: str) -> Partition:
@@ -85,12 +82,6 @@ class Partition:
 
     def __getitem__(self, i: int) -> int:
         return self.parts[i]
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Partition) and self.parts == other.parts
-
-    def __hash__(self) -> int:
-        return hash(self.parts)
 
     def __lt__(self, other: Partition) -> bool:
         return self.parts < other.parts
@@ -118,7 +109,7 @@ def _build_partitions(remaining: int, bound: int, prefix: list[int], out: list) 
         _build_partitions(remaining - part, part, prefix + [part], out)
 
 
-class StandardTableau:
+class StandardTableau(Value):
     """A filling of a Young diagram with 1..k increasing along rows and columns."""
 
     __slots__ = ("rows",)
@@ -138,9 +129,6 @@ class StandardTableau:
                 if rows[i][j] >= rows[i + 1][j]:
                     raise ValueError(f"columns must strictly increase: {rows}")
         object.__setattr__(self, "rows", rows)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("StandardTableau is immutable")
 
     @classmethod
     def parse(cls, text: str) -> StandardTableau:
@@ -184,12 +172,6 @@ class StandardTableau:
             tuple(swap.get(v, v) for v in row) for row in self.rows
         )
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, StandardTableau) and self.rows == other.rows
-
-    def __hash__(self) -> int:
-        return hash(self.rows)
-
     def __str__(self) -> str:
         return json.dumps([list(row) for row in self.rows], separators=(",", ":"))
 
@@ -222,10 +204,12 @@ def dimension(shape: Partition) -> int:
     return len(_enumerate_cached(shape.parts))
 
 
-class RepMatrix:
+class RepMatrix(Value):
     """A square rational matrix indexed by the standard tableaux of a shape."""
 
     __slots__ = ("shape", "entries")
+
+    __hash__ = None
 
     def __init__(self, shape: Partition, entries: Iterable[Iterable[Fraction]]):
         entries = tuple(tuple(as_exact(v) for v in row) for row in entries)
@@ -234,9 +218,6 @@ class RepMatrix:
             raise ValueError(f"expected {d}x{d} matrix for shape {shape}")
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "entries", entries)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RepMatrix is immutable")
 
     @classmethod
     def identity(cls, shape: Partition) -> RepMatrix:
@@ -263,13 +244,6 @@ class RepMatrix:
             for i in range(self.dim)
             for j in range(self.dim)
             if i != j
-        )
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, RepMatrix)
-            and self.shape == other.shape
-            and self.entries == other.entries
         )
 
     def __repr__(self) -> str:

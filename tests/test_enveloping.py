@@ -1,5 +1,7 @@
+import copy
 import gc
 import itertools
+import pickle
 import random
 from fractions import Fraction
 from math import factorial
@@ -7,6 +9,7 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from capelli import enveloping
 from capelli.enveloping import (
     Centrality,
     EnvelopingAlgebra,
@@ -257,7 +260,7 @@ def test_k4_immanants_at_m4_against_shifted_schur_oracle():
             assert hc_eigenvalue(u, weights) == expected, (shape, weights)
 
 
-def test_centrality_verdict_is_recorded_only_when_passed():
+def test_centrality_verdict_is_recorded_only_when_passed(monkeypatch):
     alg = EnvelopingAlgebra(2)
     trace = alg.gen(1, 1) + alg.gen(2, 2)
     assert not hasattr(trace, "_central")
@@ -269,6 +272,15 @@ def test_centrality_verdict_is_recorded_only_when_passed():
     with pytest.raises(ValueError):
         hc_eigenvalue(raising, [1, 0])
     assert not hasattr(trace + raising, "_central")
+    # the verdict is not part of the value: a copy or pickle keeps it, so
+    # hc_eigenvalue does not check again, and equality ignores it
+    twins = [copy.copy(trace), copy.deepcopy(trace), pickle.loads(pickle.dumps(trace))]
+    unmarked = UglElement._raw(trace._space, dict(trace._terms))
+    assert not hasattr(unmarked, "_central") and unmarked == trace and trace == unmarked
+    monkeypatch.setattr(enveloping, "is_central", None)
+    for twin in twins:
+        assert twin._central is True and twin == trace
+        assert hc_eigenvalue(twin, [3, 1]) == 4
 
 
 def test_print_format():

@@ -17,7 +17,12 @@ from capelli.enveloping import EnvelopingAlgebra, SymbolAlgebra, UglElement
 from capelli.exact import SparseElement
 from capelli.identities import lhs_theorem
 from capelli.permutations import GroupAlgebraElement, Permutation
-from capelli.tableaux import Partition, enumerate_standard_tableaux
+from capelli.tableaux import (
+    Partition,
+    StandardTableau,
+    enumerate_standard_tableaux,
+    seminormal_matrix,
+)
 from capelli.tensors import (
     TensorElement,
     full_trace,
@@ -218,6 +223,21 @@ def test_package_exports_the_union_of_the_module_lists():
     assert not hasattr(tableaux.StandardTableau, "position_sequence")
 
 
+def one_value_of_every_class():
+    # the hashable values, then the elements and the matrix, which are not
+    w, u, s = WeylAlgebra(2, 3), EnvelopingAlgebra(2), SymbolAlgebra(2)
+    hashable = [Partition([2, 1]), StandardTableau([[1, 3], [2]]), Permutation([2, 3, 1]), w, u, s]
+    unhashable = [
+        seminormal_matrix(Partition([2, 1]), Permutation([2, 1, 3])),
+        GroupAlgebraElement(3, {Permutation([2, 1, 3]): Fraction(1, 2), Permutation([1, 2, 3]): 1}),
+        w.x(1, 2) * w.d(2, 3) + w.one(),
+        u.gen(1, 2) * u.gen(2, 1) - Fraction(2, 3) * u.gen(1, 1),
+        s.var(1, 2) * s.var(2, 1) + s.one(),
+        TensorElement.matrix(s, [[s.var(1, 1), s.one()], [s.var(2, 1), s.var(2, 2)]]),
+    ]
+    return hashable, unhashable
+
+
 def test_handles_are_values_of_their_class_and_space():
     def handles():
         return [WeylAlgebra(2, 3), WeylAlgebra(3, 2), EnvelopingAlgebra(2), SymbolAlgebra(2)]
@@ -234,6 +254,23 @@ def test_handles_are_values_of_their_class_and_space():
     # the space names the handle's elements
     assert WeylAlgebra(2, 3).zero() == WeylElement.zero(2, 3)
     assert EnvelopingAlgebra(2).one() == UglElement.one(2)
+    # every value class shares the rule: equal by class and fields, hashed
+    # by its fields where hashable, and copied or pickled to an equal value
+    hashable, unhashable = one_value_of_every_class()
+    values = hashable + unhashable
+    for i, a in enumerate(values):
+        for j, b in enumerate(values):
+            assert (a == b) is (i == j), (a, b)
+        for twin in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+            assert type(twin) is type(a) and twin == a and twin is not a, a
+            assert repr(twin) == repr(a)
+    for a in hashable:
+        assert hash(copy.deepcopy(a)) == hash(pickle.loads(pickle.dumps(a))) == hash(a), a
+    for a in unhashable:
+        with pytest.raises(TypeError):
+            hash(a)
+    # the same fields in different classes are different values
+    assert Partition([1]) != Permutation([1]) and Permutation([1]) != Partition([1])
 
 
 def test_handles_are_immutable_and_keep_their_reprs():
@@ -254,6 +291,23 @@ def test_handles_are_immutable_and_keep_their_reprs():
         WeylAlgebra(2)
     with pytest.raises(TypeError):
         SymbolAlgebra(2, 3)
+    # every value refuses to set or delete any slot, or a new name, and is
+    # left as it was
+    hashable, unhashable = one_value_of_every_class()
+    assert [repr(a) for a in hashable[:3]] == [
+        "Partition([2, 1])",
+        "StandardTableau([[1, 3], [2]])",
+        "Permutation([2, 3, 1])",
+    ]
+    for a in hashable + unhashable:
+        before = repr(a)
+        slots = [name for cls in type(a).__mro__ for name in cls.__dict__.get("__slots__", ())]
+        for name in slots + ["extra"]:
+            with pytest.raises(AttributeError, match=f"^{type(a).__name__} is immutable$"):
+                setattr(a, name, 5)
+            with pytest.raises(AttributeError, match=f"^{type(a).__name__} is immutable$"):
+                delattr(a, name)
+        assert repr(a) == before
 
 
 def test_import_loads_every_submodule_and_no_class_machinery():
