@@ -16,13 +16,15 @@ Both sides are computed as normal-ordered symbols in C[e_ab], free of n
 (see ``capelli.enveloping``): every entry is GL(n)-invariant, so its symbol
 is a polynomial in e[a,b] = sum_i x[a,i] xi[b,i]. The right side
 X^(x k) . (D')^(x k) is already normal ordered, and its entry (rows, cols)
-is the monomial prod_t e[rows_t, cols_t]: the k-fold ``tensor_product`` of
-the matrix [e_ab]. The left side is built straight in C[e_ab], one factor
-at a time, by the right action of E[a,b] - c delta_ab on the symbol of
-each prefix (``_built``, stepping by ``enveloping._times_generator``, the
-rule ``symbol`` uses per PBW word), so the theorem never straightens a PBW
-word. Both are multiplied by Psi over symbols, and the two symbol tensors
-are compared once.
+is the monomial prod_t e[rows_t, cols_t], the entry of [e_ab]^(x k). That
+tensor is built whole (``_xd_product``) only for a failing pair and for
+``rhs_theorem``; a passing pair forms the right side times Psi at one
+column straight from the place operator (below). The left side is built
+straight in C[e_ab], one factor at a time, by the right action of
+E[a,b] - c delta_ab on the symbol of each prefix (``_built``, stepping by
+``enveloping._times_generator``, the rule ``symbol`` uses per PBW word), so
+the theorem never straightens a PBW word. Both are multiplied by Psi over
+symbols, and the two symbol tensors are compared once.
 
 The comparison is made at one output column of P, the int place operator
 of D Psi(T,T') (D below). Write Delta = (L - R) . P, L and R the two
@@ -36,12 +38,14 @@ GL(m) e_new spans is mapped by P onto im P, so Delta = 0. The mu-weight
 space of V_mu is not 0 and P keeps weights, so such a new exists among
 the weight-mu cols, the rearrangements of 1^mu_1 2^mu_2 ...; the least is
 taken (``_certified_column``). Column new of L . P is L times column new
-of P, which reads L only at the weight-mu cols: both sides are formed
-there alone (P's rows cut to new once, in ``right_mul_group_algebra``),
-and ev_n, linear entrywise, keeps the verdict. A pair whose sides agree at
-new is counted by ``_pair_count`` from P alone, at every n, with no
-product and no ev_n formed; a pair that differs there has both whole
-products formed, so a failing report is that of the whole products.
+of P, which reads L only at the weight-mu cols: the left side is formed
+there alone (P's rows cut to new once, in ``right_mul_group_algebra``).
+Column new of R . P is summed from that column of P, with no [e_ab]^(x k)
+(``_rhs_symbols``), and ev_n, linear entrywise, keeps the verdict. A pair
+whose sides agree at new is counted by ``_pair_count`` from P alone, at
+every n, with no whole product and no ev_n formed; a pair that differs
+there has both whole products formed, so a failing report is that of the
+whole products.
 
 The one column decides only under two conditions, its trust boundary.
 L is invariant because of how it is built, each step the right action of
@@ -258,7 +262,9 @@ def _shifted_product(T: StandardTableau, m: int, support: frozenset) -> TensorEl
 def _xd_product(k: int, m: int) -> TensorElement:
     """The symbol tensor of X^(x k) . (D')^(x k), cached per (k, m): that
     product is normal ordered, so its entry (rows, cols) has the symbol
-    prod_t e[rows_t, cols_t], the entry of [e_ab]^(x k)."""
+    prod_t e[rows_t, cols_t], the entry of [e_ab]^(x k). Built, with all
+    m^(2k) entries, only for a whole right side: a failing pair's and
+    ``rhs_theorem``'s."""
     return tensor_product([_symbol_matrix(m)] * k)
 
 
@@ -418,9 +424,32 @@ def _lhs_symbols(
 
 
 def _rhs_symbols(g: GroupAlgebraElement, m: int, column=None) -> TensorElement:
-    """The symbols of the right side times g, at the output col ``column``
-    only if it is given."""
-    return right_mul_group_algebra(_xd_product(g.degree, m), g, column=column)
+    """The symbols of the right side R = [e_ab]^(x k) times g, at the output
+    col ``column`` only if it is given. The whole product multiplies R
+    (``_xd_product``). One column is summed from P alone, (D, P) the place
+    operator of g: its entry (rows, column) is (1/D) sum_cols
+    P[cols][column] prod_t e[rows_t, cols_t], and P[cols][column] != 0
+    only when cols rearranges column, so R is never formed."""
+    k = g.degree
+    if column is None:
+        return right_mul_group_algebra(_xd_product(k, m), g)
+    denom, place = _place_operator(g, k, m)
+    v = [
+        (cols, scale)
+        for cols in set(itertools.permutations(column))
+        for new, scale in place[cols]
+        if new == column
+    ]
+    index, terms = _generator_index(m), {}
+    for rows in itertools.product(range(1, m + 1), repeat=k):
+        entry: dict[tuple[int, ...], int] = {}
+        for cols, scale in v:
+            word = tuple(sorted([index[a, b] for a, b in zip(rows, cols)]))
+            entry[word] = entry.get(word, 0) + scale
+        if entry := {word: c for word, c in entry.items() if c}:
+            terms[rows, column] = SymbolElement._raw((m,), entry)
+    u = TensorElement._raw((SymbolAlgebra(m), k, m, m), terms)
+    return u if denom == 1 else Fraction(1, denom) * u
 
 
 def _pair_count(g: GroupAlgebraElement, m: int) -> int:

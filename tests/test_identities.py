@@ -34,6 +34,7 @@ from capelli.identities import (
     _times_variable,
     _traced,
     _weyl_image,
+    _xd_product,
     build_D,
     build_E,
     build_X,
@@ -834,9 +835,10 @@ def test_a_left_entry_broken_at_the_compared_column_fails_as_the_whole_products(
 
 
 def test_a_passing_pair_forms_one_output_column(monkeypatch):
-    # every product a passing pair of the golden sweep forms, on either
-    # side, is cut to one output column; a shape of more than m rows forms
-    # none
+    # the one product a passing pair of the golden sweep forms, of its left
+    # side, is cut to one output column; its right side is summed from a
+    # column of P with no product and no [e_ab]^(x k); a shape of more than
+    # m rows forms none
     import capelli.identities as identities
 
     right_mul = identities.right_mul_group_algebra
@@ -847,6 +849,7 @@ def test_a_passing_pair_forms_one_output_column(monkeypatch):
         return right_mul(u, g, keys, column)
 
     monkeypatch.setattr(identities, "right_mul_group_algebra", recorded)
+    _xd_product.cache_clear()
     pairs = 0
     for k in (1, 2, 3):
         for shape in all_partitions(k):
@@ -855,8 +858,35 @@ def test_a_passing_pair_forms_one_output_column(monkeypatch):
                 assert all(r.outcome for n in reports for r in reports[n]), (shape, m)
                 if len(shape) <= m:
                     pairs += len(enumerate_standard_tableaux(shape)) ** 2
-    assert len(calls) == 2 * pairs
+    assert len(calls) == pairs
     assert all(isinstance(column, tuple) for column in calls)
+    assert _xd_product.cache_info().misses == 0
+
+
+@pytest.mark.parametrize("scaled", [False, True], ids=["psi", "D-psi"])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_right_side_column_is_that_of_the_whole_product(k, scaled):
+    # the right side at one output column, summed from that column of P,
+    # against the product of [e_ab]^(x k) cut to it, at every column where
+    # P is nonzero, for Psi itself (some D > 1 from k = 3 on) and for D Psi
+    denoms = set()
+    for m in (1, 2, 3):
+        for shape in all_partitions(k):
+            if len(shape) > m:
+                continue
+            tableaux = enumerate_standard_tableaux(shape)
+            for T, T2 in itertools.product(tableaux, repeat=2):
+                g = psi(T, T2)
+                if scaled:
+                    g = lcm(*(c.denominator for _, c in g.items())) * g
+                denom, place = _place_operator_of(k, m, tuple(g.items()))
+                denoms.add(denom)
+                news = {new for row in place.values() for new, _ in row}
+                assert news, (T, T2, m)
+                for new in sorted(news):
+                    expected = right_mul_group_algebra(_xd_product(k, m), g, column=new)
+                    assert expected and _rhs_symbols(g, m, new) == expected, (T, T2, m, new)
+    assert (max(denoms) > 1) == (not scaled and k >= 3), denoms
 
 
 @pytest.mark.parametrize("broken", [False, True], ids=["passing", "failing"])
