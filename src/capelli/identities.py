@@ -56,7 +56,9 @@ per shape, that the seminormal generators give V_mu of S_k, so every
 Psi(T,T') is rank one in the mu-block of C[S_k] and 0 in the others, or
 raises ``ArithmeticError``; ``_certified_column`` only guards that P is
 nonzero at weight mu. The descent recursion from the generators to Psi
-and the place-operator builder are covered by tier-1 alone.
+and the place-operator builder are covered by tier-1 alone; Psi is checked
+there against the dense product of the generators along a word of each s,
+at every pair of k <= 5 and at seeded s of shapes 3,2,1 and 4,2,1.
 
 The left side is built only on the keys whose cols the product reads: the
 cols at which P (``tensors._place_operator``) has a nonzero row, and on

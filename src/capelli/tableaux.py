@@ -15,9 +15,10 @@ is s_r . v_T, with at most two nonzeros. The certificate, rho(s) and Psi
 read them, and only ``seminormal_matrix`` builds a dense ``RepMatrix``.
 
 Each builder goes forward: tableaux fill addable cells level by level, top
-row first, which is already the order of their positions; rho(s) =
-rho(s . s_r) rho(s_r) at the first descent r, column by column; chi is the
-sum of the diagonal Psi(T, T).
+row first, which is already the order of their positions; column T of
+rho(w^-1) is s_r applied to column T of rho(w'^-1), where w = w' . s_r at the
+first descent r of w, so Psi(T, .) builds column T alone; chi is the sum of
+the diagonal Psi(T, T).
 """
 
 from __future__ import annotations
@@ -29,11 +30,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .exact import Value, as_exact, as_int
-from .permutations import (
-    GroupAlgebraElement,
-    Permutation,
-    all_permutations,
-)
+from .permutations import GroupAlgebraElement, Permutation
 
 __all__ = [
     "Partition",
@@ -327,15 +324,17 @@ def _apply(columns: _Columns, v: dict[int, Fraction]) -> dict[int, Fraction]:
 
 
 @lru_cache(maxsize=None)
-def _seminormal_cached(parts: tuple[int, ...], images: tuple[int, ...]) -> _Columns:
-    # rho(s) = rho(s . s_r) rho(s_r) at the first descent r, one sparse column
-    # at a time; s . s_r swaps the images at r and r+1 and has one inversion less
+def _seminormal_cached(
+    parts: tuple[int, ...], images: tuple[int, ...], t: int
+) -> dict[int, Fraction]:
+    # column t of rho(w^-1), w the permutation with these images: at the first
+    # descent r, w = w' . s_r, where w' swaps the images at r and r+1 and has
+    # one inversion less, so the column is s_r applied to column t of rho(w'^-1)
     for r in range(1, len(images)):
         if images[r - 1] > images[r]:
             shorter = images[: r - 1] + (images[r], images[r - 1]) + images[r + 1 :]
-            rho = _seminormal_cached(parts, shorter)
-            return tuple(_apply(rho, column) for column in _generator_columns(parts, r))
-    return tuple({t: 1} for t in range(len(_enumerate_cached(parts))))
+            return _apply(_generator_columns(parts, r), _seminormal_cached(parts, shorter, t))
+    return {t: 1}
 
 
 def seminormal_matrix(shape: Partition, s: Permutation) -> RepMatrix:
@@ -345,26 +344,24 @@ def seminormal_matrix(shape: Partition, s: Permutation) -> RepMatrix:
     """
     if s.degree != shape.size:
         raise ValueError(f"degree {s.degree} != |shape| {shape.size}")
-    columns = _seminormal_cached(shape.parts, s.images)
-    return RepMatrix(shape, [[c.get(i, 0) for c in columns] for i in range(len(columns))])
+    inverse, d = s.inverse().images, dimension(shape)
+    columns = [_seminormal_cached(shape.parts, inverse, t) for t in range(d)]
+    return RepMatrix(shape, [[c.get(i, 0) for c in columns] for i in range(d)])
 
 
 @lru_cache(maxsize=None)
-def _psi_cached(
-    rows: tuple[tuple[int, ...], ...], rows2: tuple[tuple[int, ...], ...]
-) -> GroupAlgebraElement:
-    """Psi(T, T'): entry T' of column T of each sparse rho(s), at s^-1. The
-    entries are exact, _store unwraps the integral ones, every key is in S_k."""
-    T = StandardTableau(rows)
-    parts = T.shape.parts
+def _psi_cached(T: StandardTableau, T2: StandardTableau) -> GroupAlgebraElement:
+    """Psi(T, T') = sum of rho(w^-1)[T', T] w over w in S_k: entry T' of column
+    T of each rho(w^-1), so only column T is built. The entries are exact,
+    _store unwraps the integral ones, every key is in S_k."""
+    parts, k = T.shape.parts, T.size
     tableaux = _enumerate_cached(parts)
-    t, t2 = tableaux.index(T), tableaux.index(StandardTableau(rows2))
-    k = T.size
+    t, t2 = tableaux.index(T), tableaux.index(T2)
     terms = {}
-    for s in all_permutations(k):
-        c = _seminormal_cached(parts, s.images)[t].get(t2)
+    for w in itertools.permutations(range(1, k + 1)):
+        c = _seminormal_cached(parts, w, t).get(t2)
         if c:
-            terms[s.inverse()] = c
+            terms[Permutation._raw(w)] = c
     return GroupAlgebraElement._raw((k,), terms)
 
 
@@ -377,7 +374,7 @@ def psi(T: StandardTableau, T2: StandardTableau) -> GroupAlgebraElement:
     """
     if T.shape != T2.shape:
         raise ValueError(f"shape mismatch: {T.shape} vs {T2.shape}")
-    return _psi_cached(T.rows, T2.rows)
+    return _psi_cached(T, T2)
 
 
 def character_element(shape: Partition) -> GroupAlgebraElement:

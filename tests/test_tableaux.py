@@ -1,4 +1,5 @@
 import gc
+import itertools
 import random
 from fractions import Fraction
 from math import factorial, lcm
@@ -13,6 +14,9 @@ from capelli.tableaux import (
     StandardTableau,
     _certified,
     _enumerate_cached,
+    _generator_columns,
+    _psi_cached,
+    _seminormal_cached,
     all_partitions,
     character_element,
     dimension,
@@ -205,23 +209,68 @@ def test_homomorphism_sampled_degree_5():
 
 
 def _generator_product(shape, s):
-    # the dense product of the generator matrices along a word of s
-    product, k = RepMatrix.identity(shape), shape.size
+    # the dense product of the certified generators along a word of s, read
+    # from their sparse columns and not through the memo of rho(s)
+    product, d = RepMatrix.identity(shape), dimension(shape)
     for r in adjacent_word(s):
-        product = product * seminormal_matrix(shape, Permutation.transposition(r, r + 1, k))
+        columns = _generator_columns(shape.parts, r)
+        product = product * RepMatrix(shape, [[c.get(i, 0) for c in columns] for i in range(d)])
     return product
 
 
 def test_seminormal_matrix_is_the_generator_product_along_a_word():
-    # rho(s) is built column by column at the first descent of s; the word of
-    # adjacent_word factors s by a bubble sort instead. Every s of S_5 at every
-    # shape, and 20 seeded s of S_6 at shape 3,2,1 (dimension 16)
+    # rho(s) is built column by column at the first descent of s^-1; the word
+    # of adjacent_word factors s by a bubble sort instead. Every s of S_5 at
+    # every shape, and 20 seeded s of S_6 at shape 3,2,1 (dimension 16)
     for shape in all_partitions(5):
         for s in all_permutations(5):
             assert seminormal_matrix(shape, s) == _generator_product(shape, s), (shape, s)
     shape = part("3,2,1")
     for s in random.Random(20261020).sample(list(all_permutations(6)), 20):
         assert seminormal_matrix(shape, s) == _generator_product(shape, s), s
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_psi_is_the_sum_of_generator_products(k):
+    # Psi(T,T') = sum of rho(s)[T',T] s^-1 over s, with rho(s) the dense
+    # product of the generators along a word of s, for every pair of every
+    # shape of k cells
+    for shape in all_partitions(k):
+        d = dimension(shape)
+        rho = {s: _generator_product(shape, s) for s in all_permutations(k)}
+        tableaux = enumerate_standard_tableaux(shape)
+        for t, t2 in itertools.product(range(d), repeat=2):
+            terms = {s.inverse(): m.entry(t2, t) for s, m in rho.items() if m.entry(t2, t)}
+            assert psi(tableaux[t], tableaux[t2]) == GroupAlgebraElement(k, terms), (t, t2)
+
+
+@pytest.mark.parametrize("text,samples,columns", [("3,2,1", 4, 16), ("4,2,1", 2, 2)])
+def test_psi_coefficients_are_generator_products_at_k_6_and_7(text, samples, columns):
+    # the coefficient of Psi(T,T') at s^-1 is entry (T',T) of the dense
+    # generator product of s, for a few seeded s; every pair at 3,2,1, and
+    # every T' of two seeded T at 4,2,1 (dimension 35, 5040 permutations)
+    shape = part(text)
+    k, tableaux = shape.size, enumerate_standard_tableaux(shape)
+    rng = random.Random(20261021)
+    rows = rng.sample(range(len(tableaux)), columns)
+    for s in rng.sample(list(all_permutations(k)), samples):
+        product = _generator_product(shape, s)
+        for t in rows:
+            for t2, T2 in enumerate(tableaux):
+                assert psi(tableaux[t], T2).coefficient(s.inverse()) == product.entry(t2, t)
+
+
+def test_psi_of_one_tableau_builds_only_its_column_of_each_rho():
+    # Psi(T, .) reads column T of rho(w^-1) for each w of S_5 and no other
+    # column: 5! memo misses for every T' of one T of shape 3,2, and 5!
+    # more for a second T
+    tableaux = enumerate_standard_tableaux(part("3,2"))
+    _psi_cached.cache_clear()
+    _seminormal_cached.cache_clear()
+    for n, T in enumerate(tableaux[:2], start=1):
+        for T2 in tableaux:
+            psi(T, T2)
+        assert _seminormal_cached.cache_info().misses == n * factorial(5), T
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
