@@ -106,6 +106,10 @@ def _cmd_eigenvalue(args) -> int:
     shape = Partition.parse(args.shape)
     weights = [_weight(w) for w in args.weights.split(",")]
     T = _row_reading(shape)
+    # refused before the immanant is built; an m below 1 is left to
+    # quantum_immanant, which names it
+    if args.m >= 1 and len(weights) != args.m:
+        raise ValueError(f"expected {args.m} weights, got {len(weights)}")
     value = hc_eigenvalue(quantum_immanant(shape, T, args.m), weights)
     if args.json:
         print(

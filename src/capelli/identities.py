@@ -106,10 +106,11 @@ the product only at the diagonal keys (rows, rows). A relabelling of the
 values 1..m maps each entry of both traced tensors to its relabelled
 symbol and leaves the place operator unchanged, so ``_traced`` builds, in
 C[e_ab] with the left side's prefix builder ``_built``, one key per orbit
-(``_orbit_keys`` kept where the place operator is nonzero), weighted by
-the orbit's size, passes the diagonal to ``right_mul_group_algebra`` and
-sums the trace over the relabellings, each monomial over the injections
-of its own values (``_symmetrized``).
+read off the place operator's rows at the growth strings
+(``_representatives``), passes the diagonal to
+``right_mul_group_algebra``, weights each diagonal output by its orbit's
+size and sums the trace over the relabellings, each monomial over the
+injections of its own values (``_symmetrized``).
 Both traces go through it: the quantum immanant's symbol
 from the right action of the factors E - c_t (``_immanant_symbol``),
 read back into U(gl(m)) by ``enveloping._pbw``, and the corollary's right
@@ -305,41 +306,27 @@ def _traced(g: GroupAlgebraElement, m: int, steps) -> SymbolElement:
     with s, and leaves P unchanged: P[s cols][s rows] = P[cols][rows]. So
     the trace is (1/m!) sum_s s(Y) (``_symmetrized``), Y the trace over the
     representative keys (``_representatives``), each weighted by its orbit
-    size (m)_d, d its number of distinct values, which is its largest
-    value. A prefix of a
-    representative is one, so ``_built`` builds the tensor on
-    representative prefixes only. The product by g forms the diagonal
-    outputs only."""
+    size. P[cols][rows] != 0 only if rows rearranges cols, so a relabelling
+    that fixes cols fixes the key, and relabelling the values of cols in
+    order of first occurrence, to the growth string of cols, is the key's
+    unique canonical form. Its orbit has (m)_d keys, d = max(cols) =
+    max(rows) its number of distinct values. ``_built`` builds the tensor
+    on the representatives' prefixes only. The product by g forms the
+    diagonal outputs (rows, rows) only, each then weighted by its orbit
+    size."""
     reps = _representatives(g, len(steps), m)
     u = _built(m, steps, reps)
-    u = u._raw(u._space, {key: perm(m, max(key[0] + key[1])) * f for key, f in u.items()})
-    diagonal = {(rows, rows) for rows, _ in reps}
-    return _symmetrized(full_trace(right_mul_group_algebra(u, g, diagonal)))
+    diagonal = right_mul_group_algebra(u, g, {(rows, rows) for rows, _ in reps})
+    weighted = {key: perm(m, max(key[0])) * f for key, f in diagonal.items()}
+    return _symmetrized(full_trace(diagonal._raw(diagonal._space, weighted)))
 
 
 def _representatives(g: GroupAlgebraElement, k: int, m: int) -> list:
     """The keys (rows, cols) with P[cols][rows] != 0, P the place operator
-    of g, that represent their S_m-orbit (see ``_orbit_keys``); P is read
-    only at their cols."""
+    of g, whose cols is a growth string: one per S_m-orbit (see
+    ``_traced``). P is read only at those cols."""
     _, place = _place_operator(g, k, m)
-    reached: dict[tuple[int, ...], set] = {}
-    reps = []
-    for rows, cols in _orbit_keys(k, m):
-        if cols not in reached:
-            reached[cols] = {new for new, _ in place[cols]}
-        if rows in reached[cols]:
-            reps.append((rows, cols))
-    return reps
-
-
-@cache
-def _orbit_keys(k: int, m: int) -> list:
-    """One key (rows, cols) per S_m-orbit of the keys whose rows rearrange
-    their cols, the only keys a place operator reaches: those whose
-    interleaved values rows_1, cols_1, rows_2, cols_2, ... form a
-    restricted growth string (their first occurrences are 1, 2, 3, ...)."""
-    strings = _growth_strings(2 * k, m)
-    return [(s[0::2], s[1::2]) for s in strings if sorted(s[0::2]) == sorted(s[1::2])]
+    return [(rows, cols) for cols in _growth_strings(k, m) for rows, _ in place[cols]]
 
 
 def _growth_strings(k: int, m: int) -> list[tuple[int, ...]]:

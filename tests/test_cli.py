@@ -129,6 +129,20 @@ def test_eigenvalue_json(capsys):
     assert payload["eigenvalue"] == "16"
 
 
+def test_eigenvalue_checks_the_weight_count_before_building_the_immanant(
+    monkeypatch, capsys
+):
+    # the k = 7 immanant takes seconds to build; a wrong weight count is
+    # refused first, with the line hc_eigenvalue gives
+    def built(*args):
+        raise AssertionError("quantum_immanant called")
+
+    monkeypatch.setattr(cli, "quantum_immanant", built)
+    argv = ["eigenvalue", "--shape", "4,2,1", "--m", "3", "--weights", "1,2"]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == "error: expected 3 weights, got 2\n"
+
+
 def test_tableaux_listing(capsys):
     code, out = run(["tableaux", "--shape", "2,2"], capsys)
     assert code == 0

@@ -3,7 +3,7 @@ import json
 import random
 from fractions import Fraction
 from functools import partial
-from math import factorial, lcm
+from math import factorial, lcm, perm
 from pathlib import Path
 
 import pytest
@@ -23,9 +23,10 @@ from capelli.identities import (
     _certified_column,
     _contents,
     _first_entry,
+    _growth_strings,
     _lhs_symbols,
-    _orbit_keys,
     _report,
+    _representatives,
     _rhs_symbols,
     _shifted_product,
     _symmetrized,
@@ -65,6 +66,7 @@ from capelli.tableaux import (
 )
 from capelli.tensors import (
     TensorElement,
+    _place_operator,
     _place_operator_of,
     full_trace,
     right_mul_group_algebra,
@@ -311,14 +313,15 @@ def test_quantum_immanant_against_whole_traced_tensor(m):
     # one trace-support key per S_m-orbit is built, as a symbol; the oracle
     # builds and traces all over U(gl(m)). At m = 4 a key with d <= 2
     # distinct values has a stabilizer of order (4 - d)! >= 2. At m = 8, 12
-    # (small k, large m) the orbit keys have stopped growing, and each
+    # (small k, large m) the representatives have stopped growing, and each
     # monomial is summed over the injections of its own values, never over
     # all m! relabellings
     for k in (1, 2, 3) if m <= 4 else (1, 2):
-        if m >= 2 * k:
-            assert _orbit_keys(k, m) == _orbit_keys(k, 2 * k)
         for shape in all_partitions(k):
             for T in enumerate_standard_tableaux(shape):
+                if m >= k:
+                    g = psi(T, T)
+                    assert _representatives(g, k, m) == _representatives(g, k, k), T
                 assert quantum_immanant(shape, T, m) == traced_immanant(shape, T, m), T
 
 
@@ -329,6 +332,62 @@ def test_quantum_immanant_k4_m3_against_whole_traced_tensor():
         expected = traced_immanant(shape, T, 3)
         assert (not expected) == (len(shape.parts) > 3), shape
         assert quantum_immanant(shape, T, 3) == expected, shape
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_representatives_hold_one_key_of_each_orbit(m):
+    # the keys with P[cols][rows] != 0, split into S_m-orbits by applying
+    # every relabelling of 1..m: each orbit holds exactly one representative,
+    # and its size is (m)_d, d = max(cols), so the sizes add up to the keys
+    relabellings = list(itertools.permutations(range(1, m + 1)))
+    for k in (1, 2, 3) if m == 4 else (1, 2, 3, 4):
+        for shape in all_partitions(k):
+            tableaux = enumerate_standard_tableaux(shape)
+            for g in [character_element(shape)] + [psi(T, T) for T in tableaux]:
+                _, place = _place_operator(g, k, m)
+                keys = {(rows, cols) for cols, row in place.items() for rows, _ in row}
+                orbits = {
+                    frozenset(
+                        (tuple(s[v - 1] for v in rows), tuple(s[v - 1] for v in cols))
+                        for s in relabellings
+                    )
+                    for rows, cols in keys
+                }
+                reps = _representatives(g, k, m)
+                assert len(set(reps)) == len(reps) == len(orbits), (shape, g)
+                for orbit in orbits:
+                    (rows, cols), = [key for key in reps if key in orbit]
+                    assert len(orbit) == perm(m, max(cols)), (shape, rows, cols)
+                assert sum(perm(m, max(cols)) for _, cols in reps) == len(keys), shape
+
+
+def test_traced_reads_the_place_operator_only_at_growth_strings(monkeypatch):
+    # the trace reads P's row at each growth string of length k once, and at
+    # no other cols, for the quantum immanant and the corollary's right side
+    import capelli.identities as identities
+
+    read = []
+
+    class Recording(dict):
+        def __getitem__(self, cols):
+            read.append(cols)
+            return super().__getitem__(cols)
+
+    place_operator = identities._place_operator
+
+    def recording(g, k, m):
+        denom, place = place_operator(g, k, m)
+        return denom, Recording(place)
+
+    monkeypatch.setattr(identities, "_place_operator", recording)
+    m, shape = 3, part("2,1")
+    for T in enumerate_standard_tableaux(shape):
+        read.clear()
+        assert quantum_immanant(shape, T, m) == traced_immanant(shape, T, m), T
+        assert read == _growth_strings(3, m), T
+    read.clear()
+    assert _traced(character_element(shape), m, [_times_variable] * 3) == traced_xd(shape, m)
+    assert read == _growth_strings(3, m)
 
 
 @settings(max_examples=40, deadline=None)
