@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import sys
 from fractions import Fraction
@@ -60,17 +59,9 @@ def _cmd_sweep(args) -> int:
     return _print_reports(reports, args.json)
 
 
-def _row_reading(shape: Partition) -> StandardTableau:
-    """The tableau filled with 1..k row by row, the first standard tableau
-    of the shape, built without enumerating the others."""
-    entries = itertools.count(1)
-    return StandardTableau([list(itertools.islice(entries, part)) for part in shape])
-
-
 def _cmd_immanant(args) -> int:
     shape = Partition.parse(args.shape)
-    T = _row_reading(shape)
-    element = quantum_immanant(shape, T, args.m)
+    element = quantum_immanant(shape, enumerate_standard_tableaux(shape)[0], args.m)
     central = is_central(element)
     if args.json:
         payload = {
@@ -105,11 +96,11 @@ def _weight(text: str) -> Fraction:
 def _cmd_eigenvalue(args) -> int:
     shape = Partition.parse(args.shape)
     weights = [_weight(w) for w in args.weights.split(",")]
-    T = _row_reading(shape)
     # refused before the immanant is built; an m below 1 is left to
     # quantum_immanant, which names it
     if args.m >= 1 and len(weights) != args.m:
         raise ValueError(f"expected {args.m} weights, got {len(weights)}")
+    T = enumerate_standard_tableaux(shape)[0]
     value = hc_eigenvalue(quantum_immanant(shape, T, args.m), weights)
     if args.json:
         print(

@@ -13,6 +13,7 @@ unwraps every integral Fraction there.
 
 from __future__ import annotations
 
+import numbers
 import operator
 from collections.abc import Iterator
 from fractions import Fraction
@@ -21,11 +22,14 @@ __all__ = ["as_exact", "as_int", "Value", "SparseElement", "CoefficientAlgebra"]
 
 
 def as_exact(value) -> int | Fraction:
-    """Coerce to an exact rational: int if integral, Fraction otherwise."""
+    """Coerce a ``numbers.Rational`` to int if integral, Fraction otherwise;
+    a float, Decimal, string or any other value raises TypeError."""
     if isinstance(value, int):
         return value
     if isinstance(value, float):
         raise TypeError("floating point coefficients are not allowed")
+    if not isinstance(value, numbers.Rational):
+        raise TypeError(f"expected a rational number, got {value!r}")
     f = Fraction(value)
     return f.numerator if f.denominator == 1 else f
 

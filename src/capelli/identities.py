@@ -39,7 +39,7 @@ space of V_mu is not 0 and P keeps weights, so such a new exists among
 the weight-mu cols, the rearrangements of 1^mu_1 2^mu_2 ...; the least is
 taken (``_certified_column``). Column new of L . P is L times column new
 of P, which reads L only at the weight-mu cols: the left side is formed
-there alone (P's rows cut to new once, in ``right_mul_group_algebra``).
+there alone (``right_mul_group_algebra`` reads P at those cols only).
 Column new of R . P is summed from that column of P, with no [e_ab]^(x k)
 (``_rhs_symbols``), and ev_n, linear entrywise, keeps the verdict. A pair
 whose sides agree at new is counted by ``_pair_count`` from P alone, at
@@ -314,19 +314,19 @@ def _traced(g: GroupAlgebraElement, m: int, steps) -> SymbolElement:
     on the representatives' prefixes only. The product by g forms the
     diagonal outputs (rows, rows) only, each then weighted by its orbit
     size."""
-    reps = _representatives(g, len(steps), m)
+    reps = _representatives(g, m)
     u = _built(m, steps, reps)
     diagonal = right_mul_group_algebra(u, g, {(rows, rows) for rows, _ in reps})
     weighted = {key: perm(m, max(key[0])) * f for key, f in diagonal.items()}
     return _symmetrized(full_trace(diagonal._raw(diagonal._space, weighted)))
 
 
-def _representatives(g: GroupAlgebraElement, k: int, m: int) -> list:
+def _representatives(g: GroupAlgebraElement, m: int) -> list:
     """The keys (rows, cols) with P[cols][rows] != 0, P the place operator
     of g, whose cols is a growth string: one per S_m-orbit (see
     ``_traced``). P is read only at those cols."""
-    _, place = _place_operator(g, k, m)
-    return [(rows, cols) for cols in _growth_strings(k, m) for rows, _ in place[cols]]
+    _, place = _place_operator(g, m)
+    return [(rows, cols) for cols in _growth_strings(g.degree, m) for rows, _ in place[cols]]
 
 
 def _growth_strings(k: int, m: int) -> list[tuple[int, ...]]:
@@ -403,13 +403,15 @@ def _lhs_symbols(
     product reads: those where the place operator P of g has a nonzero row
     and, given ``column``, that rearrange it, since P[cols][new] != 0 only
     when cols is a rearrangement of new."""
-    _, place = _place_operator(g, T.size, m)
+    _, place = _place_operator(g, m)
     support = frozenset(
         cols
         for cols, row in place.items()
         if row and (column is None or sorted(cols) == sorted(column))
     )
-    return right_mul_group_algebra(_shifted_product(T, m, support), g, column=column)
+    u = _shifted_product(T, m, support)
+    keys = None if column is None else {(rows, column) for rows, _ in u._terms}
+    return right_mul_group_algebra(u, g, keys)
 
 
 def _rhs_symbols(g: GroupAlgebraElement, m: int, column=None) -> TensorElement:
@@ -422,7 +424,7 @@ def _rhs_symbols(g: GroupAlgebraElement, m: int, column=None) -> TensorElement:
     k = g.degree
     if column is None:
         return right_mul_group_algebra(_xd_product(k, m), g)
-    denom, place = _place_operator(g, k, m)
+    denom, place = _place_operator(g, m)
     v = [
         (cols, scale)
         for cols in set(itertools.permutations(column))
@@ -458,7 +460,7 @@ def _pair_count(g: GroupAlgebraElement, m: int) -> int:
     the sum of the components with more than n rows, the ideal of the
     (n+1)-minors (De Concini-Eisenbud-Procesi), so on that component it is
     injective for n >= l and 0 below."""
-    _, place = _place_operator(g, g.degree, m)
+    _, place = _place_operator(g, m)
     rows = [row for row in place.values() if row]
     return len(rows) * len({new for row in rows for new, _ in row})
 
@@ -474,7 +476,7 @@ def _certified_column(shape: Partition, g: GroupAlgebraElement, m: int):
     sufficient, and the symmetrizer (shape 4) passes it as the operator of
     T = [[1,2,3],[4]] at m = 3."""
     word = sorted(b for b, part in enumerate(shape.parts, 1) for _ in range(part))
-    _, place = _place_operator(g, g.degree, m)
+    _, place = _place_operator(g, m)
     news = [new for cols, row in place.items() if sorted(cols) == word for new, _ in row]
     if not news:
         raise ArithmeticError(f"the place operator of shape {shape} at m={m} is 0 at weight mu")

@@ -11,8 +11,8 @@ coeff (x) e[a1,b1] (x) ... (x) e[ak,bk]. A matrix is the case k = 1
 (``TensorElement.matrix``), so matrices add, scale, multiply
 (``tensor_matmul``) and transpose as tensors do. Coefficient products are
 always taken left factor first; nothing here assumes commutativity. A
-group algebra element acts on the right through its int place operator
-(``_place_operator``), the one place-permutation operator of the library.
+group algebra element acts on the right through its int place operator of
+its own degree (``_place_operator``), the library's one place operator.
 ``tensor_product`` builds every nonzero entry; a symbol tensor needed only
 at the keys read off a place operator is built on those keys alone by
 ``identities._built``.
@@ -172,16 +172,14 @@ def tensor_matmul(u: TensorElement, v: TensorElement) -> TensorElement:
 
 
 def _place_operator(
-    g: GroupAlgebraElement, k: int, m: int
+    g: GroupAlgebraElement, m: int
 ) -> tuple[int, dict[MultiIndex, list[tuple[MultiIndex, int]]]]:
     """(D, P): D is the least common multiple of g's denominators and P the
-    int place operator of D g on every column multi-index in 1..m, where
-    P[cols][cols o s] is the sum of the int scales D c_s. Each row of P keeps
-    only its nonzero entries, so cancellation happens here, in int
-    arithmetic. The last operator built is kept."""
-    if g.degree != k:
-        raise ValueError(f"degree mismatch: {g.degree} vs k={k}")
-    return _place_operator_of(k, m, tuple(g.items()))
+    int place operator of D g on every column multi-index in 1..m of g's
+    degree, where P[cols][cols o s] is the sum of the int scales D c_s. Each
+    row of P keeps only its nonzero entries, so cancellation happens here,
+    in int arithmetic. The last operator built is kept."""
+    return _place_operator_of(g.degree, m, tuple(g.items()))
 
 
 @lru_cache(maxsize=1)
@@ -208,32 +206,34 @@ def right_mul_group_algebra(
     u: TensorElement,
     g: GroupAlgebraElement,
     keys: set[tuple[MultiIndex, MultiIndex]] | None = None,
-    column: MultiIndex | None = None,
 ) -> TensorElement:
-    """u times the place-permutation image of a group algebra element, or,
-    given a set ``keys`` of output keys (rows, cols) or one output col
-    ``column``, only its entries at those.
+    """u times the place-permutation image of a group algebra element, or
+    only its entries at the output keys (rows, cols) of a set ``keys``.
 
     Computed as (1/D) (u . P) with D and P from ``_place_operator``.
     Cancellation happens in P before any coefficient of u is touched; only
     the nonzero entries of P multiply u. The product is linear in g, so the
     result is exact, and the division by D touches only the kept outputs.
-    Given ``keys``, no output outside them is formed, summed or divided; a
-    trace passes the diagonal keys (rows, rows), and each entry of u with
-    P[cols][rows] != 0 then forms one scaled pair. Given ``column``, the
-    rows of P keep only that output column, once, before the loop.
+    Given ``keys``, P is read only at u's own cols, whose rows are cut once
+    to the output cols the keys name, and no output outside the keys is
+    formed, summed or divided: a trace passes the diagonal keys
+    (rows, rows), a single column ``new`` the keys (rows, new). The degree
+    of g must be u's k.
     """
     if u.p != u.q:
         raise ValueError("factors must be square to act by place permutations")
-    denom, nonzero = _place_operator(g, u.k, u.p)
-    if column is not None:
-        nonzero = {
-            cols: [(new, scale) for new, scale in row if new == column]
-            for cols, row in nonzero.items()
+    if g.degree != u.k:
+        raise ValueError(f"degree mismatch: {g.degree} vs k={u.k}")
+    denom, place = _place_operator(g, u.p)
+    if keys is not None:
+        news = {new for _, new in keys}
+        place = {
+            cols: [(new, scale) for new, scale in place[cols] if new in news]
+            for cols in {cols for _, cols in u._terms}
         }
     buckets: dict[tuple[MultiIndex, MultiIndex], list] = {}
     for (rows, cols), coeff in u.items():
-        for new, scale in nonzero[cols]:
+        for new, scale in place[cols]:
             if keys is None or (rows, new) in keys:
                 buckets.setdefault((rows, new), []).append((scale, coeff))
     inverse = Fraction(1, denom)

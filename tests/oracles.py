@@ -257,7 +257,7 @@ def ugl_shifted_symbols(T, m: int) -> TensorElement:
     are equal, which the comparison with ``_shifted_product`` checks."""
     k = T.size
     contents = tuple(T.content(r) for r in range(1, k + 1))
-    _, place = _place_operator(psi(T, T), k, m)
+    _, place = _place_operator(psi(T, T), m)
     whole = tensor_product(shifted_factors(m, contents))
     restricted = {(rows, cols): c for (rows, cols), c in whole.items() if place[cols]}
     return symbol_image(TensorElement._raw(whole._space, restricted))

@@ -6,6 +6,7 @@ import operator
 import pickle
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from functools import reduce
 from pathlib import Path
@@ -13,8 +14,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from capelli.enveloping import EnvelopingAlgebra, SymbolAlgebra, UglElement
-from capelli.exact import SparseElement
+from capelli.enveloping import EnvelopingAlgebra, SymbolAlgebra, UglElement, hc_eigenvalue
+from capelli.exact import SparseElement, as_exact
 from capelli.identities import lhs_theorem
 from capelli.permutations import GroupAlgebraElement, Permutation
 from capelli.tableaux import (
@@ -125,6 +126,26 @@ def test_scaling_unwraps_integral_fractions():
     half = GroupAlgebraElement(2, {Permutation.parse("(1 2)"): Fraction(1, 2)})
     doubled = 2 * half
     assert type(doubled.coefficient(Permutation.parse("(1 2)"))) is int
+
+
+@pytest.mark.parametrize(
+    "value",
+    ["3", Decimal("3"), 0.5, "1e99999999", Decimal("1e99999999")],
+    ids=["str", "Decimal", "float", "str-exponent", "Decimal-exponent"],
+)
+def test_only_rationals_are_coefficients(value):
+    # as_exact refuses all but numbers.Rational, at once: Fraction would
+    # parse a string or convert a Decimal, and build 10**99999999 from the
+    # exponent; every coefficient, scalar and weight goes through it
+    with pytest.raises(TypeError):
+        as_exact(value)
+    with pytest.raises(TypeError):
+        GroupAlgebraElement(2, {Permutation.identity(2): value})
+    with pytest.raises(TypeError):
+        value * GroupAlgebraElement.one(2)
+    trace = EnvelopingAlgebra(2).gen(1, 1) + EnvelopingAlgebra(2).gen(2, 2)
+    with pytest.raises(TypeError):
+        hc_eigenvalue(trace, [value, 1])
 
 
 def test_missing_coefficient_is_int_zero():

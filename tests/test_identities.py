@@ -99,7 +99,7 @@ def tab(text):
 
 def support(g, m):
     # the cols at which the place operator of g has a nonzero row
-    return frozenset(_nonzero_rows(g, g.degree, m))
+    return frozenset(_nonzero_rows(g, m))
 
 
 def test_build_E_entries():
@@ -321,7 +321,7 @@ def test_quantum_immanant_against_whole_traced_tensor(m):
             for T in enumerate_standard_tableaux(shape):
                 if m >= k:
                     g = psi(T, T)
-                    assert _representatives(g, k, m) == _representatives(g, k, k), T
+                    assert _representatives(g, m) == _representatives(g, k), T
                 assert quantum_immanant(shape, T, m) == traced_immanant(shape, T, m), T
 
 
@@ -344,7 +344,7 @@ def test_representatives_hold_one_key_of_each_orbit(m):
         for shape in all_partitions(k):
             tableaux = enumerate_standard_tableaux(shape)
             for g in [character_element(shape)] + [psi(T, T) for T in tableaux]:
-                _, place = _place_operator(g, k, m)
+                _, place = _place_operator(g, m)
                 keys = {(rows, cols) for cols, row in place.items() for rows, _ in row}
                 orbits = {
                     frozenset(
@@ -353,7 +353,7 @@ def test_representatives_hold_one_key_of_each_orbit(m):
                     )
                     for rows, cols in keys
                 }
-                reps = _representatives(g, k, m)
+                reps = _representatives(g, m)
                 assert len(set(reps)) == len(reps) == len(orbits), (shape, g)
                 for orbit in orbits:
                     (rows, cols), = [key for key in reps if key in orbit]
@@ -375,8 +375,8 @@ def test_traced_reads_the_place_operator_only_at_growth_strings(monkeypatch):
 
     place_operator = identities._place_operator
 
-    def recording(g, k, m):
-        denom, place = place_operator(g, k, m)
+    def recording(g, m):
+        denom, place = place_operator(g, m)
         return denom, Recording(place)
 
     monkeypatch.setattr(identities, "_place_operator", recording)
@@ -895,17 +895,17 @@ def test_a_left_entry_broken_at_the_compared_column_fails_as_the_whole_products(
 
 def test_a_passing_pair_forms_one_output_column(monkeypatch):
     # the one product a passing pair of the golden sweep forms, of its left
-    # side, is cut to one output column; its right side is summed from a
-    # column of P with no product and no [e_ab]^(x k); a shape of more than
-    # m rows forms none
+    # side, is cut to the keys of one output column; its right side is
+    # summed from a column of P with no product and no [e_ab]^(x k); a shape
+    # of more than m rows forms none
     import capelli.identities as identities
 
     right_mul = identities.right_mul_group_algebra
     calls = []
 
-    def recorded(u, g, keys=None, column=None):
-        calls.append(column)
-        return right_mul(u, g, keys, column)
+    def recorded(u, g, keys=None):
+        calls.append(keys)
+        return right_mul(u, g, keys)
 
     monkeypatch.setattr(identities, "right_mul_group_algebra", recorded)
     _xd_product.cache_clear()
@@ -918,7 +918,7 @@ def test_a_passing_pair_forms_one_output_column(monkeypatch):
                 if len(shape) <= m:
                     pairs += len(enumerate_standard_tableaux(shape)) ** 2
     assert len(calls) == pairs
-    assert all(isinstance(column, tuple) for column in calls)
+    assert all(keys and len({new for _, new in keys}) == 1 for keys in calls)
     assert _xd_product.cache_info().misses == 0
 
 
@@ -943,7 +943,8 @@ def test_right_side_column_is_that_of_the_whole_product(k, scaled):
                 news = {new for row in place.values() for new, _ in row}
                 assert news, (T, T2, m)
                 for new in sorted(news):
-                    expected = right_mul_group_algebra(_xd_product(k, m), g, column=new)
+                    keys = {(rows, new) for rows in place}
+                    expected = right_mul_group_algebra(_xd_product(k, m), g, keys)
                     assert expected and _rhs_symbols(g, m, new) == expected, (T, T2, m, new)
     assert (max(denoms) > 1) == (not scaled and k >= 3), denoms
 
@@ -1002,10 +1003,10 @@ def test_column_basis_has_the_dimension_of_the_gl_module(k, ms):
             for T in tableaux:
                 for T2 in tableaux:
                     g = psi(T, T2)
-                    assert exact_rank(operator_columns(g, k, m, columns)) == dim, (T, T2, m)
+                    assert exact_rank(operator_columns(g, m, columns)) == dim, (T, T2, m)
                     if len(shape) <= m:
                         new = _certified_column(shape, g, m)
-                        assert sorted(new) == word and any(operator_columns(g, k, m, [new])[0])
+                        assert sorted(new) == word and any(operator_columns(g, m, [new])[0])
 
 
 def _cross_broken(columns):

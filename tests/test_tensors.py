@@ -7,6 +7,7 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from capelli import tensors
 from capelli.enveloping import EnvelopingAlgebra
 from capelli.permutations import (
     GroupAlgebraElement,
@@ -16,6 +17,7 @@ from capelli.permutations import (
     ga_multiply,
 )
 from capelli.tableaux import (
+    Partition,
     all_partitions,
     character_element,
     enumerate_standard_tableaux,
@@ -318,21 +320,55 @@ def test_right_mul_on_keys_is_the_product_restricted_to_them(kind, keyset, data)
     elif keyset == "unreached":
         keys = set(every) - set(full.support())
     else:
-        # one output column instead of keys: every key whose cols it is
+        # one output column: every key whose cols it is
         column = data.draw(st.sampled_from(indices))
         keys = {(rows, column) for rows in indices}
-    if keyset == "columns":
-        result = right_mul_group_algebra(u, g, column=column)
-    else:
-        result = right_mul_group_algebra(u, g, keys)
+    result = right_mul_group_algebra(u, g, keys)
     kept = {key: c for key, c in full.items() if key in keys}
     assert result == TensorElement(u.algebra, u.k, u.p, u.q, kept)
     assert_canonical(result)
 
 
-def operator_columns(g, k, m, news):
+def test_right_mul_on_keys_reads_the_place_operator_only_at_the_cols_of_u(monkeypatch):
+    # given keys, P is read at each col of u once and never whole, for a
+    # column of the theorem as for the diagonal of a trace
+    reads = []
+
+    class Rows(dict):
+        def __getitem__(self, cols):
+            reads.append(cols)
+            return super().__getitem__(cols)
+
+        def items(self):
+            raise AssertionError("the whole place operator was read")
+
+    place_operator = tensors._place_operator
+
+    def recording(g, m):
+        denom, place = place_operator(g, m)
+        return denom, Rows(place)
+
+    monkeypatch.setattr(tensors, "_place_operator", recording)
+    T, T2 = enumerate_standard_tableaux(Partition([2, 1]))
+    g = psi(T, T2) + Fraction(1, 6) * GroupAlgebraElement.from_permutation(Permutation([2, 1, 3]))
+    rng = random.Random(3)
+    u = random_scalar_tensor(rng, 3, 2) + random_scalar_tensor(rng, 3, 2)
+    # two entries of u share their cols
+    u = u + TensorElement(Q, 3, 2, 2, {((2, 2, 1), (1, 1, 2)): 1, ((1, 2, 1), (1, 1, 2)): 2})
+    full = _perm_tensor_sum(u, g)
+    indices = list(itertools.product(range(1, 3), repeat=3))
+    keysets = [{(rows, column) for rows in indices} for column in indices]
+    keysets.append({(rows, rows) for rows in indices})
+    for keys in keysets:
+        reads.clear()
+        result = right_mul_group_algebra(u, g, keys)
+        assert sorted(reads) == sorted({cols for _, cols in u.support()})
+        assert result == TensorElement(Q, 3, 2, 2, {k: c for k, c in full.items() if k in keys})
+
+
+def operator_columns(g, m, news):
     # the columns P[.][new] of the place operator, as dense int vectors
-    _, place = _place_operator(g, k, m)
+    _, place = _place_operator(g, m)
     return [[dict(place[cols]).get(new, 0) for cols in sorted(place)] for new in news]
 
 
@@ -379,8 +415,8 @@ def test_place_operator_of_psi_against_schur_weyl(k, m):
             assert full_trace(out) == scale * gl_dimension(shape.parts, m), (T, m)
 
 
-def _nonzero_rows(g, k, m):
-    _, place = _place_operator(g, k, m)
+def _nonzero_rows(g, m):
+    _, place = _place_operator(g, m)
     return {cols for cols, row in place.items() if row}
 
 
@@ -395,10 +431,10 @@ def test_place_operator_rows_of_psi_lie_in_those_of_the_diagonal_psi(k, m):
     for shape in all_partitions(k):
         tableaux = enumerate_standard_tableaux(shape)
         for T in tableaux:
-            rows = _nonzero_rows(psi(T, T), k, m)
+            rows = _nonzero_rows(psi(T, T), m)
             assert (not rows) == (len(shape.parts) > m), (T, m)
             for T2 in tableaux:
-                assert _nonzero_rows(psi(T, T2), k, m) == rows, (T, T2, m)
+                assert _nonzero_rows(psi(T, T2), m) == rows, (T, T2, m)
 
 
 def _antisymmetrizer(k):
@@ -412,7 +448,7 @@ def test_trace_support_is_exact(k, m):
     # product with g
     antisymmetrizer = GroupAlgebraElement(k, {s: s.sign() for s in all_permutations(k)})
     # it acts as 0 on (C^m)^(x k) exactly when k > m
-    _, place = _place_operator(antisymmetrizer, k, m)
+    _, place = _place_operator(antisymmetrizer, m)
     assert (not any(place.values())) == (k > m)
     elements = [antisymmetrizer]
     for shape in all_partitions(k):
@@ -421,7 +457,7 @@ def test_trace_support_is_exact(k, m):
         elements.extend(psi(T, T2) for T in tableaux for T2 in tableaux)
     indices = list(itertools.product(range(1, m + 1), repeat=k))
     for g in elements:
-        _, place = _place_operator(g, k, m)
+        _, place = _place_operator(g, m)
         assert set(place) == set(indices)
         assert all(new in place for row in place.values() for new, _ in row)
         for rows, cols in itertools.product(indices, repeat=2):
@@ -431,8 +467,10 @@ def test_trace_support_is_exact(k, m):
 
 
 def test_trace_support_degree_mismatch():
-    with pytest.raises(ValueError):
-        _place_operator(GroupAlgebraElement.one(2), 3, 2)
+    # the place operator takes its degree from g; the one check that it
+    # matches the tensor's is where the two meet
+    with pytest.raises(ValueError, match=r"degree mismatch: 2 vs k=3"):
+        right_mul_group_algebra(TensorElement.identity(Q, 3, 2), GroupAlgebraElement.one(2))
 
 
 def test_full_trace_examples():
