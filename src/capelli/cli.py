@@ -146,28 +146,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="one JSON object per case")
+    shaped = argparse.ArgumentParser(add_help=False, parents=[common])
+    shaped.add_argument("--shape", required=True)
+    on_m = argparse.ArgumentParser(add_help=False, parents=[shaped])
+    on_m.add_argument("--m", type=int, required=True)
+    on_mn = argparse.ArgumentParser(add_help=False, parents=[on_m])
+    on_mn.add_argument("--n", type=int, required=True)
     sub = parser.add_subparsers(dest="command", required=True)
 
     verify = sub.add_parser("verify", help="run identity checks")
     vsub = verify.add_subparsers(dest="check", required=True)
 
-    theorem = vsub.add_parser("theorem", parents=[common])
-    theorem.add_argument("--shape", required=True)
-    theorem.add_argument("--m", type=int, required=True)
-    theorem.add_argument("--n", type=int, required=True)
+    theorem = vsub.add_parser("theorem", parents=[on_mn])
     theorem.add_argument("--tableau")
     theorem.add_argument("--tableau2")
     theorem.set_defaults(func=_cmd_theorem)
 
-    corollary = vsub.add_parser("corollary", parents=[common])
-    corollary.add_argument("--shape", required=True)
-    corollary.add_argument("--m", type=int, required=True)
-    corollary.add_argument("--n", type=int, required=True)
-    corollary.set_defaults(func=_cmd_corollary)
-
-    steps = vsub.add_parser("proof-steps", parents=[common])
-    steps.add_argument("--shape", required=True)
-    steps.set_defaults(func=_cmd_proof_steps)
+    vsub.add_parser("corollary", parents=[on_mn]).set_defaults(func=_cmd_corollary)
+    vsub.add_parser("proof-steps", parents=[shaped]).set_defaults(func=_cmd_proof_steps)
 
     sweep_p = vsub.add_parser("sweep", parents=[common])
     sweep_p.add_argument("--max-k", type=int, default=3)
@@ -175,21 +171,15 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument("--max-n", type=int, default=3)
     sweep_p.set_defaults(func=_cmd_sweep)
 
-    immanant = sub.add_parser("immanant", parents=[common])
-    immanant.add_argument("--shape", required=True)
-    immanant.add_argument("--m", type=int, required=True)
+    immanant = sub.add_parser("immanant", parents=[on_m])
     immanant.add_argument("--print-pbw", action="store_true")
     immanant.set_defaults(func=_cmd_immanant)
 
-    eigen = sub.add_parser("eigenvalue", parents=[common])
-    eigen.add_argument("--shape", required=True)
-    eigen.add_argument("--m", type=int, required=True)
+    eigen = sub.add_parser("eigenvalue", parents=[on_m])
     eigen.add_argument("--weights", required=True)
     eigen.set_defaults(func=_cmd_eigenvalue)
 
-    tabs = sub.add_parser("tableaux", parents=[common])
-    tabs.add_argument("--shape", required=True)
-    tabs.set_defaults(func=_cmd_tableaux)
+    sub.add_parser("tableaux", parents=[shaped]).set_defaults(func=_cmd_tableaux)
 
     return parser
 

@@ -37,15 +37,15 @@ irreducible: if Delta also kills one e_new with P e_new != 0, the module
 GL(m) e_new spans is mapped by P onto im P, so Delta = 0. The mu-weight
 space of V_mu is not 0 and P keeps weights, so such a new exists among
 the weight-mu cols, the rearrangements of 1^mu_1 2^mu_2 ...; the least is
-taken (``_certified_column``). Column new of L . P is L times column new
-of P, which reads L only at the weight-mu cols: the left side is formed
-there alone (``right_mul_group_algebra`` reads P at those cols only).
-Column new of R . P is summed from that column of P, with no [e_ab]^(x k)
+taken. ``_certified_column`` reads P once for it, for its column
+v = {cols: P[cols][new]} and for the pair's count. Column new of L . P is
+L . v, which reads L only at the cols of v: the left side is formed there
+alone. Column new of R . P is R . v, summed from v with no [e_ab]^(x k)
 (``_rhs_symbols``), and ev_n, linear entrywise, keeps the verdict. A pair
-whose sides agree at new is counted by ``_pair_count`` from P alone, at
-every n, with no whole product and no ev_n formed; a pair that differs
-there has both whole products formed, so a failing report is that of the
-whole products.
+whose sides agree at new takes that count, read off P, at every n, with
+no whole product and no ev_n formed; a pair that differs there has both
+whole products formed, so a failing report is that of the whole
+products.
 
 The one column decides only under two conditions, its trust boundary.
 L is invariant because of how it is built, each step the right action of
@@ -62,9 +62,11 @@ at every pair of k <= 5 and at seeded s of shapes 3,2,1 and 4,2,1.
 
 The left side is built only on the keys whose cols the product reads: the
 cols at which P (``tensors._place_operator``) has a nonzero row, and on
-the one-column path only those of weight mu, since P[cols][new] != 0 only
-when cols rearranges new. An entry at any other col adds nothing, so this
-is exact for any group algebra element. That support keys the
+the one-column path the cols of v, those whose row of P meets new. An
+entry at any other col adds nothing, so this is exact for any group
+algebra element. For a multiple of Psi(T,T') the cols of v are all the
+weight-mu cols with a nonzero row: the mu-weight space of im P = V_mu is
+a line, so P is rank one on it. That support keys the
 ``_shifted_product`` memo, and the matrix units make it one entry per
 tableau T for every T': Psi(T,T') = (dim mu / k!) Psi(T,T) Psi(T,T') and
 Psi(T,T) = (dim mu / k!) Psi(T,T') Psi(T',T), and right multiplication is
@@ -234,12 +236,6 @@ def build_E(m: int, n: int) -> TensorElement:
     return tensor_matmul(build_X(m, n), build_D(m, n).transpose())
 
 
-def _symbol_matrix(m: int) -> TensorElement:
-    """The m x m matrix [e_ab] of the variables of C[e_ab]."""
-    algebra, span = SymbolAlgebra(m), range(1, m + 1)
-    return TensorElement.matrix(algebra, [[algebra.var(a, b) for b in span] for a in span])
-
-
 @lru_cache(maxsize=None)
 def _shifted_product(T: StandardTableau, m: int, support: frozenset) -> TensorElement:
     """The symbol tensor of (E - c_T(1)) (x) ... (x) (E - c_T(k)), cached
@@ -268,7 +264,9 @@ def _xd_product(k: int, m: int) -> TensorElement:
     prod_t e[rows_t, cols_t], the entry of [e_ab]^(x k). Built, with all
     m^(2k) entries, only for a whole right side: a failing pair's and
     ``rhs_theorem``'s."""
-    return tensor_product([_symbol_matrix(m)] * k)
+    algebra, span = SymbolAlgebra(m), range(1, m + 1)
+    e = TensorElement.matrix(algebra, [[algebra.var(a, b) for b in span] for a in span])
+    return tensor_product([e] * k)
 
 
 def _built(m: int, steps, keys) -> TensorElement:
@@ -398,89 +396,86 @@ def _contents(T: StandardTableau) -> tuple[int, ...]:
 def _lhs_symbols(
     T: StandardTableau, g: GroupAlgebraElement, m: int, column=None
 ) -> TensorElement:
-    """The symbols of the left side times g, at the output col ``column``
-    only if it is given. The left side is built only at the cols the
-    product reads: those where the place operator P of g has a nonzero row
-    and, given ``column``, that rearrange it, since P[cols][new] != 0 only
-    when cols is a rearrangement of new."""
-    _, place = _place_operator(g, m)
-    support = frozenset(
-        cols
-        for cols, row in place.items()
-        if row and (column is None or sorted(cols) == sorted(column))
-    )
-    u = _shifted_product(T, m, support)
-    keys = None if column is None else {(rows, column) for rows, _ in u._terms}
-    return right_mul_group_algebra(u, g, keys)
+    """The symbols of the left side times g, at the output col new only if
+    ``column``, the (new, v, count) of ``_certified_column``, is given. The
+    left side is built only at the cols the product reads: those where the
+    place operator P of g has a nonzero row or, given ``column``, the cols
+    of v, those with P[cols][new] != 0."""
+    if column is None:
+        _, place = _place_operator(g, m)
+        u = _shifted_product(T, m, frozenset(cols for cols, row in place.items() if row))
+        return right_mul_group_algebra(u, g)
+    new, v, _ = column
+    u = _shifted_product(T, m, frozenset(v))
+    return right_mul_group_algebra(u, g, {(rows, new) for rows, _ in u._terms})
 
 
 def _rhs_symbols(g: GroupAlgebraElement, m: int, column=None) -> TensorElement:
     """The symbols of the right side R = [e_ab]^(x k) times g, at the output
-    col ``column`` only if it is given. The whole product multiplies R
-    (``_xd_product``). One column is summed from P alone, (D, P) the place
-    operator of g: its entry (rows, column) is (1/D) sum_cols
-    P[cols][column] prod_t e[rows_t, cols_t], and P[cols][column] != 0
-    only when cols rearranges column, so R is never formed."""
+    col new only if ``column``, the (new, v, count) of ``_certified_column``,
+    is given. The whole product multiplies R (``_xd_product``). One column
+    is summed from v = {cols: P[cols][new]}, (D, P) the place operator of
+    g: its entry (rows, new) is (1/D) sum_cols v[cols] prod_t e[rows_t,
+    cols_t], so R is never formed."""
     k = g.degree
     if column is None:
         return right_mul_group_algebra(_xd_product(k, m), g)
-    denom, place = _place_operator(g, m)
-    v = [
-        (cols, scale)
-        for cols in set(itertools.permutations(column))
-        for new, scale in place[cols]
-        if new == column
-    ]
+    denom, _ = _place_operator(g, m)
+    new, v, _ = column
     index, terms = _generator_index(m), {}
     for rows in itertools.product(range(1, m + 1), repeat=k):
         entry: dict[tuple[int, ...], int] = {}
-        for cols, scale in v:
+        for cols, scale in v.items():
             word = tuple(sorted([index[a, b] for a, b in zip(rows, cols)]))
             entry[word] = entry.get(word, 0) + scale
         if entry := {word: c for word, c in entry.items() if c}:
-            terms[rows, column] = SymbolElement._raw((m,), entry)
+            terms[rows, new] = SymbolElement._raw((m,), entry)
     u = TensorElement._raw((SymbolAlgebra(m), k, m, m), terms)
     return u if denom == 1 else Fraction(1, denom) * u
 
 
-def _pair_count(g: GroupAlgebraElement, m: int) -> int:
-    """The number of nonzero entries of the right side times g, R . P with
-    R = [e_ab]^(x k), for g a nonzero multiple of some Psi(T,T') of a shape
-    of l rows, at every n >= l (it is 0 below): (nonzero rows of P) x
-    (nonzero columns of P). Read off P alone.
-
-    Entry (rows, new) of R . P is sum_cols P[cols][new] prod_t e[rows_t,
-    cols_t], the image of e_rows (x) P e_new in the symmetric power
-    C[e_ab]_k = ((C^m)^(x k) (x) (C^m)^(x k))_{S_k}, which is the sum of
-    the irreducible S_lambda(C^m) (x) S_lambda(C^m) over lambda with at most m
-    rows (Howe). The mu-block of C[S_k] is End(S^mu), and Psi(T,T') is rank
-    one in it, so the entry lies in the component of mu and is a (x) b, where
-    a != 0 exactly when row ``rows`` of P is nonzero and b != 0 exactly when
-    column ``new`` is. ev_n is GL(m) x GL(m)-equivariant and its kernel is
-    the sum of the components with more than n rows, the ideal of the
-    (n+1)-minors (De Concini-Eisenbud-Procesi), so on that component it is
-    injective for n >= l and 0 below."""
-    _, place = _place_operator(g, m)
-    rows = [row for row in place.values() if row]
-    return len(rows) * len({new for row in rows for new, _ in row})
-
-
 def _certified_column(shape: Partition, g: GroupAlgebraElement, m: int):
-    """The least output col of weight mu, a rearrangement of
-    1^mu_1 2^mu_2 ..., at which the place operator P of g, a nonzero
-    multiple of some Psi(T,T') of a shape of at most m rows, has a nonzero
-    column. Raises ``ArithmeticError`` when P is 0 at weight mu, as is every
-    operator for a shape of more than m rows. im P = V_mu, which makes that
-    column decide, is proved for every Psi(T,T') of the shape by
-    ``tableaux._certified``, not here: this guard is necessary, not
-    sufficient, and the symmetrizer (shape 4) passes it as the operator of
-    T = [[1,2,3],[4]] at m = 3."""
+    """(new, v, count) from one pass over the place operator P of g, a
+    nonzero multiple of some Psi(T,T') of a shape of at most m rows: new
+    is the least output col of weight mu, a rearrangement of
+    1^mu_1 2^mu_2 ..., at which P has a nonzero column, v = {cols:
+    P[cols][new]} is that column, and count is the number of nonzero
+    entries of the right side times g. Raises ``ArithmeticError`` when P is
+    0 at weight mu, as is every operator for a shape of more than m rows.
+    im P = V_mu, which makes that column decide, is proved for every
+    Psi(T,T') of the shape by ``tableaux._certified``, not here: this guard
+    is necessary, not sufficient, and the symmetrizer (shape 4) passes it
+    as the operator of T = [[1,2,3],[4]] at m = 3. P[cols][new] != 0 only
+    when cols rearranges new, so v lies in the weight-mu rows.
+
+    The count is that of R . P with R = [e_ab]^(x k), at every n >= l for
+    a shape of l rows (it is 0 below): (nonzero rows of P) x (nonzero
+    columns of P). Entry (rows, new) of R . P is sum_cols P[cols][new]
+    prod_t e[rows_t, cols_t], the image of e_rows (x) P e_new in the
+    symmetric power C[e_ab]_k = ((C^m)^(x k) (x) (C^m)^(x k))_{S_k}, which
+    is the sum of the irreducible S_lambda(C^m) (x) S_lambda(C^m) over
+    lambda with at most m rows (Howe). The mu-block of C[S_k] is End(S^mu),
+    and Psi(T,T') is rank one in it, so the entry lies in the component of
+    mu and is a (x) b, where a != 0 exactly when row ``rows`` of P is
+    nonzero and b != 0 exactly when column ``new`` is. ev_n is
+    GL(m) x GL(m)-equivariant and its kernel is the sum of the components
+    with more than n rows, the ideal of the (n+1)-minors (De
+    Concini-Eisenbud-Procesi), so on that component it is injective for
+    n >= l and 0 below."""
     word = sorted(b for b, part in enumerate(shape.parts, 1) for _ in range(part))
     _, place = _place_operator(g, m)
-    news = [new for cols, row in place.items() if sorted(cols) == word for new, _ in row]
-    if not news:
+    rows, news, weight_mu = 0, set(), {}
+    for cols, row in place.items():
+        if row:
+            rows += 1
+            news.update(new for new, _ in row)
+            if sorted(cols) == word:
+                weight_mu[cols] = row
+    if not weight_mu:
         raise ArithmeticError(f"the place operator of shape {shape} at m={m} is 0 at weight mu")
-    return min(news)
+    new = min(new for row in weight_mu.values() for new, _ in row)
+    v = {cols: scale for cols, row in weight_mu.items() for n, scale in row if n == new}
+    return new, v, rows * len(news)
 
 
 def lhs_theorem(
@@ -571,12 +566,13 @@ def _theorem_reports(
             g = lcm(*(c.denominator for _, c in g.items())) * g
             # both sides are GL(m)-invariant tensors times the same P, whose
             # image is the irreducible V_mu, so they agree exactly when they
-            # agree at one weight-mu column of P. A passing pair is counted
-            # from P by ``_pair_count``, and a failing one gets both whole
-            # products, for the counts and first_diff of the whole comparison
+            # agree at one weight-mu column of P. One read of P gives that
+            # column and a passing pair's count; a failing pair gets both
+            # whole products, for the counts and first_diff of the whole
+            # comparison
             column = _certified_column(shape, g, m)
             if _lhs_symbols(T, g, m, column) == _rhs_symbols(g, m, column):
-                count = _pair_count(g, m)
+                count = column[2]
             else:
                 count, lhs, rhs = None, _lhs_symbols(T, g, m), _rhs_symbols(g, m)
         for n in ns:
@@ -651,8 +647,8 @@ def _corollary_reports(
             VerificationReport(
                 case=f"corollary-T-independence shape={shape} m={m} n={n}",
                 outcome=same,
-                lhs_terms=len(images[0]) if images else 0,
-                rhs_terms=len(images[-1]) if images else 0,
+                lhs_terms=len(images[0]),
+                rhs_terms=len(images[-1]),
                 first_diff=None if same else "traced left side depends on the tableau",
                 millis=(time.perf_counter() - start) * 1000.0,
             )

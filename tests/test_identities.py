@@ -617,6 +617,40 @@ def test_theorem_builds_no_left_side_for_a_shape_with_more_rows_than_m():
                 _certified_column(shape, g, 2)
 
 
+def test_a_passing_pair_reads_its_place_operator_once(monkeypatch):
+    # the compared column, the column v both sides contract with and the
+    # pair's count come from one pass over P: items() or values() of the
+    # operator identities reads is called once per passing pair, and the
+    # products read P through their own import
+    import capelli.identities as identities
+
+    reads = []
+
+    class Recording(dict):
+        def items(self):
+            reads.append("items")
+            return super().items()
+
+        def values(self):
+            reads.append("values")
+            return super().values()
+
+    place_operator = identities._place_operator
+
+    def recording(g, m):
+        denom, place = place_operator(g, m)
+        return denom, Recording(place)
+
+    monkeypatch.setattr(identities, "_place_operator", recording)
+    for shape, m in (("2,1", 2), ("3,1", 3), ("2,2", 2), ("2,2", 3), ("3,2", 2)):
+        shape = part(shape)
+        pairs = len(enumerate_standard_tableaux(shape)) ** 2
+        reads.clear()
+        reports = _theorem_reports(shape, m, (m,))[m]
+        assert len(reports) == pairs and all(r.outcome for r in reports), (shape, m)
+        assert len(reads) == pairs, (shape, m, reads[:4])
+
+
 def test_theorem_builds_each_place_operator_once():
     # the memo keeps one operator, and every reader of a pair reads that of
     # the D Psi(T,T') it multiplies by, the left side's support too: no
@@ -745,19 +779,27 @@ def _without_millis(reports):
     return [{k: v for k, v in r.to_dict().items() if k != "millis"} for r in reports]
 
 
+def _column(g, m, new):
+    # the column new of the place operator of g, as ``_certified_column``
+    # gives it to both sides, with no count
+    _, place = _place_operator(g, m)
+    v = {cols: scale for cols, row in place.items() for n, scale in row if n == new}
+    return new, v, None
+
+
 def _break_rhs_symbols(monkeypatch):
     # the antipode s -> s^-1 sends Psi(T,T2) to a nonzero multiple of
-    # Psi(T2,T): the theorem's right side then fails off the diagonal
+    # Psi(T2,T): the theorem's right side then fails off the diagonal, at
+    # the compared column of the antipode's own operator too
     import capelli.identities as identities
 
     rhs_symbols = identities._rhs_symbols
-    monkeypatch.setattr(
-        identities,
-        "_rhs_symbols",
-        lambda g, m, column=None: rhs_symbols(
-            GroupAlgebraElement(g.degree, {s.inverse(): c for s, c in g.items()}), m, column
-        ),
-    )
+
+    def broken(g, m, column=None):
+        g = GroupAlgebraElement(g.degree, {s.inverse(): c for s, c in g.items()})
+        return rhs_symbols(g, m, column and _column(g, m, column[0]))
+
+    monkeypatch.setattr(identities, "_rhs_symbols", broken)
 
 
 @pytest.mark.parametrize("broken", [False, True], ids=["passing", "failing"])
@@ -870,7 +912,7 @@ def test_a_left_entry_broken_at_the_compared_column_fails_as_the_whole_products(
     T = tab("[[1,2],[3]]")
     g = psi(T, T)
     g = lcm(*(c.denominator for _, c in g.items())) * g
-    new = identities._certified_column(shape, g, m)
+    new, _, _ = identities._certified_column(shape, g, m)
     _, place = _place_operator_of(3, m, tuple(g.items()))
     cols = min(cols for cols, row in place.items() if new in dict(row))
     assert sorted(cols) == sorted(new)
@@ -925,7 +967,7 @@ def test_a_passing_pair_forms_one_output_column(monkeypatch):
 @pytest.mark.parametrize("scaled", [False, True], ids=["psi", "D-psi"])
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_right_side_column_is_that_of_the_whole_product(k, scaled):
-    # the right side at one output column, summed from that column of P,
+    # the right side at one output column, summed from that column v of P,
     # against the product of [e_ab]^(x k) cut to it, at every column where
     # P is nonzero, for Psi itself (some D > 1 from k = 3 on) and for D Psi
     denoms = set()
@@ -945,7 +987,8 @@ def test_right_side_column_is_that_of_the_whole_product(k, scaled):
                 for new in sorted(news):
                     keys = {(rows, new) for rows in place}
                     expected = right_mul_group_algebra(_xd_product(k, m), g, keys)
-                    assert expected and _rhs_symbols(g, m, new) == expected, (T, T2, m, new)
+                    got = _rhs_symbols(g, m, _column(g, m, new))
+                    assert expected and got == expected, (T, T2, m, new)
     assert (max(denoms) > 1) == (not scaled and k >= 3), denoms
 
 
@@ -1005,8 +1048,10 @@ def test_column_basis_has_the_dimension_of_the_gl_module(k, ms):
                     g = psi(T, T2)
                     assert exact_rank(operator_columns(g, m, columns)) == dim, (T, T2, m)
                     if len(shape) <= m:
-                        new = _certified_column(shape, g, m)
-                        assert sorted(new) == word and any(operator_columns(g, m, [new])[0])
+                        new, v, _ = _certified_column(shape, g, m)
+                        [column] = operator_columns(g, m, [new])
+                        assert sorted(new) == word and any(column)
+                        assert [v.get(cols, 0) for cols in sorted(columns)] == column
 
 
 def _cross_broken(columns):
@@ -1077,7 +1122,7 @@ def test_the_runtime_guards_pass_an_operator_of_another_shape():
     # generators, with the Jucys-Murphy test below for the descent
     # recursion, is what rules it out for the Psi(T,T')
     g = GroupAlgebraElement(4, {s: 1 for s in all_permutations(4)})
-    assert _certified_column(part("3,1"), g, 3) == (1, 1, 1, 2)
+    assert _certified_column(part("3,1"), g, 3)[0] == (1, 1, 1, 2)
     T = tab("[[1,2,3],[4]]")
     assert ga_multiply(jm_element(4, 4), g) != T.content(4) * g
 

@@ -397,9 +397,17 @@ def test_right_mul_denominator_edge_cases(kind):
 
 
 def test_right_mul_degree_mismatch():
-    u = TensorElement.identity(Q, 3, 2)
-    with pytest.raises(ValueError):
-        right_mul_group_algebra(u, GroupAlgebraElement.one(2))
+    # g of higher degree than u; the lower one is below
+    u = TensorElement.identity(Q, 2, 2)
+    with pytest.raises(ValueError, match=r"degree mismatch: 3 vs k=2"):
+        right_mul_group_algebra(u, GroupAlgebraElement.one(3))
+
+
+def test_right_mul_requires_square_factors():
+    # place permutations act on (C^m)^(x k) only for square factors
+    u = TensorElement(Q, 1, 2, 3, {((1,), (3,)): 1})
+    with pytest.raises(ValueError, match="factors must be square to act by place permutations"):
+        right_mul_group_algebra(u, GroupAlgebraElement.one(1))
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
@@ -493,7 +501,7 @@ def test_full_trace_of_commutator_difference():
 def test_full_trace_requires_square_factors():
     w = WeylAlgebra(1, 2)
     X = TensorElement.matrix(w, [[w.x(1, 1), w.x(1, 2)]])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="trace needs square factors"):
         full_trace(tensor_product([X]))
 
 
